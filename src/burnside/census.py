@@ -16,7 +16,6 @@ exponential in d and only meant for desk-size checks, so it carries hard
 bounds.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ffield import FFMatrix
@@ -127,7 +126,7 @@ def fixed_space_dim_dual(mats) -> int:
     return len(stacked.nullspace())
 
 
-def _class_fixed_count(tom, action, i, threads_unused=None):
+def _class_fixed_count(tom, action, i):
     prog = tom.slps[i]
     mats = list(action.matrices)
     if prog.n_inputs != len(mats):
@@ -140,23 +139,11 @@ def _class_fixed_count(tom, action, i, threads_unused=None):
     return action.q ** fixed_space_dim_dual(gens)
 
 
-def census_from_tom(tom: TableOfMarks, action: ModuleAction, threads: int = 1) -> CensusReport:
-    """Census via the table of marks; needs the table's straight-line programs.
-
-    threads > 1 spreads the per-class fixed-space computations over a thread
-    pool; results are assembled by class index, so the report is identical
-    for every thread count.
-    """
+def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
+    """Census via the table of marks; needs the table's straight-line programs."""
     if tom.slps is None:
         raise ValueError("table of marks carries no straight-line programs")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    indices = range(tom.n)
-    if threads == 1:
-        fixed = [_class_fixed_count(tom, action, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fixed = list(pool.map(lambda i: _class_fixed_count(tom, action, i), indices))
+    fixed = [_class_fixed_count(tom, action, i) for i in range(tom.n)]
     decomp = decompose_fixed_vector(tom, fixed)
     nonzeropos = tuple(i + 1 for i, c in enumerate(decomp) if c)
     return CensusReport(

@@ -16,6 +16,7 @@ from .cyclotomic import (
     Cyclotomic,
     divisors,
     galois,
+    is_prime,
     is_rational_integer,
     multiplicative_order,
 )
@@ -31,17 +32,6 @@ __all__ = [
 
 def _as_value(v):
     return v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ class CharacterTable:
             raise ValueError("rows must all have the same number of values")
         if self.class_names and len(self.class_names) != width:
             raise ValueError("class name count must match the row length")
-        if self.prime is not None and not _is_prime(self.prime):
+        if self.prime is not None and not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not a prime")
 
     @property
@@ -104,7 +94,7 @@ def field_of_definition_size(row: CharacterRow, p: int) -> int:
     it always divides the multiplicative order of p modulo the lcm of the
     value levels, so only divisors of that order are tried.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     lift = 1
     for v in row.values:

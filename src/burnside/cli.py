@@ -5,13 +5,13 @@ Exit codes: 0 success, 1 usage (bad flags, inconsistent parameters),
 matching the data), 3 computation errors (bounds exceeded, non-integral
 decompositions, misaligned generators).  All stdout output is assembled
 into one string and written at the end, so identical inputs give
-byte-identical output; --threads never changes what is printed.
+byte-identical output.  Evaluation is serial; --threads is accepted for
+compatibility and changes nothing.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .census import ModuleAction, census_brute_force, census_from_tom
@@ -21,6 +21,7 @@ from .chartab import (
     rational_degree_census,
 )
 from .cohomology import GroupModulePair, h2_dimension, splits_implies
+from .cyclotomic import prime_factors
 from .ffield import FFMatrix, blow_up
 from .formats import (
     ParseError,
@@ -52,47 +53,20 @@ class DataError(Exception):
     """Well-formed files whose content contradicts the declared parameters."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    inputs: tuple = ()
-    out: str | None = None
-    p: int | None = None
-    k: int | None = None
-    q: int | None = None
-    subgroup_bound: int = SUBGROUP_BOUND
-    threads: int = 1
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.p is not None and self.k is not None and self.q is not None:
-            if self.q != self.p**self.k:
-                raise UsageError(f"q = {self.q} does not equal p^k = {self.p}^{self.k}")
-        if self.subgroup_bound < 1:
-            raise UsageError("bounds must be positive")
-        if self.threads < 1:
-            raise UsageError("threads must be positive")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
-def _prime_power(q: int):
-    if q < 2:
-        raise UsageError(f"q must be a prime power, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    n, k = q, 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
+def _check_prime_power(q: int) -> None:
+    if q < 2 or len(prime_factors(q)) != 1:
         raise UsageError(f"q = {q} is not a prime power")
-    return p, k
 
 
-def _note(cfg, msg):
-    if cfg.verbose:
+def _note(args, msg):
+    if args.verbose:
         print(msg, file=sys.stderr)
 
 
@@ -136,43 +110,28 @@ def _census_summary(report) -> str:
 
 
 def _cmd_census(args) -> str:
-    p, k = _prime_power(args.q)
-    cfg = CliConfig(
-        subcommand=f"census {args.mode}",
-        out=getattr(args, "out", None),
-        p=p,
-        k=k,
-        q=args.q,
-        threads=args.threads,
-        verbose=args.verbose,
-    )
+    _check_prime_power(args.q)
     mats = _gen_matrices(args.gens, args.q)
     action = ModuleAction(mats)
-    _note(cfg, f"{len(mats)} generator matrices on GF({action.q})^{action.d}")
+    _note(args, f"{len(mats)} generator matrices on GF({action.q})^{action.d}")
     if args.mode == "tom":
         tom = parse_tom(_read(args.tom))
-        report = census_from_tom(tom, action, threads=cfg.threads)
+        report = census_from_tom(tom, action)
     else:
         group = _perm_group(args.perm)
-        _note(cfg, f"group of order {group.order()} on {group.degree} points")
+        _note(args, f"group of order {group.order()} on {group.degree} points")
         report = census_brute_force(group, action)
-    if cfg.out:
-        Path(cfg.out).write_text(write_census_report(report))
+    if getattr(args, "out", None):
+        Path(args.out).write_text(write_census_report(report))
     return _census_summary(report)
 
 
 def _cmd_tom(args) -> str:
     if args.mode == "compute":
-        cfg = CliConfig(
-            subcommand="tom compute",
-            out=args.out,
-            subgroup_bound=args.max_order,
-            verbose=args.verbose,
-        )
         group = _perm_group(args.perm)
-        _note(cfg, f"group of order {group.order()} on {group.degree} points")
-        tom = compute_tom(group, bound=cfg.subgroup_bound)
-        Path(cfg.out).write_text(write_tom(tom))
+        _note(args, f"group of order {group.order()} on {group.degree} points")
+        tom = compute_tom(group, bound=args.max_order)
+        Path(args.out).write_text(write_tom(tom))
         return f"{tom.n} classes\n"
     tom = parse_tom(_read(args.tom))
     fixed = parse_fixed_vector(_read(args.fixed))
@@ -181,13 +140,6 @@ def _cmd_tom(args) -> str:
 
 
 def _cmd_blowup(args) -> str:
-    cfg = CliConfig(
-        subcommand="blowup",
-        p=args.p,
-        k=args.k,
-        q=args.p**args.k,
-        verbose=args.verbose,
-    )
     modulus = None
     if args.modulus is not None:
         if args.k == 1:
@@ -211,23 +163,20 @@ def _cmd_blowup(args) -> str:
         m = parse_meataxe(text)
         if not isinstance(m, FFMatrix):
             raise DataError(f"{args.infile}: expected a matrix file")
-    if m.field.p != cfg.p or m.field.k != cfg.k:
+    if m.field.p != args.p or m.field.k != args.k:
         raise DataError(
             f"{args.infile}: matrix is over GF({m.field.p}^{m.field.k}), "
-            f"declared p = {cfg.p}, k = {cfg.k}"
+            f"declared p = {args.p}, k = {args.k}"
         )
-    _note(cfg, f"blowing up a {m.rows}x{m.cols} matrix over GF({m.field.q})")
+    _note(args, f"blowing up a {m.rows}x{m.cols} matrix over GF({m.field.q})")
     return write_meataxe(blow_up(m))
 
 
 def _cmd_h2(args) -> str:
-    cfg = CliConfig(
-        subcommand="h2", p=args.p, k=1, q=args.p, verbose=args.verbose
-    )
     group = _perm_group(args.perm)
-    mats = _gen_matrices(args.mod, cfg.q)
+    mats = _gen_matrices(args.mod, args.p)
     pair = GroupModulePair(group, mats)
-    _note(cfg, f"group of order {group.order()}, module GF({pair.p})^{pair.d}")
+    _note(args, f"group of order {group.order()}, module GF({pair.p})^{pair.d}")
     dim = h2_dimension(pair)
     return f"{dim}\n{splits_implies(pair, dim)}\n"
 
@@ -276,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=1, help="worker count (output-neutral)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; evaluation is serial")
         p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
 
     census = sub.add_parser("census", help="orbit census of a dual module")
@@ -298,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tc = tsub.add_parser("compute", help="table of marks of a permutation group")
     tc.add_argument("--perm", required=True, help="mode 12 permutation generator file")
     tc.add_argument("--out", required=True, help="output tom file")
-    tc.add_argument("--max-order", type=int, default=SUBGROUP_BOUND,
+    tc.add_argument("--max-order", type=_positive_int, default=SUBGROUP_BOUND,
                     help="largest group order to accept")
     common(tc)
     td = tsub.add_parser("decompose", help="decompose a fixed-point vector")

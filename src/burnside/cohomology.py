@@ -12,18 +12,21 @@ of k on f(g,h); the 2-cocycle identity is
 
     f(g,h)^k + f(gh,k) = f(h,k) + f(g,hk).
 
-Both systems are dense, so memory grows like |G|^4 rows-times-columns for
-H^2; decent behaviour stops well before the default bound of 64.
+Both systems are dense, so memory grows like |G|^5 * d^2 for H^2.  A
+system of more than SYSTEM_BYTES_BOUND bytes is refused before it is built;
+its rank holds about four times the system at once.
 """
 
 import random
 
 import numpy as np
 
+from .ffield import row_echelon
 from .permgroup import Perm, PermGroup
 
 H1_BOUND = 128
 H2_BOUND = 64
+SYSTEM_BYTES_BOUND = 2**28
 _VALIDATION_SAMPLE = 100
 
 
@@ -88,26 +91,13 @@ class GroupModulePair:
         return self._images[el]
 
 
-def _gf_rank(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p), by in-place elimination."""
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
+def _check_system_size(rows: int, cols: int) -> None:
+    nbytes = rows * cols * 8
+    if nbytes > SYSTEM_BYTES_BOUND:
+        raise ValueError(
+            f"a {rows} x {cols} int64 system takes {nbytes} bytes, "
+            f"over the bound of {SYSTEM_BYTES_BOUND} bytes"
+        )
 
 
 def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
@@ -121,6 +111,7 @@ def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
     if n > bound:
         raise ValueError(f"group order {n} exceeds the H^1 bound {bound}")
     d, p = pair.d, pair.p
+    _check_system_size(n * n * d, n * d)
     idx = {e: i for i, e in enumerate(els)}
     eye = np.eye(d, dtype=np.int64)
 
@@ -133,12 +124,12 @@ def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
             block[:, idx[g] * d : (idx[g] + 1) * d] -= pair.matrix(h).T
             block[:, idx[h] * d : (idx[h] + 1) * d] -= eye
             row += d
-    z1 = n * d - _gf_rank(system, p)
+    z1 = n * d - len(row_echelon(system, p)[1])
 
     principal = np.zeros((d, n * d), dtype=np.int64)
     for i, g in enumerate(els):
         principal[:, i * d : (i + 1) * d] = eye - pair.matrix(g)
-    return z1 - _gf_rank(principal, p)
+    return z1 - len(row_echelon(principal, p)[1])
 
 
 def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
@@ -209,8 +200,9 @@ def h2_dimension(pair: GroupModulePair, bound: int = H2_BOUND) -> int:
         raise ValueError(f"group order {n} exceeds the H^2 bound {bound}")
     m = n - 1
     unknowns = m * m * pair.d
-    z2 = unknowns - _gf_rank(delta2_matrix(pair), pair.p)
-    b2 = _gf_rank(delta1_matrix(pair), pair.p)
+    _check_system_size(m * unknowns, unknowns)
+    z2 = unknowns - len(row_echelon(delta2_matrix(pair), pair.p)[1])
+    b2 = len(row_echelon(delta1_matrix(pair), pair.p)[1])
     return z2 - b2
 
 

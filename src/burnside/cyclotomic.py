@@ -28,19 +28,30 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in prime_factors(n):
+        out -= out // p
     return out
 
 

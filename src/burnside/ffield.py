@@ -4,30 +4,20 @@ Scalars are plain ints.  In a prime field they are residues 0..p-1; in an
 extension field GF(p^k) an int encodes the polynomial c_0 + c_1*z + ... by its
 base-p digits, where z is a root of the defining modulus.  Matrices hold their
 entries in a flat row-major tuple, so every value here is immutable and safe
-to share between workers.
+to share.
 
 Dimensions in this package stay small (module actions top out around 28), so
-matrices are dense.  The only speed tricks worth having are a bit-packed path
-for GF(2) and a numpy path for odd prime fields; extension fields take the
-plain digit-convolution route.
+matrices are dense.  Only prime fields have matrix kernels: bit-packed rows
+for GF(2) and numpy arrays for odd p, each with one product and one
+elimination routine.  A matrix over GF(p^k) is multiplied, inverted and
+reduced through its blow-up to GF(p).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .cyclotomic import is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +75,6 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _minus_x(poly, p):
     d = list(poly) + [0] * (2 - len(poly))
     d[1] = (d[1] - 1) % p
@@ -117,7 +93,7 @@ def _poly_is_irreducible(f, p):
     x = (0, 1)
     if _minus_x(_ppowmod(x, p**k, f, p), p) != ():
         return False
-    for r in _prime_factors(k):
+    for r in prime_factors(k):
         g = _minus_x(_ppowmod(x, p ** (k // r), f, p), p)
         if len(_pgcd(g, f, p)) - 1 != 0:
             return False
@@ -146,7 +122,7 @@ class PrimeField:
     """GF(p) with int scalars 0..p-1."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.k = 1
@@ -210,7 +186,7 @@ class ExtField:
     """
 
     def __init__(self, p: int, k: int, modulus: tuple | None = None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= 16:
             raise ValueError("extension degree must be between 1 and 16")
@@ -440,39 +416,20 @@ class FFMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
         f = self.field
-        if f.q == 2:
-            return self._mul_gf2(other)
-        if f.k == 1:
-            a = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-            b = np.array(other.entries, dtype=np.int64).reshape(other.rows, other.cols)
-            c = (a @ b) % f.p
-            return FFMatrix(f, self.rows, other.cols, tuple(int(x) for x in c.ravel()))
-        out = []
-        bcols = other.cols
-        bt = other.transpose()
-        for i in range(self.rows):
-            arow = self.row(i)
-            for j in range(bcols):
-                bcol = bt.row(j)
-                acc = f.zero
-                for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = f.add(acc, f.mul(x, y))
-                out.append(acc)
-        return FFMatrix(f, self.rows, bcols, out)
-
-    def _mul_gf2(self, other):
-        bw = other.cols
-        brows = _pack_gf2(other)
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            arow = self.row(i)
-            for j, bit in enumerate(arow):
-                if bit:
-                    acc ^= brows[j]
-            out.extend((acc >> j) & 1 for j in range(bw))
-        return FFMatrix(self.field, self.rows, bw, out)
+        if f.k > 1:
+            return _blow_down(f, blow_up(self) * blow_up(other))
+        if f.p == 2:
+            brows = _pack_gf2(other)
+            out = []
+            for i in range(self.rows):
+                acc = 0
+                for j, bit in enumerate(self.row(i)):
+                    if bit:
+                        acc ^= brows[j]
+                out.extend((acc >> j) & 1 for j in range(other.cols))
+            return FFMatrix(f, self.rows, other.cols, out)
+        c = (_as_array(self) @ _as_array(other)) % f.p
+        return FFMatrix(f, self.rows, other.cols, c.ravel().tolist())
 
     def __pow__(self, e):
         if self.rows != self.cols:
@@ -499,40 +456,36 @@ class FFMatrix:
     # -- elimination-based operations
 
     def nullspace(self):
-        """Row-reduced basis of the left nullspace {v : v*m = 0}."""
-        if self.field.q == 2:
-            return self._nullspace_gf2()
+        """Row-reduced basis of the left nullspace {v : v*m = 0}.
+
+        Over GF(p) it is the part of the RREF of [m | 1] whose pivots fall
+        in the identity block.  Over GF(p^k) the nullspace of the blow-up is
+        the GF(q) nullspace written in digits, and the rows of its RREF with
+        a pivot on digit 0 of an entry are the GF(q) RREF rows.
+        """
         f = self.field
         r, c = self.rows, self.cols
-        aug = [list(self.row(i)) + [f.one if t == i else f.zero for t in range(r)] for i in range(r)]
-        _eliminate(f, aug, c)
-        basis = [row[c:] for row in aug if all(x == f.zero for x in row[:c])]
-        _eliminate(f, basis, r)
-        return [tuple(b) for b in basis]
-
-    def _nullspace_gf2(self):
-        r, c = self.rows, self.cols
-        rows = [_pack_bits(self.row(i)) | (1 << (c + i)) for i in range(r)]
-        pivots = []
-        rank = 0
-        for col in range(c):
-            bit = 1 << col
-            piv = next((i for i in range(rank, r) if rows[i] & bit), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for i in range(r):
-                if i != rank and rows[i] & bit:
-                    rows[i] ^= rows[rank]
-            pivots.append(col)
-            rank += 1
-        mask = (1 << c) - 1
-        basis = [row >> c for row in rows if not row & mask]
-        basis = _rref_gf2(basis, r)
-        return [tuple((b >> j) & 1 for j in range(r)) for b in basis]
+        if f.k > 1:
+            k = f.k
+            out = []
+            for v in blow_up(self).nullspace():
+                lead = next(j for j, x in enumerate(v) if x)
+                if lead % k == 0:
+                    out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, r * k, k)))
+            return out
+        if f.p == 2:
+            rows = _rref_gf2(_augmented_gf2(self))
+            return [_unpack_bits(b >> c, r) for b in rows if not b & ((1 << c) - 1)]
+        a, pivots = _rref(_augmented(self), f.p)
+        return [tuple(row[c:]) for row, col in zip(a.tolist(), pivots) if col >= c]
 
     def rank(self):
-        return self.rows - len(self.nullspace())
+        f = self.field
+        if f.k > 1:
+            return blow_up(self).rank() // f.k
+        if f.p == 2:
+            return len(_rref_gf2(_pack_gf2(self)))
+        return len(row_echelon(_as_array(self), f.p)[1])
 
     def det(self):
         if self.rows != self.cols:
@@ -563,14 +516,23 @@ class FFMatrix:
             raise ValueError("inverse of a non-square matrix")
         f = self.field
         n = self.rows
-        aug = [list(self.row(i)) + [f.one if t == i else f.zero for t in range(n)] for i in range(n)]
-        pivots = _eliminate(f, aug, n)
-        if len(pivots) < n:
+        if f.k > 1:
+            return _blow_down(f, blow_up(self).inverse())
+        if f.p == 2:
+            rows = _rref_gf2(_augmented_gf2(self))
+            if any(b & ((1 << n) - 1) != 1 << i for i, b in enumerate(rows)):
+                raise ValueError("matrix is singular")
+            return FFMatrix(f, n, n, [x for b in rows for x in _unpack_bits(b >> n, n)])
+        a, pivots = _rref(_augmented(self), f.p)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return FFMatrix.from_rows(f, [row[n:] for row in aug])
+        return FFMatrix(f, n, n, a[:, n:].ravel().tolist())
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
+
+
+# GF(2) kernel: row j of a matrix packed into an int, column t at bit t
 
 
 def _pack_bits(bits):
@@ -581,52 +543,90 @@ def _pack_bits(bits):
     return out
 
 
+def _unpack_bits(x, width):
+    return tuple((x >> j) & 1 for j in range(width))
+
+
 def _pack_gf2(m):
     c = m.cols
     ent = m.entries
     return [_pack_bits(ent[i * c : (i + 1) * c]) for i in range(m.rows)]
 
 
-def _rref_gf2(rows, width):
-    rows = [r for r in rows if r]
-    out = []
-    for col in range(width):
-        bit = 1 << col
-        idx = next((i for i, r in enumerate(rows) if r & bit), None)
-        if idx is None:
-            continue
-        piv = rows.pop(idx)
-        rows = [r ^ piv if r & bit else r for r in rows]
-        rows = [r for r in rows if r]
-        out = [r ^ piv if r & bit else r for r in out]
-        out.append(piv)
-    return out
+def _augmented_gf2(m):
+    return [_pack_bits(m.row(i)) | 1 << (m.cols + i) for i in range(m.rows)]
 
 
-def _eliminate(field, rows, width):
-    """In-place RREF using pivots among the first `width` columns.
+def _rref_gf2(rows):
+    """Nonzero rows of the RREF of packed GF(2) rows, in pivot order.
 
-    Rows are lists possibly longer than `width` (augmented columns ride
-    along).  Returns the pivot column list.
+    Each row is reduced against the pivot rows so far; a nonzero remainder
+    becomes a pivot row on its lowest bit and is cleared from the others.
     """
+    piv = {}
+    for r in rows:
+        for bit, pr in piv.items():
+            if r & bit:
+                r ^= pr
+        if r:
+            bit = r & -r
+            for b, pr in piv.items():
+                if pr & bit:
+                    piv[b] = pr ^ r
+            piv[bit] = r
+    return [piv[b] for b in sorted(piv)]
+
+
+# odd-p kernel: int64 numpy arrays of residues
+
+
+def _as_array(m):
+    # a row of products must sum below 2^63, or int64 wraps silently
+    if m.cols * (m.field.p - 1) ** 2 >= 2**63:
+        raise ValueError(f"GF({m.field.p}) is too large for int64 matrix arithmetic")
+    return np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+
+
+def _augmented(m):
+    return np.hstack([_as_array(m), np.eye(m.rows, dtype=np.int64)])
+
+
+def row_echelon(a, p: int):
+    """Forward elimination over GF(p) of a copy of the integer matrix a.
+
+    Returns (e, pivots): e is a row echelon form with leading entries 1,
+    and pivots lists the pivot column of each of its leading rows.
+    """
+    a = np.array(a, dtype=np.int64) % p
+    rows, cols = a.shape
     pivots = []
-    rank = 0
-    nrows = len(rows)
-    for col in range(width):
-        piv = next((i for i in range(rank, nrows) if rows[i][col] != field.zero), None)
-        if piv is None:
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pinv = field.inv(rows[rank][col])
-        if rows[rank][col] != field.one:
-            rows[rank] = [field.mul(pinv, x) for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != field.zero:
-                factor = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+        if below.size:
+            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _rref(a, p):
+    """row_echelon followed by back-substitution: the RREF and its pivots."""
+    a, pivots = row_echelon(a, p)
+    for r in range(len(pivots) - 1, 0, -1):
+        above = np.nonzero(a[:r, pivots[r]])[0]
+        if above.size:
+            a[above] = (a[above] - np.outer(a[above, pivots[r]], a[r])) % p
+    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +650,27 @@ def blow_up(m: FFMatrix) -> FFMatrix:
     zpows = [f.pow(f.from_coeffs((0, 1)) if k > 1 else f.one, s) for s in range(k)]
     R, C = m.rows * k, m.cols * k
     out = [0] * (R * C)
+    blocks = {}
     for i in range(m.rows):
         for j in range(m.cols):
             a = m[i, j]
             if a == 0:
                 continue
-            for s in range(k):
-                digits = f.coeffs(f.mul(a, zpows[s]))
+            block = blocks.get(a)
+            if block is None:
+                block = blocks[a] = [f.coeffs(f.mul(a, zp)) for zp in zpows]
+            for s, digits in enumerate(block):
                 base = (i * k + s) * C + j * k
-                for t in range(k):
-                    out[base + t] = digits[t]
+                out[base : base + k] = digits
     return FFMatrix(target, R, C, out)
+
+
+def _blow_down(field, m: FFMatrix) -> FFMatrix:
+    """Inverse of blow_up on its image: a scalar is the first row of its block."""
+    k = field.k
+    ent = m.entries
+    return FFMatrix(field, m.rows // k, m.cols // k, [
+        field.from_coeffs(ent[i * m.cols + j : i * m.cols + j + k])
+        for i in range(0, m.rows, k)
+        for j in range(0, m.cols, k)
+    ])

@@ -14,8 +14,9 @@ generator words transfer verbatim to matrix generators.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+
+from .cyclotomic import is_prime, prime_factors
 
 ENUMERATION_BOUND = 10_000
 SUBGROUP_BOUND = 1000
@@ -125,7 +126,7 @@ class Perm:
 
 
 class PermGroup:
-    """Group generated by permutations; caches are lazily built and locked."""
+    """Group generated by permutations; caches are lazily built."""
 
     def __init__(self, degree, generators):
         self.degree = degree
@@ -137,17 +138,15 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
             gens.append(g)
         self.generators = tuple(gens)
-        self._lock = threading.Lock()
         self._chain = None
         self._words = None
 
     # -- stabilizer chain -----------------------------------------------
 
     def _stabilizer_chain(self):
-        with self._lock:
-            if self._chain is None:
-                self._chain = _build_chain([g for g in self.generators if not g.is_identity()])
-            return self._chain
+        if self._chain is None:
+            self._chain = _build_chain([g for g in self.generators if not g.is_identity()])
+        return self._chain
 
     def order(self) -> int:
         n = 1
@@ -176,23 +175,22 @@ class PermGroup:
         """
         if self.order() > limit:
             raise ValueError(f"group order {self.order()} exceeds enumeration bound {limit}")
-        with self._lock:
-            if self._words is None:
-                ident = Perm.identity(self.degree)
-                words = {ident: ()}
-                queue = [ident]
-                while queue:
-                    nxt = []
-                    for el in queue:
-                        w = words[el]
-                        for i, g in enumerate(self.generators):
-                            y = el * g
-                            if y not in words:
-                                words[y] = w + (i,)
-                                nxt.append(y)
-                    queue = nxt
-                self._words = words
-            return self._words
+        if self._words is None:
+            ident = Perm.identity(self.degree)
+            words = {ident: ()}
+            queue = [ident]
+            while queue:
+                nxt = []
+                for el in queue:
+                    w = words[el]
+                    for i, g in enumerate(self.generators):
+                        y = el * g
+                        if y not in words:
+                            words[y] = w + (i,)
+                            nxt.append(y)
+                queue = nxt
+            self._words = words
+        return self._words
 
     def elements(self, limit=ENUMERATION_BOUND):
         return sorted(self.element_words(limit))
@@ -372,7 +370,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
         if x.is_identity():
             continue
         o = x.order()
-        if not _is_prime_int(o):
+        if not is_prime(o):
             continue
         h = frozenset(x**i for i in range(o))
         if find(h) is None:
@@ -393,7 +391,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
                 if find(h) is None:
                     queue.append(add(h, minimal_generators(h)))
 
-    primes = _prime_divisors(n)
+    primes = prime_factors(n)
     while queue:
         cls = queue.pop(0)
         u = cls["els"]
@@ -422,31 +420,6 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
         sub = PermGroup(degree, gens)
         out.append(SubgroupClass(sub, c["order"], len(c["conjugates"]), c["els"]))
     return SubgroupClassList(group, tuple(out))
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _subgroup_elements(group, sub):

@@ -165,14 +165,6 @@ def test_conjugate_action_same_report(name, group, action):
     assert census_from_tom(tom, conj) == census_from_tom(tom, action)
 
 
-def test_threads_do_not_change_report():
-    group, action = pair_d8()
-    tom = compute_tom(group)
-    assert census_from_tom(tom, action, threads=4) == census_from_tom(tom, action)
-    with pytest.raises(ValueError):
-        census_from_tom(tom, action, threads=0)
-
-
 def test_tom_without_slps_fails_fast():
     group, action = pair_s3()
     tom = compute_tom(group, with_slps=False)

@@ -5,7 +5,9 @@ import pytest
 
 from burnside.cli import main
 from burnside.corpus import pair_a4
+from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import parse_tom, write_meataxe
+from burnside.permgroup import Perm
 from burnside.tom import compute_tom
 
 DATA = files("burnside") / "data"
@@ -54,6 +56,16 @@ def test_census_deterministic_and_thread_neutral(capsys):
     _, second, _ = run(capsys, *argv)
     _, threaded, _ = run(capsys, *argv, "--threads", "3")
     assert first == second == threaded
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--max-order"])
+def test_nonpositive_counts_exit_1(capsys, tmp_path, flag):
+    code, out, err = run(capsys, "tom", "compute", "--perm", p("a4.perm.mtx"),
+                         "--out", str(tmp_path / "x.json"), flag, "0")
+    assert code == 1
+    assert out == ""
+    assert "positive" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_census_mismatched_tom_and_gens_exits_3(capsys, tmp_path):
@@ -164,6 +176,20 @@ def test_h2_c2_trivial_module(capsys):
     lines = out.splitlines()
     assert lines[0] == "1"
     assert "2 equivalence classes of extensions" in lines[1]
+
+
+def test_h2_oversized_system_exits_3(capsys, tmp_path):
+    # C2^4 on a trivial 7-dimensional module needs a 298 MB system
+    gens = [Perm.from_cycles(8, [(2 * i, 2 * i + 1)]) for i in range(4)]
+    perm = tmp_path / "c2x4.perm.mtx"
+    perm.write_text(write_meataxe(gens))
+    mod = tmp_path / "triv7.mtx"
+    mod.write_text(write_meataxe(FFMatrix.identity(PrimeField(2), 7)))
+    code, out, err = run(capsys, "h2", "--perm", str(perm),
+                         "--mod", ",".join([str(mod)] * 4), "--p", "2")
+    assert code == 3
+    assert out == ""
+    assert "297675000 bytes" in err
 
 
 def test_h2_misaligned_module_exits_3(capsys, tmp_path):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from burnside import cohomology
 from burnside.cohomology import (
     GroupModulePair,
     delta1_matrix,
@@ -277,6 +278,26 @@ def test_bounds_are_enforced():
         h1_dimension(pair, bound=5)
     with pytest.raises(ValueError, match="bound"):
         h2_dimension(pair, bound=5)
+
+
+def elementary_abelian_2(rank):
+    """C2^rank as disjoint transpositions on 2*rank points."""
+    n = 2 * rank
+    return PermGroup(n, [Perm.from_cycles(n, [(2 * i, 2 * i + 1)]) for i in range(rank)])
+
+
+def test_oversized_systems_fail_before_they_are_built(monkeypatch):
+    def never(pair):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(cohomology, "delta2_matrix", never)
+    monkeypatch.setattr(cohomology, "delta1_matrix", never)
+    # 15^3 * 7 rows and 15^2 * 7 columns of int64: 297675000 bytes
+    with pytest.raises(ValueError, match="297675000 bytes"):
+        h2_dimension(trivial_pair(elementary_abelian_2(4), 2, d=7))
+    # 16^2 * 91 rows and 16 * 91 columns: 271351808 bytes
+    with pytest.raises(ValueError, match="271351808 bytes"):
+        h1_dimension(trivial_pair(elementary_abelian_2(4), 2, d=91))
 
 
 # --------------------------------------------------------------- report --

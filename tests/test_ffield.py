@@ -2,7 +2,8 @@
 
 The multiply oracle below is a deliberately naive triple loop over field ops,
 kept separate from the production paths (bit-packed GF(2), numpy for odd
-primes) so the two never share code.
+primes, and the blow-up to GF(p) for extension fields) so the two never
+share code.
 """
 
 import random
@@ -15,7 +16,9 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 GF4 = ExtField(2, 2)
+GF7 = PrimeField(7)
 GF8 = ExtField(2, 3)
+GF9 = ExtField(3, 2)
 
 
 def mul_oracle(a, b):
@@ -147,7 +150,7 @@ def test_gf2_hand_product():
 
 def test_product_matches_scalar_oracle():
     rng = random.Random(11)
-    for f in (GF2, GF3, GF5, GF4, GF8):
+    for f in (GF2, GF3, GF5, GF7, GF4, GF8, GF9):
         for _ in range(25):
             a = random_matrix(f, 4, 3, rng)
             b = random_matrix(f, 3, 5, rng)
@@ -163,6 +166,14 @@ def test_associativity_random_gf3():
         lhs = mul_oracle(mul_oracle(a, b), c)
         assert (a * b) * c == lhs
         assert a * (b * c) == lhs
+
+
+def test_large_primes_are_refused_not_wrapped():
+    p = 4294967311  # (p-1)^2 overflows int64
+    m = FFMatrix.from_rows(PrimeField(p), [[p - 1, 2], [3, p - 2]])
+    for op in (lambda: m * m, m.nullspace, m.inverse, m.rank):
+        with pytest.raises(ValueError, match="too large"):
+            op()
 
 
 def test_product_shape_and_field_errors():
@@ -216,7 +227,7 @@ def nullspace_oracle(m):
 
 def test_nullspace_members_and_dimension_match_enumeration():
     rng = random.Random(23)
-    for f in (GF2, GF3, GF4):
+    for f in (GF2, GF3, GF7, GF4, GF9):
         for _ in range(12):
             m = random_matrix(f, 3, 3, rng)
             basis = m.nullspace()
@@ -226,9 +237,35 @@ def test_nullspace_members_and_dimension_match_enumeration():
                 assert v in all_null
 
 
+def is_rref(basis, field):
+    """Leading entries 1, strictly moving right, alone in their columns."""
+    leads = []
+    for v in basis:
+        lead = next((j for j, x in enumerate(v) if x != field.zero), None)
+        if lead is None or v[lead] != field.one:
+            return False
+        leads.append(lead)
+    if leads != sorted(set(leads)):
+        return False
+    return all(w[lead] == field.zero for lead, v in zip(leads, basis) for w in basis if w is not v)
+
+
+def test_nullspace_basis_is_rref():
+    rng = random.Random(31)
+    for f in (GF2, GF3, GF7, GF4, GF8, GF9):
+        for _ in range(20):
+            r, c = rng.randrange(1, 7), rng.randrange(1, 5)
+            # a product of thin factors has a large nullspace
+            t = rng.randrange(1, 3)
+            m = mul_oracle(random_matrix(f, r, t, rng), random_matrix(f, t, c, rng))
+            basis = m.nullspace()
+            assert len(basis) >= r - t
+            assert is_rref(basis, f)
+
+
 def test_rank_nullity():
     rng = random.Random(5)
-    for f in (GF2, GF3, GF5, GF4):
+    for f in (GF2, GF3, GF5, GF7, GF4, GF9):
         for _ in range(15):
             r, c = rng.randrange(1, 5), rng.randrange(1, 5)
             m = random_matrix(f, r, c, rng)
@@ -237,14 +274,14 @@ def test_rank_nullity():
 
 def test_inverse_round_trip():
     rng = random.Random(9)
-    for f in (GF2, GF3, GF4, GF8):
+    for f in (GF2, GF3, GF7, GF4, GF8, GF9):
         count = 0
         while count < 10:
             m = random_matrix(f, 3, 3, rng)
             if not m.is_invertible():
                 continue
             count += 1
-            assert m * m.inverse() == FFMatrix.identity(f, 3)
+            assert mul_oracle(m, m.inverse()) == FFMatrix.identity(f, 3)
             assert m ** -1 == m.inverse()
     with pytest.raises(ValueError):
         FFMatrix.zero(GF2, 2, 2).inverse()
@@ -278,7 +315,7 @@ def test_blow_up_multiplicative_gf8():
     for _ in range(20):
         a = random_matrix(GF8, 3, 3, rng)
         b = random_matrix(GF8, 3, 3, rng)
-        assert blow_up(a * b) == blow_up(a) * blow_up(b)
+        assert blow_up(mul_oracle(a, b)) == blow_up(a) * blow_up(b)
 
 
 def test_blow_up_additive_and_injective():
