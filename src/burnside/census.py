@@ -164,23 +164,7 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
     and verifies image(g * gen_i) == image(g) * mat_i throughout; that covers
     all defining relations, including collapses under a non-faithful action.
     """
-    if len(action.matrices) != len(group.generators):
-        raise ValueError(
-            f"{len(group.generators)} group generators but "
-            f"{len(action.matrices)} matrices"
-        )
-    words = group.element_words()
-    ident = FFMatrix.identity(action.field, action.d)
-    image = {}
-    for el, word in words.items():
-        m = ident
-        for idx in word:
-            m = m * action.matrices[idx]
-        image[el] = m
-    for el in image:
-        for i, gen in enumerate(group.generators):
-            if image[el * gen] != image[el] * action.matrices[i]:
-                raise ValueError("matrices are not aligned with the group generators")
+    group.element_table().images(action.matrices, FFMatrix.identity(action.field, action.d))
 
 
 def _gf2_rowcodes(mat):
@@ -220,17 +204,10 @@ def _vec_apply(vec, mat):
 
 
 def _classify_stabilizer(group, classes, stab):
-    s = len(stab)
-    candidates = [i for i, c in enumerate(classes) if c.order == s]
-    if len(candidates) == 1:
-        return candidates[0]
-    stab_set = frozenset(stab)
+    """Position of the class of the subgroup stab (a frozenset of Perms)."""
+    candidates = [i for i, c in enumerate(classes) if c.order == len(stab)]
     for i in candidates:
-        if classes[i].elements == stab_set:
-            return i
-    for i in candidates:
-        found, _ = is_conjugate_subgroup(group, stab_set, classes[i].elements)
-        if found:
+        if len(candidates) == 1 or is_conjugate_subgroup(group, stab, classes[i].elements)[0]:
             return i
     raise ValueError("stabilizer matches no subgroup class")
 
@@ -244,10 +221,11 @@ def census_brute_force(
 ) -> CensusReport:
     """Census by enumerating all q^d dual vectors; independent of any tom.
 
-    Walks every orbit of the dual action, finds each stabilizer by scanning
-    all group elements, classifies it among the subgroup classes by order
-    and, when orders tie, by an explicit conjugacy search.  The per-class
-    fixed counts come from direct counting as well, not from nullspaces.
+    Applies every group element to one vector of each orbit, which gives the
+    orbit and the stabilizer at once, classifies the stabilizer among the
+    subgroup classes by order and, when orders tie, by an explicit conjugacy
+    search.  The per-class fixed counts come from direct counting as well,
+    not from nullspaces.
     """
     order = group.order()
     if order > group_bound:
@@ -255,32 +233,19 @@ def census_brute_force(
     space = action.q**action.d
     if space > space_bound:
         raise ValueError(f"dual space size {space} exceeds the brute-force bound {space_bound}")
-    if len(action.matrices) != len(group.generators):
-        raise ValueError(
-            f"{len(group.generators)} group generators but "
-            f"{len(action.matrices)} matrices"
-        )
+    field = action.field
+    d = action.d
+    table = group.element_table(group_bound)
+    duals = [m.transpose().inverse() for m in action.matrices]
+    dual_of = table.images(duals, FFMatrix.identity(field, d))
     if classes is None:
         classes = subgroup_classes(group)
 
-    field = action.field
-    d = action.d
-    duals = [m.transpose().inverse() for m in action.matrices]
-    dual_of = {}
-    for el, word in group.element_words().items():
-        m = FFMatrix.identity(field, d)
-        for idx in word:
-            m = m * duals[idx]
-        dual_of[el] = m
-
-    els = group.elements()
     if action.q == 2:
-        gen_ops = [_gf2_rowcodes(m) for m in duals]
-        el_ops = {el: _gf2_rowcodes(m) for el, m in dual_of.items()}
+        el_ops = [_gf2_rowcodes(m) for m in dual_of]
         points = list(range(space))
         act = _gf2_apply
     else:
-        gen_ops = duals
         el_ops = dual_of
         points = [()]
         for _ in range(d):
@@ -292,26 +257,17 @@ def census_brute_force(
     for start in points:
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for op in gen_ops:
-                    y = act(x, op)
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
+        image = [act(start, op) for op in el_ops]
+        orbit = set(image)
         seen.update(orbit)
-        stab = [el for el in els if act(start, el_ops[el]) == start]
+        stab = frozenset(table.perms[i] for i, y in enumerate(image) if y == start)
         if len(orbit) * len(stab) != order:
             raise RuntimeError("orbit-stabilizer mismatch; the action is inconsistent")
         counts[_classify_stabilizer(group, classes, stab)] += 1
 
     fixed = []
     for c in classes:
-        ops = [el_ops[g] for g in c.subgroup.generators]
+        ops = [el_ops[i] for i in table.subset(c.subgroup.generators)]
         fixed.append(sum(1 for v in points if all(act(v, op) == v for op in ops)))
 
     nonzeropos = tuple(i + 1 for i, cnt in enumerate(counts) if cnt)

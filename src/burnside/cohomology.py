@@ -13,21 +13,17 @@ of k on f(g,h); the 2-cocycle identity is
     f(g,h)^k + f(gh,k) = f(h,k) + f(g,hk).
 
 Both systems are dense, so memory grows like |G|^5 * d^2 for H^2.  A
-system of more than SYSTEM_BYTES_BOUND bytes is refused before it is built;
-its rank holds about four times the system at once.
+system of more than permgroup.SYSTEM_BYTES_BOUND bytes is refused before it
+is built; its rank holds about four times the system at once.  Products of
+group elements come from the group's product table, by element index.
 """
-
-import random
 
 import numpy as np
 
-from .ffield import row_echelon
-from .permgroup import Perm, PermGroup
+from .ffield import FFMatrix, row_echelon
+from .permgroup import PermGroup, check_allocation
 
 H1_BOUND = 128
-H2_BOUND = 64
-SYSTEM_BYTES_BOUND = 2**28
-_VALIDATION_SAMPLE = 100
 
 
 class GroupModulePair:
@@ -35,12 +31,14 @@ class GroupModulePair:
 
     The action extends to all elements multiplicatively along generator
     words.  That extension only makes sense when the generator images
-    actually define a homomorphism, so construction checks all generator
-    pairs and a fixed seeded sample of element pairs (g, h) for
-    action(g) * action(h) = action(g*h).
+    actually define a homomorphism, so construction checks
+    action(x) * action(g) = action(x * g) for every element x and every
+    generator g, which covers all defining relations of the group.
+    images[i] is the d x d integer matrix (mod p) of elements[i], the i-th
+    element in sorted order; elements[0] is the identity.
     """
 
-    def __init__(self, group: PermGroup, matrices, sample: int = _VALIDATION_SAMPLE):
+    def __init__(self, group: PermGroup, matrices):
         matrices = tuple(matrices)
         if len(matrices) != len(group.generators):
             raise ValueError(
@@ -61,43 +59,10 @@ class GroupModulePair:
         self.field = field
         self.p = field.p
         self.d = d
-        ident = Perm.identity(group.degree)
-        els = group.elements()
-        self.elements = tuple([ident] + [e for e in els if e != ident])
-
-        gen_np = [np.array(m.to_rows(), dtype=np.int64) % self.p for m in matrices]
-        images = {}
-        for el, word in group.element_words().items():
-            a = np.eye(d, dtype=np.int64)
-            for i in word:
-                a = (a @ gen_np[i]) % self.p
-            images[el] = a
-        self._images = images
-
-        gens = group.generators
-        for g in gens:
-            for h in gens:
-                if not np.array_equal((images[g] @ images[h]) % self.p, images[g * h]):
-                    raise ValueError("matrices are not aligned with the group generators")
-        rng = random.Random(100003)
-        pool = self.elements
-        for _ in range(sample):
-            g, h = rng.choice(pool), rng.choice(pool)
-            if not np.array_equal((images[g] @ images[h]) % self.p, images[g * h]):
-                raise ValueError("generator images do not extend to a homomorphism")
-
-    def matrix(self, el) -> np.ndarray:
-        """d x d integer matrix (mod p) of the element's action."""
-        return self._images[el]
-
-
-def _check_system_size(rows: int, cols: int) -> None:
-    nbytes = rows * cols * 8
-    if nbytes > SYSTEM_BYTES_BOUND:
-        raise ValueError(
-            f"a {rows} x {cols} int64 system takes {nbytes} bytes, "
-            f"over the bound of {SYSTEM_BYTES_BOUND} bytes"
-        )
+        table = group.element_table()
+        self.elements = table.perms
+        images = table.images(matrices, FFMatrix.identity(field, d))
+        self.images = np.array([m.to_rows() for m in images], dtype=np.int64).reshape(-1, d, d)
 
 
 def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
@@ -106,29 +71,24 @@ def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
     Z^1 is cut out by f(gh) = f(g)^h + f(h) over all pairs; B^1 is the span
     of the principal cocycles g -> m - m^g.
     """
-    els = pair.elements
-    n = len(els)
+    n = len(pair.elements)
     if n > bound:
         raise ValueError(f"group order {n} exceeds the H^1 bound {bound}")
     d, p = pair.d, pair.p
-    _check_system_size(n * n * d, n * d)
-    idx = {e: i for i, e in enumerate(els)}
-    eye = np.eye(d, dtype=np.int64)
+    check_allocation(f"a {n * n * d} x {n * d} int64 system", n * n * d * n * d * 8)
+    mul = pair.group.multiplication_table().mul
+    g, h = (a.ravel() for a in np.indices((n, n)))
+    r = np.arange(d)[None, :]
+    g2, h2, gh = g[:, None], h[:, None], mul[g, h][:, None]
 
-    system = np.zeros((n * n * d, n * d), dtype=np.int64)
-    row = 0
-    for g in els:
-        for h in els:
-            block = system[row : row + d]
-            block[:, idx[g * h] * d : (idx[g * h] + 1) * d] += eye
-            block[:, idx[g] * d : (idx[g] + 1) * d] -= pair.matrix(h).T
-            block[:, idx[h] * d : (idx[h] + 1) * d] -= eye
-            row += d
-    z1 = n * d - len(row_echelon(system, p)[1])
+    # rows (g, h, coordinate), columns (element, coordinate)
+    system = np.zeros((n, n, d, n, d), dtype=np.int64)
+    system[g2, h2, r, gh, r] += 1
+    system[g, h, :, g, :] -= pair.images[h].transpose(0, 2, 1)
+    system[g2, h2, r, h2, r] -= 1
+    z1 = n * d - len(row_echelon(system.reshape(n * n * d, n * d), p)[1])
 
-    principal = np.zeros((d, n * d), dtype=np.int64)
-    for i, g in enumerate(els):
-        principal[:, i * d : (i + 1) * d] = eye - pair.matrix(g)
+    principal = (np.eye(d, dtype=np.int64) - pair.images).transpose(1, 0, 2).reshape(d, n * d)
     return z1 - len(row_echelon(principal, p)[1])
 
 
@@ -139,23 +99,23 @@ def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
     element, laid out over the (g, h, coordinate) columns of the normalized
     2-cochain space.  Its row space is B^2.
     """
-    els = pair.elements
-    nz = els[1:]
-    m, d, p = len(nz), pair.d, pair.p
-    pos = {e: i for i, e in enumerate(nz)}
-    ident = els[0]
-    eye = np.eye(d, dtype=np.int64)
-    out = np.zeros((m * d, m * m * d), dtype=np.int64)
-    for x, g in enumerate(nz):
-        for y, h in enumerate(nz):
-            c = (x * m + y) * d
-            out[x * d : (x + 1) * d, c : c + d] += pair.matrix(h)
-            gh = g * h
-            if gh != ident:
-                i = pos[gh]
-                out[i * d : (i + 1) * d, c : c + d] -= eye
-            out[y * d : (y + 1) * d, c : c + d] += eye
-    return out % p
+    n, d, p = len(pair.elements), pair.d, pair.p
+    m = n - 1
+    # positions among the nonidentity elements: element index - 1, so the
+    # identity (whose cochain values are zero) sits at -1 and is dropped
+    pos = pair.group.multiplication_table().mul[1:, 1:] - 1
+    g, h = (a.ravel() for a in np.indices((m, m)))
+    r = np.arange(d)[None, :]
+    g2, h2 = g[:, None], h[:, None]
+    gh = pos[g, h]
+    keep = gh >= 0
+
+    # rows (element, coordinate), columns (g, h, coordinate)
+    out = np.zeros((m, d, m, m, d), dtype=np.int64)
+    out[g, :, g, h, :] += pair.images[h + 1]
+    out[gh[keep][:, None], r, g2[keep], h2[keep], r] -= 1
+    out[h2, r, g2, h2, r] += 1
+    return out.reshape(m * d, m * m * d) % p
 
 
 def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
@@ -165,42 +125,29 @@ def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
     triples with an identity entry are vacuous under normalization and
     are skipped.
     """
-    els = pair.elements
-    nz = els[1:]
-    m, d, p = len(nz), pair.d, pair.p
-    pos = {e: i for i, e in enumerate(nz)}
-    ident = els[0]
-    eye = np.eye(d, dtype=np.int64)
-    out = np.zeros((m * m * m * d, m * m * d), dtype=np.int64)
-    row = 0
-    for i, g in enumerate(nz):
-        for j, h in enumerate(nz):
-            gh = g * h
-            for l, k in enumerate(nz):
-                block = out[row : row + d]
-                c = (i * m + j) * d
-                block[:, c : c + d] += pair.matrix(k).T
-                if gh != ident:
-                    c = (pos[gh] * m + l) * d
-                    block[:, c : c + d] += eye
-                c = (j * m + l) * d
-                block[:, c : c + d] -= eye
-                hk = h * k
-                if hk != ident:
-                    c = (i * m + pos[hk]) * d
-                    block[:, c : c + d] -= eye
-                row += d
-    return out % p
-
-
-def h2_dimension(pair: GroupModulePair, bound: int = H2_BOUND) -> int:
-    """dim Z^2 - dim B^2 on normalized cochains, by two GF(p) ranks."""
-    n = len(pair.elements)
-    if n > bound:
-        raise ValueError(f"group order {n} exceeds the H^2 bound {bound}")
+    n, d, p = len(pair.elements), pair.d, pair.p
     m = n - 1
+    pos = pair.group.multiplication_table().mul[1:, 1:] - 1  # as in delta1_matrix
+    g, h, k = (a.ravel() for a in np.indices((m, m, m)))
+    r = np.arange(d)[None, :]
+    g2, h2, k2 = g[:, None], h[:, None], k[:, None]
+    gh, hk = pos[g, h], pos[h, k]
+    gh_keep, hk_keep = gh >= 0, hk >= 0
+
+    # rows (g, h, k, coordinate), columns (g', h', coordinate)
+    out = np.zeros((m, m, m, d, m, m, d), dtype=np.int64)
+    out[g, h, k, :, g, h, :] += pair.images[k + 1].transpose(0, 2, 1)
+    out[g2[gh_keep], h2[gh_keep], k2[gh_keep], r, gh[gh_keep][:, None], k2[gh_keep], r] += 1
+    out[g2, h2, k2, r, h2, k2, r] -= 1
+    out[g2[hk_keep], h2[hk_keep], k2[hk_keep], r, g2[hk_keep], hk[hk_keep][:, None], r] -= 1
+    return out.reshape(m * m * m * d, m * m * d) % p
+
+
+def h2_dimension(pair: GroupModulePair) -> int:
+    """dim Z^2 - dim B^2 on normalized cochains, by two GF(p) ranks."""
+    m = len(pair.elements) - 1
     unknowns = m * m * pair.d
-    _check_system_size(m * unknowns, unknowns)
+    check_allocation(f"a {m * unknowns} x {unknowns} int64 system", m * unknowns * unknowns * 8)
     z2 = unknowns - len(row_echelon(delta2_matrix(pair), pair.p)[1])
     b2 = len(row_echelon(delta1_matrix(pair), pair.p)[1])
     return z2 - b2

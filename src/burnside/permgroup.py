@@ -7,6 +7,14 @@ classes of subgroups, and subgroup-conjugacy tests.  Everything is exhaustive
 and deterministic; groups here top out around order 1000 (tables for the
 sporadic-group censuses are ingested from files, never computed).
 
+The exhaustive algorithms work on element indices, not on Perm objects.
+Each group builds one ElementTable on first enumeration: the elements in
+sorted order (so the identity is index 0), their breadth-first generator
+words and the index of every product with a generator.  The n x n product
+table with inverses is filled in from those on first use, along the
+breadth-first tree, at two bytes an entry; a table over SYSTEM_BYTES_BOUND
+bytes (order above 11585) is refused before any element is enumerated.
+
 Permutations act on 0-based points and compose left to right: (p*q)(x) =
 q(p(x)), matching the convention used for row-vector matrix actions so that
 generator words transfer verbatim to matrix generators.
@@ -16,14 +24,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cyclotomic import is_prime, prime_factors
 
 ENUMERATION_BOUND = 10_000
 SUBGROUP_BOUND = 1000
+# largest dense array (product table, cohomology system) built anywhere
+SYSTEM_BYTES_BOUND = 2**28
+
+# element indices; the byte bound keeps every order below 2^15
+_INDEX = np.int16
 
 # orders of the nonabelian simple groups that can sit inside a proper subgroup
 # when |G| <= 1000; used to decide when cyclic extension needs perfect seeds
 _SIMPLE_ORDERS = (60, 168, 504)
+
+
+def check_allocation(what: str, nbytes: int) -> None:
+    """Refuse an array of more than SYSTEM_BYTES_BOUND bytes before building it."""
+    if nbytes > SYSTEM_BYTES_BOUND:
+        raise ValueError(f"{what} takes {nbytes} bytes, over the bound of {SYSTEM_BYTES_BOUND} bytes")
 
 
 class Perm:
@@ -125,6 +146,84 @@ class Perm:
         return "Perm" + "".join(str(tuple(c)) for c in cyc)
 
 
+class ElementTable:
+    """The elements of a group by index, with products as index lookups.
+
+    perms holds the elements in sorted order (the identity is index 0) and
+    index maps them back; words maps each element to its breadth-first
+    generator word; right[i][k] is the index of perms[i] * generators[k];
+    tree lists the edges (i, k, j) along which the search first reached j.
+    mul[i, j], the index of perms[i] * perms[j], and inv are filled in by
+    PermGroup.multiplication_table().
+    """
+
+    def __init__(self, degree, generators):
+        ident = Perm.identity(degree)
+        words = {ident: ()}
+        found = [ident]  # breadth-first order; the loop below extends it
+        products = {}
+        tree = []
+        for el in found:
+            products[el] = [el * g for g in generators]
+            for k, y in enumerate(products[el]):
+                if y not in words:
+                    words[y] = words[el] + (k,)
+                    found.append(y)
+                    tree.append((el, k, y))
+        self.words = words
+        self.perms = tuple(sorted(found))
+        self.index = index = {x: i for i, x in enumerate(self.perms)}
+        self.right = [[index[y] for y in products[x]] for x in self.perms]
+        self.tree = [(index[x], k, index[y]) for x, k, y in tree]
+        self.mul = self.inv = None
+
+    def images(self, gen_images, one):
+        """Image of every element, by index, under generators -> gen_images.
+
+        Images are built along the tree and then checked on every Cayley
+        edge, image(x * g_k) == image(x) * gen_images[k]; those edges carry
+        all defining relations of the group, so a ValueError here means the
+        generator images do not define a homomorphism.
+        """
+        if len(gen_images) != len(self.right[0]):
+            raise ValueError(f"{len(self.right[0])} group generators but {len(gen_images)} matrices")
+        images = [one] * len(self.perms)
+        for i, k, j in self.tree:
+            images[j] = images[i] * gen_images[k]
+        for i, row in enumerate(self.right):
+            for k, j in enumerate(row):
+                if images[j] != images[i] * gen_images[k]:
+                    raise ValueError("matrices are not aligned with the group generators")
+        return images
+
+    def conjugates(self, xs):
+        """Array c with c[g, t] = index of perms[g]^-1 * perms[xs[t]] * perms[g]."""
+        return self.mul[self.inv[:, None], self.mul[np.asarray(xs, dtype=np.intp)].T]
+
+    def closure(self, gens, cap=None):
+        """Indices of the subgroup generated by gens; None past cap elements."""
+        steps = [self.mul[:, g] for g in gens]  # right multiplication by each generator
+        inside = np.zeros(len(self.perms), dtype=bool)
+        inside[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            reached = np.zeros_like(inside)
+            for step in steps:
+                reached[step[frontier]] = True
+            frontier = np.flatnonzero(reached & ~inside)
+            inside[frontier] = True
+            if cap is not None and inside.sum() > cap:
+                return None
+        return np.flatnonzero(inside)
+
+    def subset(self, perms):
+        """Indices of a collection of group elements."""
+        try:
+            return [self.index[x] for x in perms]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not an element of the group") from None
+
+
 class PermGroup:
     """Group generated by permutations; caches are lazily built."""
 
@@ -139,7 +238,7 @@ class PermGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._chain = None
-        self._words = None
+        self._table = None
 
     # -- stabilizer chain -----------------------------------------------
 
@@ -171,29 +270,42 @@ class PermGroup:
         """All elements with a generator word each, in breadth-first order.
 
         A word (i1, i2, ...) means generators[i1] * generators[i2] * ...;
-        the empty word is the identity.
+        the empty word is the identity.  The first call builds the group's
+        ElementTable.
         """
         if self.order() > limit:
             raise ValueError(f"group order {self.order()} exceeds enumeration bound {limit}")
-        if self._words is None:
-            ident = Perm.identity(self.degree)
-            words = {ident: ()}
-            queue = [ident]
-            while queue:
-                nxt = []
-                for el in queue:
-                    w = words[el]
-                    for i, g in enumerate(self.generators):
-                        y = el * g
-                        if y not in words:
-                            words[y] = w + (i,)
-                            nxt.append(y)
-                queue = nxt
-            self._words = words
-        return self._words
+        if self._table is None:
+            self._table = ElementTable(self.degree, self.generators)
+        return self._table.words
 
     def elements(self, limit=ENUMERATION_BOUND):
-        return sorted(self.element_words(limit))
+        return list(self.element_table(limit).perms)
+
+    def element_table(self, limit=ENUMERATION_BOUND) -> ElementTable:
+        """The group's ElementTable, without its products."""
+        self.element_words(limit)
+        return self._table
+
+    def multiplication_table(self, limit=ENUMERATION_BOUND) -> ElementTable:
+        """The element table with its products filled in.
+
+        Refuses a group whose product table exceeds SYSTEM_BYTES_BOUND
+        before enumerating a single element.
+        """
+        n = self.order()
+        check_allocation(f"the {n} x {n} product table", n * n * np.dtype(_INDEX).itemsize)
+        table = self.element_table(limit)
+        if table.mul is None:
+            # along the tree: x * (y g_k) = (x y) g_k
+            right = np.array(table.right, dtype=_INDEX).reshape(n, -1)
+            cols = np.empty((n, n), dtype=_INDEX)  # cols[j, i] = index of perms[i] * perms[j]
+            cols[0] = np.arange(n)
+            for i, k, j in table.tree:
+                cols[j] = right[cols[i], k]
+            table.mul = cols.T
+            table.inv = cols.argmin(axis=0).astype(_INDEX)
+        return table
 
     # -- orbits -----------------------------------------------------------
 
@@ -243,16 +355,12 @@ def group_order(group: PermGroup) -> int:
     return group.order()
 
 
-def orbit(group: PermGroup, point: int):
-    return group.orbit(point)
-
-
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
 
-def mulclose(gens, degree, cap=None):
-    """Closure of a generator set; None if it grows past cap elements."""
+def mulclose(gens, degree):
+    """Closure of a generator set."""
     els = {Perm.identity(degree)}
     frontier = list(els)
     gens = list(gens)
@@ -263,8 +371,6 @@ def mulclose(gens, degree, cap=None):
                 y = x * g
                 if y not in els:
                     els.add(y)
-                    if cap is not None and len(els) > cap:
-                        return None
                     nxt.append(y)
         frontier = nxt
     return els
@@ -311,20 +417,14 @@ class SubgroupClassList:
         return [c.order for c in self.classes]
 
 
-def _conjugate_set(els, g):
-    ginv = g.inverse()
-    return frozenset(ginv * x * g for x in els)
-
-
-def _element_class_reps(els_sorted):
-    seen = set()
-    reps = []
-    for x in els_sorted:
-        if x in seen:
-            continue
-        reps.append(x)
-        seen.update(g.inverse() * x * g for g in els_sorted)
-    return reps
+def _cyclic(table, x):
+    """Indices of the powers of x, identity first."""
+    powers = [0]
+    y = x
+    while y:
+        powers.append(y)
+        y = int(table.mul[y, x])
+    return powers
 
 
 def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupClassList:
@@ -337,110 +437,114 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     some simple order divides |G|) are seeded separately from two-generator
     closures, and the full group is appended if still missing.  Ordering is
     by subgroup order with a canonical tie-break, trivial first, G last.
+
+    Subgroups are arrays of element indices, looked up by the bytes of their
+    sorted indices.  Elements are indexed in sorted order, so the least key
+    among the conjugates is the same tie-break as the least sorted tuple of
+    permutations.
     """
     n = group.order()
     if n > bound:
         raise ValueError(f"group order {n} exceeds subgroup enumeration bound {bound}")
-    degree = group.degree
-    els = group.elements(limit=max(bound, ENUMERATION_BOUND))
-    ident = Perm.identity(degree)
-    full = frozenset(els)
+    table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
+    mul = table.mul
 
-    classes = []  # dicts: els, order, gens, conjugates (set of frozensets)
+    classes = []  # dicts: els (index array), gens (indices), size, key
+    seen = {}  # key of every conjugate of a class -> that class
 
-    def find(h):
-        for c in classes:
-            if c["order"] == len(h) and h in c["conjugates"]:
-                return c
-        return None
+    def key(h):
+        # big-endian, so that bytes order sorted index arrays lexicographically
+        return np.sort(h).astype(">u2").tobytes()
 
     def add(h, gens):
-        c = {
-            "els": h,
-            "order": len(h),
-            "gens": tuple(gens),
-            "conjugates": {_conjugate_set(h, g) for g in els},
-        }
+        conj = {key(row) for row in table.conjugates(h)}
+        c = {"els": h, "gens": tuple(gens), "size": len(conj), "key": min(conj)}
+        seen.update(dict.fromkeys(conj, c))
         classes.append(c)
         return c
 
-    add(frozenset([ident]), ())
+    def generators_of(h):
+        return table.subset(minimal_generators([table.perms[i] for i in h]))
+
+    add(np.array([0]), ())
     queue = []
-    for x in els:
-        if x.is_identity():
-            continue
-        o = x.order()
-        if not is_prime(o):
-            continue
-        h = frozenset(x**i for i in range(o))
-        if find(h) is None:
+    for x in range(1, n):
+        h = np.array(_cyclic(table, x))
+        if is_prime(len(h)) and key(h) not in seen:
             queue.append(add(h, (x,)))
 
     # perfect seeds: any insoluble proper subgroup has order divisible by a
     # nonabelian simple order; all perfect groups that fit below |G| <= 1000
     # are generated by two elements
     if any(s * 2 <= n and n % s == 0 for s in _SIMPLE_ORDERS):
-        for a in _element_class_reps(els):
-            if a.is_identity():
-                continue
-            for b in els:
-                h = mulclose((a, b), degree, cap=n // 2)
+        # one a per conjugacy class of elements: the least one of the class
+        every = np.arange(n)
+        for a in np.flatnonzero(table.conjugates(every).min(axis=0) == every)[1:]:
+            # <a, b> is the same group for every b in the double coset <a>b<a>
+            cyclic = _cyclic(table, a)
+            done = np.zeros(n, dtype=bool)
+            for b in range(n):
+                if done[b]:
+                    continue
+                done[mul[mul[cyclic, b][:, None], cyclic]] = True
+                h = table.closure((a, b), cap=n // 2)
                 if h is None or len(h) % 60 and len(h) % 168:
                     continue
-                h = frozenset(h)
-                if find(h) is None:
-                    queue.append(add(h, minimal_generators(h)))
+                if key(h) not in seen:
+                    queue.append(add(h, generators_of(h)))
 
     primes = prime_factors(n)
     while queue:
         cls = queue.pop(0)
         u = cls["els"]
-        normalizer = [g for g in els if all(g.inverse() * x * g in u for x in cls["gens"])]
+        in_u = np.zeros(n, dtype=bool)
+        in_u[u] = True
+        normalizer = np.flatnonzero(in_u[table.conjugates(cls["gens"])].all(axis=1))
         quotient = len(normalizer) // len(u)
         for p in primes:
             if quotient % p:
                 continue
-            for z in normalizer:
-                if z in u or z**p not in u:
-                    continue
-                v = frozenset(x * z**i for x in u for i in range(p))
-                if find(v) is None:
+            z_p = normalizer
+            for _ in range(p - 1):
+                z_p = mul[z_p, normalizer]
+            for z in normalizer[~in_u[normalizer] & in_u[z_p]].tolist():
+                v = np.unique(mul[u[:, None], _cyclic(table, z)])
+                if key(v) not in seen:
                     queue.append(add(v, cls["gens"] + (z,)))
 
-    if find(full) is None:
-        add(full, tuple(minimal_generators(full)))
+    full = np.arange(n)
+    if key(full) not in seen:
+        add(full, generators_of(full))
 
-    def canonical_key(c):
-        return min(tuple(sorted(cj)) for cj in c["conjugates"])
-
-    classes.sort(key=lambda c: (c["order"], canonical_key(c)))
+    classes.sort(key=lambda c: (len(c["els"]), c["key"]))
+    perms = table.perms
     out = []
     for c in classes:
-        gens = c["gens"] if c["gens"] else (ident,)
-        sub = PermGroup(degree, gens)
-        out.append(SubgroupClass(sub, c["order"], len(c["conjugates"]), c["els"]))
+        gens = tuple(perms[i] for i in c["gens"]) or (perms[0],)
+        els = frozenset(perms[i] for i in c["els"].tolist())
+        out.append(SubgroupClass(PermGroup(group.degree, gens), len(els), c["size"], els))
     return SubgroupClassList(group, tuple(out))
 
 
-def _subgroup_elements(group, sub):
-    if isinstance(sub, PermGroup):
-        return frozenset(sub.element_words()), list(sub.generators)
-    els = frozenset(sub)
-    return els, minimal_generators(els)
+def _subgroup_indices(table, sub):
+    """(element indices, generator indices) of a PermGroup or a subgroup's elements."""
+    gens = table.subset(sub.generators if isinstance(sub, PermGroup) else sub)
+    return table.closure(gens), gens
 
 
 def is_conjugate_subgroup(group: PermGroup, u, v):
     """(found, witness): witness g satisfies g^-1 u g = v when found.
 
-    u and v may be PermGroups or plain collections of permutations;
-    exhaustive over the elements of `group`.
+    u and v may be PermGroups or plain collections of permutations, all
+    inside `group`; exhaustive over the elements of `group`, and the witness
+    is the least one in sorted order.
     """
-    u_els, u_gens = _subgroup_elements(group, u)
-    v_els, _ = _subgroup_elements(group, v)
-    if len(u_els) != len(v_els):
+    table = group.multiplication_table()
+    u_els, u_gens = _subgroup_indices(table, u)
+    v_els, _ = _subgroup_indices(table, v)
+    in_v = np.zeros(len(table.perms), dtype=bool)
+    in_v[v_els] = True
+    hits = np.flatnonzero(in_v[table.conjugates(u_gens)].all(axis=1))
+    if len(u_els) != len(v_els) or not len(hits):
         return False, None
-    for g in group.elements():
-        ginv = g.inverse()
-        if all(ginv * x * g in v_els for x in u_gens):
-            return True, g
-    return False, None
+    return True, table.perms[hits[0]]

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .permgroup import SUBGROUP_BOUND, PermGroup, subgroup_classes
+import numpy as np
+
+from .permgroup import ENUMERATION_BOUND, SUBGROUP_BOUND, PermGroup, subgroup_classes
 from .slp import SLProgram
 
 
@@ -69,46 +71,35 @@ class TableOfMarks:
 def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None, with_slps: bool = True) -> TableOfMarks:
     """Marks by explicit coset counting over the subgroup classes.
 
-    m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i.  When
+    m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i.  Whether g
+    qualifies depends only on its coset, so the count is the number of such
+    g in G over |U_i|; it is read off the group's product table.  When
     with_slps is set, each class also gets a program expressing its
     generators as words in the group generators (breadth-first words), so the
     table can replay subgroup generators on matrix representations.
     """
     if classes is None:
         classes = subgroup_classes(group, bound)
-    els = group.elements()
+    table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
     n = len(classes)
+    # conjugates of each class's generators by every element of G
+    conj = [table.conjugates(table.subset(c.subgroup.generators)) for c in classes]
     rows = []
     for i, ci in enumerate(classes):
-        used = set()
-        reps = []
-        for g in els:
-            if g not in used:
-                reps.append(g)
-                used.update(g * u for u in ci.elements)
+        in_u = np.zeros(len(table.perms), dtype=bool)
+        in_u[table.subset(ci.elements)] = True
         row = [0] * n
         for j in range(i + 1):
-            cj = classes[j]
-            if ci.order % cj.order:
-                continue
-            gens_j = [x for x in cj.subgroup.generators if not x.is_identity()]
-            count = 0
-            for g in reps:
-                ginv = g.inverse()
-                if all(ginv * x * g in ci.elements for x in gens_j):
-                    count += 1
-            row[j] = count
+            if ci.order % classes[j].order == 0:
+                row[j] = int(in_u[conj[j]].all(axis=1).sum()) // ci.order
         rows.append(tuple(row))
 
     slps = None
     if with_slps:
-        words = group.element_words()
+        words = table.words
         m = max(1, len(group.generators))
         progs = []
         for ci in classes:
-            if ci.order == 1:
-                progs.append(SLProgram(m, (), ()))
-                continue
             gen_words = [tuple(idx + 1 for idx in words[g]) for g in ci.subgroup.generators if not g.is_identity()]
             progs.append(SLProgram.from_words(m, gen_words))
         slps = tuple(progs)

@@ -9,11 +9,12 @@ from burnside.census import (
     regular_orbit_count,
     validate_action_homomorphism,
 )
-from burnside.corpus import census_corpus, pair_c3, pair_d8, pair_s3
-from burnside.ffield import FFMatrix, PrimeField
-from burnside.permgroup import Perm, PermGroup
+from burnside.corpus import _projective_line, _projective_perm, census_corpus, pair_c3, pair_d8, pair_s3
+from burnside.ffield import ExtField, FFMatrix, PrimeField
+from burnside.permgroup import Perm, PermGroup, subgroup_classes
 from burnside.slp import SLProgram
 from burnside.tom import TableOfMarks, compute_tom
+from test_tom import projective_line_psl2
 
 CORPUS = census_corpus()
 IDS = [name for name, _, _ in CORPUS]
@@ -69,6 +70,46 @@ def test_tom_route_matches_brute_force(name, group, action):
     assert via_tom.staborders == via_brute.staborders
     assert via_tom.regular_orbits == via_brute.regular_orbits
     assert via_tom == via_brute
+
+
+def _projective_line_group(field, mats):
+    points = _projective_line(field)
+    return PermGroup(len(points), [_projective_perm(field, m, points) for m in mats])
+
+
+def psl2_8():
+    """PSL(2,8) = SL(2,8) on the 9 points of the projective line."""
+    f = ExtField(2, 3)
+    z = f.gen
+    mats = [[[1, 1], [0, 1]], [[z, 0], [0, f.inv(z)]], [[0, 1], [1, 0]]]
+    return _projective_line_group(f, [FFMatrix.from_rows(f, m) for m in mats])
+
+
+def s6():
+    return PermGroup(6, [Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+
+
+def permutation_module(group):
+    """The GF(2) permutation module of a permutation group."""
+    f = PrimeField(2)
+    n = group.degree
+    return ModuleAction(
+        [FFMatrix.from_rows(f, [[int(g(i) == j) for j in range(n)] for i in range(n)])
+         for g in group.generators]
+    )
+
+
+# PSL(2,11) contains A5, so its classes need the perfect seeds
+@pytest.mark.parametrize("make,order",
+                         [(psl2_8, 504), (lambda: projective_line_psl2(11), 660), (s6, 720)],
+                         ids=["PSL(2,8)", "PSL(2,11)", "S6"])
+def test_tom_route_matches_brute_force_on_permutation_modules(make, order):
+    group = make()
+    assert group.order() == order
+    action = permutation_module(group)
+    classes = subgroup_classes(group)
+    tom = compute_tom(group, classes=classes)
+    assert census_from_tom(tom, action) == census_brute_force(group, action, classes=classes)
 
 
 @pytest.mark.parametrize("name,group,action", CORPUS, ids=IDS)
@@ -197,13 +238,14 @@ def test_brute_force_generator_count_mismatch():
 
 
 def test_inconsistent_action_detected():
-    # order-3 matrix attached to an order-2 permutation: orbit/stabilizer clash
+    # order-3 matrix attached to an order-2 permutation; the brute-force
+    # route builds its dual images with the same edge check
     f = PrimeField(2)
     group = PermGroup(2, [Perm.from_cycles(2, [(0, 1)])])
     action = ModuleAction([FFMatrix.from_rows(f, [[0, 1], [1, 1]])])
     with pytest.raises(ValueError):
         validate_action_homomorphism(group, action)
-    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+    with pytest.raises(ValueError, match="not aligned"):
         census_brute_force(group, action)
 
 

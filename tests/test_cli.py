@@ -7,7 +7,7 @@ from burnside.cli import main
 from burnside.corpus import pair_a4
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import parse_tom, write_meataxe
-from burnside.permgroup import Perm
+from burnside.permgroup import Perm, PermGroup
 from burnside.tom import compute_tom
 
 DATA = files("burnside") / "data"
@@ -124,6 +124,24 @@ def test_tom_compute_bound(capsys, tmp_path):
                        "--out", str(tmp_path / "x.json"), "--max-order", "5")
     assert code == 3
     assert "bound" in err
+
+
+def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypatch):
+    def never(self, limit=None):
+        raise AssertionError("the elements were enumerated")
+
+    monkeypatch.setattr(PermGroup, "element_words", never)
+    # A8, order 20160: a 20160 x 20160 table of 2-byte indices
+    perm = tmp_path / "a8.mtx"
+    perm.write_text(write_meataxe([Perm.from_cycles(8, [(0, 1, 2)]),
+                                   Perm.from_cycles(8, [(1, 2, 3, 4, 5, 6, 7)])]))
+    out_file = tmp_path / "a8.tom.json"
+    code, out, err = run(capsys, "tom", "compute", "--perm", str(perm),
+                         "--out", str(out_file), "--max-order", "30000")
+    assert code == 3
+    assert out == ""
+    assert "812851200 bytes" in err
+    assert not out_file.exists()
 
 
 def test_tom_decompose(capsys, tmp_path):

@@ -276,8 +276,6 @@ def test_bounds_are_enforced():
     pair = trivial_pair(s3, 2)
     with pytest.raises(ValueError, match="bound"):
         h1_dimension(pair, bound=5)
-    with pytest.raises(ValueError, match="bound"):
-        h2_dimension(pair, bound=5)
 
 
 def elementary_abelian_2(rank):

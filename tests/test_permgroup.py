@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from burnside.census import ModuleAction, validate_action_homomorphism
+from burnside.ffield import FFMatrix, PrimeField
 from burnside.permgroup import (
     Perm,
     PermGroup,
@@ -212,6 +214,34 @@ def test_subgroup_classes_bound():
     g = PermGroup(8, [cyc(8, (0, 1, 2, 3, 4, 5, 6, 7)), cyc(8, (1, 7), (2, 6), (3, 5))])
     with pytest.raises(ValueError):
         subgroup_classes(g, bound=10)
+
+
+def test_oversized_product_table_fails_before_enumeration(monkeypatch):
+    def never(self, limit=None):
+        raise AssertionError("the elements were enumerated")
+
+    monkeypatch.setattr(PermGroup, "element_words", never)
+    # A8 has order 20160; its table of 2-byte indices takes 20160^2 * 2 bytes
+    a8 = PermGroup(8, [cyc(8, (0, 1, 2)), cyc(8, (1, 2, 3, 4, 5, 6, 7))])
+    with pytest.raises(ValueError, match="812851200 bytes"):
+        subgroup_classes(a8, bound=30_000)
+    with pytest.raises(ValueError, match="812851200 bytes"):
+        is_conjugate_subgroup(a8, [Perm.identity(8)], [Perm.identity(8)])
+
+
+def test_element_images_need_no_product_table(monkeypatch):
+    def never(self, limit=None):
+        raise AssertionError("the product table was built")
+
+    monkeypatch.setattr(PermGroup, "multiplication_table", never)
+    # S7, order 5040, acting on GF(3)^1 by the sign
+    s7 = PermGroup(7, [cyc(7, (0, 1)), cyc(7, (0, 1, 2, 3, 4, 5, 6))])
+    f = PrimeField(3)
+    action = ModuleAction([FFMatrix.from_rows(f, [[2]]), FFMatrix.from_rows(f, [[1]])])
+    validate_action_homomorphism(s7, action)
+    wrong = ModuleAction([FFMatrix.from_rows(f, [[1]]), FFMatrix.from_rows(f, [[2]])])
+    with pytest.raises(ValueError, match="not aligned"):
+        validate_action_homomorphism(s7, wrong)
 
 
 def test_class_elements_are_subgroups_and_sizes_divide():

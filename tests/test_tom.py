@@ -5,8 +5,11 @@ transversal bookkeeping inside compute_tom, so the two routes only agree if
 the counting is actually right.
 """
 
+import hashlib
+
 import pytest
 
+from burnside.formats import write_tom
 from burnside.permgroup import Perm, PermGroup, mulclose, subgroup_classes
 from burnside.slp import evaluate
 from burnside.tom import (
@@ -111,6 +114,34 @@ def test_diagonal_counts_normalizer_cosets():
             if frozenset(g.inverse() * x * g for x in ci.elements) == ci.elements
         )
         assert tom.marks[i][i] == nrm // ci.order
+
+
+def projective_line_psl2(p):
+    """PSL(2,p) by x -> x + 1 and x -> -1/x on 0..p-1 and infinity (= p)."""
+    shift = [(x + 1) % p for x in range(p)] + [p]
+    inv = [p] + [(-pow(x, p - 2, p)) % p for x in range(1, p)] + [0]
+    return PermGroup(p + 1, [Perm(shift), Perm(inv)])
+
+
+# SHA-256 of write_tom(compute_tom(G)) as first computed with Perm products
+# throughout; class order, class generators and straight-line programs must
+# not drift.  The S6 digest is also that of perfbench/data/s6.tom.json.
+GOLDEN_TOMS = [
+    ("A5", lambda: PermGroup(5, [cyc(5, (0, 1, 2)), cyc(5, (0, 1, 2, 3, 4))]),
+     "24b042f40c68bc5d45540c2eb9969b7ba8f358aa396720b5724277c6aea3bc10"),
+    ("PSL(2,7)", lambda: projective_line_psl2(7),
+     "442db53fe123dfbdccb10ed64b7836bfa2fdfd5c13e8a87f4bdec49706358276"),
+    ("S5", lambda: PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))]),
+     "c99fbfbc44b56e4921cb5319b854458ba782089e1a92e4a3fc25c2ded39a023f"),
+    ("S6", lambda: PermGroup(6, [cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))]),
+     "4834146a03f48b5009aa7ba2fcb97b24eb9eb44a678f3ae44ff74c0a94f20de2"),
+]
+
+
+@pytest.mark.parametrize("name,make,digest", GOLDEN_TOMS, ids=[g[0] for g in GOLDEN_TOMS])
+def test_written_table_is_byte_identical(name, make, digest):
+    text = write_tom(compute_tom(make()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_decompose_rows_give_unit_vectors():
