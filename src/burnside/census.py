@@ -17,6 +17,9 @@ bounds.
 """
 
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .ffield import FFMatrix
 from .permgroup import PermGroup, is_conjugate_subgroup, subgroup_classes
@@ -117,13 +120,8 @@ def fixed_space_dim_dual(mats) -> int:
             raise ValueError("matrices must be square, equal-sized, same field")
     if d == 0:
         return 0
-    blocks = [m.transpose() - ident for m in mats]
-    entries = []
-    for r in range(d):
-        for b in blocks:
-            entries.extend(b.row(r))
-    stacked = FFMatrix(field, d, d * len(blocks), entries)
-    return len(stacked.nullspace())
+    blocks = [(m.transpose() - ident).array for m in mats]
+    return len(FFMatrix(field, d, d * len(blocks), np.hstack(blocks)).nullspace())
 
 
 def _class_fixed_count(tom, action, i):
@@ -167,18 +165,6 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
     group.element_table().images(action.matrices, FFMatrix.identity(action.field, action.d))
 
 
-def _gf2_rowcodes(mat):
-    codes = []
-    for i in range(mat.rows):
-        row = mat.row(i)
-        c = 0
-        for j, x in enumerate(row):
-            if x:
-                c |= 1 << j
-        codes.append(c)
-    return codes
-
-
 def _gf2_apply(code, rowcodes):
     out = 0
     i = 0
@@ -190,13 +176,12 @@ def _gf2_apply(code, rowcodes):
     return out
 
 
-def _vec_apply(vec, mat):
-    field = mat.field
-    out = [field.zero] * mat.cols
-    for i, vi in enumerate(vec):
+def _vec_apply(vec, rows, field):
+    """vec * the square matrix with the given rows (lists of scalars) over field."""
+    out = [field.zero] * len(vec)
+    for vi, row in zip(vec, rows):
         if vi == field.zero:
             continue
-        row = mat.row(i)
         for j, mij in enumerate(row):
             if mij != field.zero:
                 out[j] = field.add(out[j], field.mul(vi, mij))
@@ -242,15 +227,16 @@ def census_brute_force(
         classes = subgroup_classes(group)
 
     if action.q == 2:
-        el_ops = [_gf2_rowcodes(m) for m in dual_of]
+        # row i of each matrix as the bit code sum_j m[i, j] 2^j
+        el_ops = (np.stack([m.array for m in dual_of]) @ (1 << np.arange(d))).tolist()
         points = list(range(space))
         act = _gf2_apply
     else:
-        el_ops = dual_of
+        el_ops = [m.to_rows() for m in dual_of]
         points = [()]
         for _ in range(d):
             points = [v + (x,) for v in points for x in field.elements()]
-        act = _vec_apply
+        act = partial(_vec_apply, field=field)
 
     counts = [0] * len(classes)
     seen = set()

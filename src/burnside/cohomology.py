@@ -62,7 +62,7 @@ class GroupModulePair:
         table = group.element_table()
         self.elements = table.perms
         images = table.images(matrices, FFMatrix.identity(field, d))
-        self.images = np.array([m.to_rows() for m in images], dtype=np.int64).reshape(-1, d, d)
+        self.images = np.stack([m.array for m in images])
 
 
 def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:

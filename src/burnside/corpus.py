@@ -16,9 +16,10 @@ from .permgroup import Perm, PermGroup
 def perm_from_matrix(mat, points):
     """Permutation of the point list induced by v -> v * mat."""
     pos = {p: i for i, p in enumerate(points)}
+    rows = mat.to_rows()
     images = []
     for p in points:
-        q = _vec_apply(p, mat)
+        q = _vec_apply(p, rows, mat.field)
         if q not in pos:
             raise ValueError("the matrix does not stabilize the point set")
         images.append(pos[q])
@@ -70,7 +71,8 @@ def _normalize_projective(field, v):
 
 def _projective_perm(field, mat, points):
     pos = {p: i for i, p in enumerate(points)}
-    return Perm([pos[_normalize_projective(field, _vec_apply(p, mat))] for p in points])
+    rows = mat.to_rows()
+    return Perm([pos[_normalize_projective(field, _vec_apply(p, rows, field))] for p in points])
 
 
 def pair_s3():

@@ -2,18 +2,21 @@
 
 Scalars are plain ints.  In a prime field they are residues 0..p-1; in an
 extension field GF(p^k) an int encodes the polynomial c_0 + c_1*z + ... by its
-base-p digits, where z is a root of the defining modulus.  Matrices hold their
-entries in a flat row-major tuple, so every value here is immutable and safe
-to share.
+base-p digits, where z is a root of the defining modulus.
 
 Dimensions in this package stay small (module actions top out around 28), so
-matrices are dense.  Only prime fields have matrix kernels: bit-packed rows
-for GF(2) and numpy arrays for odd p, each with one product and one
-elimination routine.  A matrix over GF(p^k) is multiplied, inverted and
-reduced through its blow-up to GF(p).
+matrices are dense: an FFMatrix holds its entries in a read-only int64 numpy
+array, in the same int encoding, so every value here is immutable and safe
+to share.  Every prime field, GF(2) included, has one product (an integer
+matrix product reduced mod p) and one elimination routine (row_echelon).  A
+matrix over GF(p^k) is added, multiplied, inverted and reduced through its
+blow-up to GF(p).
 """
 
 from __future__ import annotations
+
+import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -295,6 +298,15 @@ class ExtField:
     def elements(self):
         return range(self.q)
 
+    @cached_property
+    def _zpow(self):
+        """Z^0, ..., Z^(k-1) as flat rows, for Z the companion matrix of the
+        modulus (multiplication by z in the power basis): row s of Z^u holds
+        the digits of z^(u+s)."""
+        k = self.k
+        zdigits = np.vstack([np.eye(k, dtype=np.int64), np.array(self._red, dtype=np.int64)])
+        return zdigits[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
+
     @property
     def gen(self):
         """The modulus root z as a scalar (for k = 1 the root of x + c is -c)."""
@@ -331,19 +343,37 @@ def norm(field, a):
 # matrices
 
 
-class FFMatrix:
-    """Dense matrix over a PrimeField or ExtField; immutable by convention."""
+def _check_int64(p, n):
+    # a sum of n products of residues must stay below 2^63, or int64 wraps
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"GF({p}) is too large for int64 matrix arithmetic")
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+class FFMatrix:
+    """Dense matrix over a PrimeField or ExtField, held in a read-only array.
+
+    `array` is a (rows, cols) int64 numpy array of the scalars' int
+    encodings.  An ndarray given as entries is taken over, not copied; the
+    kernels wrap the arrays they compute this way.  Items, rows and entries
+    come back as Python ints.
+    """
+
+    __slots__ = ("field", "rows", "cols", "array")
 
     def __init__(self, field, rows, cols, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
+        if field.q >= 2**63:
+            raise ValueError(f"{field!r} is too large: its scalars do not fit int64")
+        if not isinstance(entries, np.ndarray):
+            entries = list(entries)
+        a = np.asarray(entries, dtype=np.int64)
+        if a.size != rows * cols:
             raise ValueError("entry count does not match shape")
+        a = a.reshape(rows, cols)
+        a.flags.writeable = False
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.array = a
 
     @classmethod
     def from_rows(cls, field, rowlists):
@@ -358,33 +388,36 @@ class FFMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, tuple(field.one if i == j else field.zero for i in range(n) for j in range(n)))
+        return cls(field, n, n, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls(field, rows, cols, (field.zero,) * (rows * cols))
+        return cls(field, rows, cols, np.zeros((rows, cols), dtype=np.int64))
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.array.item(ij)
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.array[i].tolist())
 
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self.array.tolist()
+
+    @property
+    def entries(self):
+        """The entries as a flat row-major tuple."""
+        return tuple(self.array.ravel().tolist())
 
     def __eq__(self, other):
         return (
             isinstance(other, FFMatrix)
             and other.field == self.field
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.entries == self.entries
+            and other.array.shape == self.array.shape
+            and other.array.tobytes() == self.array.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.array.shape, self.array.tobytes()))
 
     def __repr__(self):
         return f"FFMatrix({self.field!r}, {self.to_rows()!r})"
@@ -397,19 +430,20 @@ class FFMatrix:
         if other.field != self.field:
             raise ValueError("field mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check_compatible(other)
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ValueError("shape mismatch")
         f = self.field
-        return FFMatrix(f, self.rows, self.cols, tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
+        if f.k > 1:
+            return _blow_down(f, op(blow_up(self), blow_up(other)))
+        return FFMatrix(f, self.rows, self.cols, op(self.array, other.array) % f.p)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return FFMatrix(f, self.rows, self.cols, tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
         self._check_compatible(other)
@@ -418,18 +452,8 @@ class FFMatrix:
         f = self.field
         if f.k > 1:
             return _blow_down(f, blow_up(self) * blow_up(other))
-        if f.p == 2:
-            brows = _pack_gf2(other)
-            out = []
-            for i in range(self.rows):
-                acc = 0
-                for j, bit in enumerate(self.row(i)):
-                    if bit:
-                        acc ^= brows[j]
-                out.extend((acc >> j) & 1 for j in range(other.cols))
-            return FFMatrix(f, self.rows, other.cols, out)
-        c = (_as_array(self) @ _as_array(other)) % f.p
-        return FFMatrix(f, self.rows, other.cols, c.ravel().tolist())
+        _check_int64(f.p, self.cols)
+        return FFMatrix(f, self.rows, other.cols, self.array @ other.array % f.p)
 
     def __pow__(self, e):
         if self.rows != self.cols:
@@ -446,9 +470,7 @@ class FFMatrix:
         return out
 
     def transpose(self):
-        r, c = self.rows, self.cols
-        ent = self.entries
-        return FFMatrix(self.field, c, r, tuple(ent[i * c + j] for j in range(c) for i in range(r)))
+        return FFMatrix(self.field, self.cols, self.rows, self.array.T)
 
     def is_identity(self):
         return self.rows == self.cols and self == FFMatrix.identity(self.field, self.rows)
@@ -473,9 +495,6 @@ class FFMatrix:
                 if lead % k == 0:
                     out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, r * k, k)))
             return out
-        if f.p == 2:
-            rows = _rref_gf2(_augmented_gf2(self))
-            return [_unpack_bits(b >> c, r) for b in rows if not b & ((1 << c) - 1)]
         a, pivots = _rref(_augmented(self), f.p)
         return [tuple(row[c:]) for row, col in zip(a.tolist(), pivots) if col >= c]
 
@@ -483,9 +502,7 @@ class FFMatrix:
         f = self.field
         if f.k > 1:
             return blow_up(self).rank() // f.k
-        if f.p == 2:
-            return len(_rref_gf2(_pack_gf2(self)))
-        return len(row_echelon(_as_array(self), f.p)[1])
+        return len(row_echelon(self.array, f.p)[1])
 
     def det(self):
         if self.rows != self.cols:
@@ -518,77 +535,20 @@ class FFMatrix:
         n = self.rows
         if f.k > 1:
             return _blow_down(f, blow_up(self).inverse())
-        if f.p == 2:
-            rows = _rref_gf2(_augmented_gf2(self))
-            if any(b & ((1 << n) - 1) != 1 << i for i, b in enumerate(rows)):
-                raise ValueError("matrix is singular")
-            return FFMatrix(f, n, n, [x for b in rows for x in _unpack_bits(b >> n, n)])
         a, pivots = _rref(_augmented(self), f.p)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return FFMatrix(f, n, n, a[:, n:].ravel().tolist())
+        return FFMatrix(f, n, n, a[:, n:])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
 
-# GF(2) kernel: row j of a matrix packed into an int, column t at bit t
-
-
-def _pack_bits(bits):
-    out = 0
-    for j, b in enumerate(bits):
-        if b:
-            out |= 1 << j
-    return out
-
-
-def _unpack_bits(x, width):
-    return tuple((x >> j) & 1 for j in range(width))
-
-
-def _pack_gf2(m):
-    c = m.cols
-    ent = m.entries
-    return [_pack_bits(ent[i * c : (i + 1) * c]) for i in range(m.rows)]
-
-
-def _augmented_gf2(m):
-    return [_pack_bits(m.row(i)) | 1 << (m.cols + i) for i in range(m.rows)]
-
-
-def _rref_gf2(rows):
-    """Nonzero rows of the RREF of packed GF(2) rows, in pivot order.
-
-    Each row is reduced against the pivot rows so far; a nonzero remainder
-    becomes a pivot row on its lowest bit and is cleared from the others.
-    """
-    piv = {}
-    for r in rows:
-        for bit, pr in piv.items():
-            if r & bit:
-                r ^= pr
-        if r:
-            bit = r & -r
-            for b, pr in piv.items():
-                if pr & bit:
-                    piv[b] = pr ^ r
-            piv[bit] = r
-    return [piv[b] for b in sorted(piv)]
-
-
-# odd-p kernel: int64 numpy arrays of residues
-
-
-def _as_array(m):
-    # a row of products must sum below 2^63, or int64 wraps silently
-    if m.cols * (m.field.p - 1) ** 2 >= 2**63:
-        raise ValueError(f"GF({m.field.p}) is too large for int64 matrix arithmetic")
-    return np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+# prime-field elimination on int64 arrays of residues
 
 
 def _augmented(m):
-    return np.hstack([_as_array(m), np.eye(m.rows, dtype=np.int64)])
+    return np.hstack([m.array, np.eye(m.rows, dtype=np.int64)])
 
 
 def row_echelon(a, p: int):
@@ -597,23 +557,24 @@ def row_echelon(a, p: int):
     Returns (e, pivots): e is a row echelon form with leading entries 1,
     and pivots lists the pivot column of each of its leading rows.
     """
-    a = np.array(a, dtype=np.int64) % p
+    _check_int64(p, 1)
+    a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = r + np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+        if nz[0] != r:
+            a[[r, nz[0]]] = a[[nz[0], r]]
+        # left of column c, rows r and below are already zero
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        below = nz[1:]  # a swapped-down row is zero in column c
         if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -623,9 +584,10 @@ def _rref(a, p):
     """row_echelon followed by back-substitution: the RREF and its pivots."""
     a, pivots = row_echelon(a, p)
     for r in range(len(pivots) - 1, 0, -1):
-        above = np.nonzero(a[:r, pivots[r]])[0]
+        c = pivots[r]  # row r is zero left of column c
+        above = np.nonzero(a[:r, c])[0]
         if above.size:
-            a[above] = (a[above] - np.outer(a[above, pivots[r]], a[r])) % p
+            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
     return a, pivots
 
 
@@ -641,36 +603,22 @@ def blow_up(m: FFMatrix) -> FFMatrix:
     holds the coefficients of a*z^s.  The map is a ring homomorphism, so
     blow_up(A*B) = blow_up(A)*blow_up(B).  Over a prime field (k = 1) this is
     the identity transformation.
+
+    The block of a = sum d_u z^u is sum d_u Z^u, for Z the companion matrix
+    of the modulus (multiplication by z).
     """
     f = m.field
     if isinstance(f, PrimeField):
         return m
-    k = f.k
-    target = PrimeField(f.p)
-    zpows = [f.pow(f.from_coeffs((0, 1)) if k > 1 else f.one, s) for s in range(k)]
-    R, C = m.rows * k, m.cols * k
-    out = [0] * (R * C)
-    blocks = {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            a = m[i, j]
-            if a == 0:
-                continue
-            block = blocks.get(a)
-            if block is None:
-                block = blocks[a] = [f.coeffs(f.mul(a, zp)) for zp in zpows]
-            for s, digits in enumerate(block):
-                base = (i * k + s) * C + j * k
-                out[base : base + k] = digits
-    return FFMatrix(target, R, C, out)
+    p, k = f.p, f.k
+    _check_int64(p, k)
+    digits = m.array[:, :, None] // p ** np.arange(k) % p
+    blocks = (digits @ f._zpow % p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
+    return FFMatrix(PrimeField(p), m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
 
 
 def _blow_down(field, m: FFMatrix) -> FFMatrix:
     """Inverse of blow_up on its image: a scalar is the first row of its block."""
     k = field.k
-    ent = m.entries
-    return FFMatrix(field, m.rows // k, m.cols // k, [
-        field.from_coeffs(ent[i * m.cols + j : i * m.cols + j + k])
-        for i in range(0, m.rows, k)
-        for j in range(0, m.cols, k)
-    ])
+    first_rows = m.array[::k].reshape(m.rows // k, m.cols // k, k)
+    return FFMatrix(field, m.rows // k, m.cols // k, first_rows @ field.p ** np.arange(k))

@@ -257,7 +257,10 @@ def parse_ext_matrix(text: str) -> FFMatrix:
                     1,
                 )
             entries.append(field.from_coeffs(scalar))
-    return FFMatrix(field, rows, cols, entries)
+    try:
+        return FFMatrix(field, rows, cols, entries)
+    except ValueError as exc:  # a field whose scalars do not fit int64
+        raise ParseError(str(exc), 1, 1) from None
 
 
 def write_ext_matrix(m: FFMatrix) -> str:

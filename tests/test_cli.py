@@ -184,6 +184,14 @@ def test_blowup_explicit_matching_modulus(capsys):
     assert out == "1 2 2 2\n01\n11\n"
 
 
+def test_blowup_unrepresentable_field_exits_2(capsys, tmp_path):
+    src = tmp_path / "big.json"
+    src.write_text('{"p": 4294967311, "k": 2, "rows": 1, "cols": 1, "entries": [[[0, 1]]]}')
+    code, out, err = run(capsys, "blowup", "--in", str(src), "--p", "4294967311", "--k", "2")
+    assert code == 2 and out == ""
+    assert "GF(4294967311^2) is too large" in err
+
+
 # ----------------------------------------------------------------- h2 ----
 
 

@@ -1,16 +1,24 @@
 """Field and matrix arithmetic against independent oracles.
 
 The multiply oracle below is a deliberately naive triple loop over field ops,
-kept separate from the production paths (bit-packed GF(2), numpy for odd
-primes, and the blow-up to GF(p) for extension fields) so the two never
-share code.
+kept separate from the production paths (numpy arrays for prime fields, and
+the blow-up to GF(p) for extension fields) so the two never share code.
 """
 
 import random
 
 import pytest
 
-from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up, default_modulus, norm
+from burnside.ffield import (
+    ExtField,
+    FFMatrix,
+    PrimeField,
+    _blow_down,
+    blow_up,
+    default_modulus,
+    norm,
+)
+from burnside.formats import parse_meataxe
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -19,6 +27,8 @@ GF4 = ExtField(2, 2)
 GF7 = PrimeField(7)
 GF8 = ExtField(2, 3)
 GF9 = ExtField(3, 2)
+GF2_16 = ExtField(2, 16)
+GF3_7 = ExtField(3, 7)
 
 
 def mul_oracle(a, b):
@@ -36,6 +46,15 @@ def mul_oracle(a, b):
 
 def random_matrix(field, rows, cols, rng):
     return FFMatrix(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
+
+
+def gf2_stack(rng):
+    """[g1 | g2 | g3] at GF(2)^28 with each g of rank <= 3, stacked as
+    fixed_space_dim_dual stacks its blocks g^T - 1: a 28 x 84 matrix whose
+    left nullspace has dimension at least 19."""
+    blocks = [mul_oracle(random_matrix(GF2, 28, 3, rng), random_matrix(GF2, 3, 28, rng))
+              for _ in range(3)]
+    return FFMatrix.from_rows(GF2, [sum((b.to_rows()[i] for b in blocks), []) for i in range(28)])
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +149,49 @@ def test_frobenius_is_additive_and_multiplicative():
 
 
 # ---------------------------------------------------------------------------
+# matrix representation
+
+
+def test_public_representation_contract():
+    m = FFMatrix.from_rows(GF5, [[1, 4], [0, 2]])
+    for x in (m[0, 1], *m.row(1), *m.to_rows()[0], *m.entries):
+        assert type(x) is int
+    assert m.entries == (1, 4, 0, 2)
+    assert repr(m) == "FFMatrix(GF(5), [[1, 4], [0, 2]])"
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 3
+    with pytest.raises(ValueError):
+        m.transpose().array[0, 0] = 3
+    # equal matrices from different routes collapse in one set
+    swap = FFMatrix.from_rows(GF3, [[0, 1], [1, 0]])
+    same = [
+        FFMatrix.from_rows(GF3, [[1, 0], [0, 1]]),
+        swap * swap,
+        FFMatrix.identity(GF3, 2),
+        parse_meataxe("1 3 2 2\n10\n01\n"),
+    ]
+    z = GF9.gen
+    a = FFMatrix.from_rows(GF9, [[z, 1], [0, 2]])
+    same_ext = [
+        a,
+        _blow_down(GF9, blow_up(a)),
+        FFMatrix.from_rows(GF9, [[1, 2], [0, 1]]) * FFMatrix.from_rows(GF9, [[z, 0], [0, 2]]),
+    ]
+    for group in (same, same_ext):
+        assert len(set(group)) == 1
+        assert len({hash(x) for x in group}) == 1
+    assert same[0] != FFMatrix.from_rows(GF5, [[1, 0], [0, 1]])
+
+
+def test_unrepresentable_fields_are_refused_at_construction():
+    f = ExtField(4294967311, 2)  # q = p^2 >= 2^63 does not fit int64
+    with pytest.raises(ValueError, match=r"GF\(4294967311\^2\) is too large"):
+        FFMatrix(f, 1, 1, [1])
+    with pytest.raises(ValueError, match="too large"):
+        FFMatrix.identity(f, 2)
+
+
+# ---------------------------------------------------------------------------
 # matrix product
 
 
@@ -150,10 +212,11 @@ def test_gf2_hand_product():
 
 def test_product_matches_scalar_oracle():
     rng = random.Random(11)
-    for f in (GF2, GF3, GF5, GF7, GF4, GF8, GF9):
-        for _ in range(25):
-            a = random_matrix(f, 4, 3, rng)
-            b = random_matrix(f, 3, 5, rng)
+    cases = [(f, 4, 3, 5, 25) for f in (GF2, GF3, GF5, GF7, GF4, GF8, GF9)] + [(GF4, 14, 14, 14, 3)]
+    for f, r, t, c, count in cases:
+        for _ in range(count):
+            a = random_matrix(f, r, t, rng)
+            b = random_matrix(f, t, c, rng)
             assert a * b == mul_oracle(a, b)
 
 
@@ -252,24 +315,32 @@ def is_rref(basis, field):
 
 def test_nullspace_basis_is_rref():
     rng = random.Random(31)
+    cases = []
     for f in (GF2, GF3, GF7, GF4, GF8, GF9):
         for _ in range(20):
             r, c = rng.randrange(1, 7), rng.randrange(1, 5)
             # a product of thin factors has a large nullspace
             t = rng.randrange(1, 3)
-            m = mul_oracle(random_matrix(f, r, t, rng), random_matrix(f, t, c, rng))
-            basis = m.nullspace()
-            assert len(basis) >= r - t
-            assert is_rref(basis, f)
+            cases.append((mul_oracle(random_matrix(f, r, t, rng), random_matrix(f, t, c, rng)), t))
+    cases.append((gf2_stack(rng), 9))
+    for m, t in cases:
+        basis = m.nullspace()
+        assert len(basis) >= m.rows - t
+        assert is_rref(basis, m.field)
+        for v in basis:
+            assert mul_oracle(FFMatrix(m.field, 1, m.rows, v), m) == FFMatrix.zero(m.field, 1, m.cols)
 
 
 def test_rank_nullity():
     rng = random.Random(5)
+    cases = []
     for f in (GF2, GF3, GF5, GF7, GF4, GF9):
         for _ in range(15):
             r, c = rng.randrange(1, 5), rng.randrange(1, 5)
-            m = random_matrix(f, r, c, rng)
-            assert m.rank() + len(m.nullspace()) == r
+            cases.append(random_matrix(f, r, c, rng))
+    cases.append(gf2_stack(rng))
+    for m in cases:
+        assert m.rank() + len(m.nullspace()) == m.rows
 
 
 def test_inverse_round_trip():
@@ -311,23 +382,30 @@ def test_blow_up_gf4_generator():
 
 
 def test_blow_up_multiplicative_gf8():
+    # GF(2^16) and GF(3^7) as well: entries drawn from all of a large field
     rng = random.Random(17)
-    for _ in range(20):
-        a = random_matrix(GF8, 3, 3, rng)
-        b = random_matrix(GF8, 3, 3, rng)
-        assert blow_up(mul_oracle(a, b)) == blow_up(a) * blow_up(b)
+    for f in (GF8, GF2_16, GF3_7):
+        for _ in range(20):
+            a = random_matrix(f, 3, 3, rng)
+            b = random_matrix(f, 3, 3, rng)
+            assert blow_up(mul_oracle(a, b)) == blow_up(a) * blow_up(b)
 
 
 def test_blow_up_additive_and_injective():
     rng = random.Random(19)
-    seen = {}
-    for _ in range(30):
-        a = random_matrix(GF4, 2, 2, rng)
-        b = random_matrix(GF4, 2, 2, rng)
-        assert blow_up(a + b) == blow_up(a) + blow_up(b)
-        seen[blow_up(a).entries] = a.entries
-    for packed, original in seen.items():
-        assert blow_up(FFMatrix(GF4, 2, 2, original)).entries == packed
+    for f in (GF4, GF2_16, GF3_7):
+        seen = {}
+        for _ in range(30):
+            a = random_matrix(f, 2, 2, rng)
+            b = random_matrix(f, 2, 2, rng)
+            # the GF(q) sum by scalar ops, since a + b itself goes through blow_up
+            total = FFMatrix(f, 2, 2, [f.add(x, y) for x, y in zip(a.entries, b.entries)])
+            assert a + b == total
+            assert a - b == FFMatrix(f, 2, 2, [f.sub(x, y) for x, y in zip(a.entries, b.entries)])
+            assert blow_up(total) == blow_up(a) + blow_up(b)
+            seen[blow_up(a).entries] = a.entries
+        for packed, original in seen.items():
+            assert blow_up(FFMatrix(f, 2, 2, original)).entries == packed
 
 
 def test_blow_up_k1_is_identity_transformation():

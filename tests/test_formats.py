@@ -166,6 +166,13 @@ def test_ext_matrix_rejects():
         write_ext_matrix(FFMatrix.identity(GF2, 1))
 
 
+def test_ext_matrix_over_an_unrepresentable_field_is_a_parse_error():
+    # GF(p^2) with q >= 2^63: its scalars do not fit int64
+    text = '{"p": 4294967311, "k": 2, "rows": 1, "cols": 1, "entries": [[[1, 1]]]}'
+    with pytest.raises(ParseError, match="too large"):
+        parse_ext_matrix(text)
+
+
 # ---------------------------------------------------------------------------
 # tables of marks
 
