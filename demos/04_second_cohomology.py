@@ -3,9 +3,11 @@ Does every extension split?
 ===========================
 
 H^2(G, M) classifies extensions of G by the module M up to equivalence.
-Dimension 0 means the semidirect product is the only one.  The solver sets
-up the normalized cocycle condition as one linear system over GF(p) and
-subtracts the rank of the coboundary map.
+Dimension 0 means the semidirect product is the only one.  The solver
+takes a normalized cocycle's values f(g, x) on the group generators x as
+unknowns, extends them along the element table's word tree, imposes the
+cocycle condition on the remaining Cayley edges as one linear system over
+GF(p), and subtracts the rank of the coboundary map.
 """
 
 from burnside import FFMatrix, GroupModulePair, PrimeField, h2_dimension, splits_implies

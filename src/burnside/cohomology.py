@@ -1,29 +1,35 @@
 """First and second cohomology of a finite group on a GF(p) module.
 
-Everything is done by explicit linear algebra on cochains: cocycles are the
-kernel of a coboundary system, coboundaries the image of the previous one,
-and dimensions fall out of exact GF(p) matrix ranks.  Cochains are stored
-against an explicit element list with the identity first; 2-cochains are
-normalized (f(1,.) = f(.,1) = 0), which shrinks the H^2 system to
-(|G|-1)^2 * d unknowns.
-
 Convention: the module is a right module, written f(g,h)^k for the action
-of k on f(g,h); the 2-cocycle identity is
+of k on f(g,h); 1-cocycles satisfy f(gh) = f(g)^h + f(h), and normalized
+2-cocycles (f(1,.) = f(.,1) = 0) satisfy
 
     f(g,h)^k + f(gh,k) = f(h,k) + f(g,hk).
 
-Both systems are dense, so memory grows like |G|^5 * d^2 for H^2.  A
-system of more than permgroup.SYSTEM_BYTES_BOUND bytes is refused before it
-is built; its rank holds about four times the system at once.  Products of
-group elements come from the group's product table, by element index.
+Both are parametrized by their values on the r group generators, along the
+breadth-first word tree of the element table.  For H^2 the unknowns are
+u(g,x) = f(g,x) for g != 1 and x a generator, (|G|-1) * r * d of them.  F is
+extended by F(g,1) = 0 and F(g,h'x) = F(g,h')^x + u(gh',x) - u(h',x) along
+each tree edge h' -> h'x: the identity at (g,h',x).  delta2_matrix demands
+that identity on every Cayley edge outside the tree, one d-row block per
+g != 1 and edge.  Its kernel is Z^2.  Restriction to the u(g,x) is injective
+on Z^2, since a cocycle obeys the tree extension.  Conversely, if F obeys
+the identity for every generator as last argument, it holds for every k by
+induction on the word length of k: expanding each term of the identity at
+(g,h,kx) by the identities at (.,k,x) leaves the one at (g,h,k), acted on
+by x.  B^2 is spanned by the coboundaries of normalized 1-cochains on the
+same columns (delta1_matrix).  H^1 is the same construction with unknowns
+f(x) and F(h'x) = F(h')^x + f(x).
+
+For H^2 that is (|G|-1)(|G|(r-1)+1)d rows, (|G|-1)rd columns, and an F of
+(|G|-1)|G|d rows; when the two take more than permgroup.SYSTEM_BYTES_BOUND
+bytes together, nothing is built.  The rank holds a reduced copy besides.
 """
 
 import numpy as np
 
 from .ffield import FFMatrix, row_echelon
 from .permgroup import PermGroup, check_allocation
-
-H1_BOUND = 128
 
 
 class GroupModulePair:
@@ -35,7 +41,8 @@ class GroupModulePair:
     action(x) * action(g) = action(x * g) for every element x and every
     generator g, which covers all defining relations of the group.
     images[i] is the d x d integer matrix (mod p) of elements[i], the i-th
-    element in sorted order; elements[0] is the identity.
+    element in sorted order; elements[0] is the identity; gens[k] is the
+    matrix of generator k.
     """
 
     def __init__(self, group: PermGroup, matrices):
@@ -63,94 +70,106 @@ class GroupModulePair:
         self.elements = table.perms
         images = table.images(matrices, FFMatrix.identity(field, d))
         self.images = np.stack([m.array for m in images])
+        self.gens = np.stack([m.array for m in matrices])
 
 
-def h1_dimension(pair: GroupModulePair, bound: int = H1_BOUND) -> int:
-    """dim Z^1 - dim B^1 for 1-cochains f: G -> M.
+def _check_size(pair, blocks, name):
+    """Refuse F and the constraint rows of _tree_system above the byte bound."""
+    n, r, d = len(pair.elements), len(pair.gens), pair.d
+    unknowns = blocks * r * d
+    check_allocation(f"the {name} word-tree system on {unknowns} unknowns",
+                     8 * blocks * d * unknowns * (n * r + 1))
+    return unknowns
 
-    Z^1 is cut out by f(gh) = f(g)^h + f(h) over all pairs; B^1 is the span
-    of the principal cocycles g -> m - m^g.
+
+def _tree_system(pair, blocks, add_units):
+    """Extend F along the word tree and return the constraint rows.
+
+    One row per block, non-tree edge (i, k, j) and coordinate states that
+    F(j) is the step from F(i) along x_k; add_units(out, i, k) adds the
+    unknowns' part of that step to out in place.
     """
-    n = len(pair.elements)
-    if n > bound:
-        raise ValueError(f"group order {n} exceeds the H^1 bound {bound}")
+    table, d, p = pair.group.element_table(), pair.d, pair.p
+    F = np.zeros((blocks, len(pair.elements), d, blocks * len(pair.gens) * d), dtype=np.int64)
+
+    def step(i, k):
+        out = np.matmul(pair.gens[k].T, F[:, i])  # (F^x)_t = sum_a F_a x[a, t]
+        add_units(out, i, k)
+        return out % p
+
+    for i, k, j in table.tree:
+        F[:, j] = step(i, k)
+    tree = {(i, k) for i, k, _ in table.tree}
+    edges = [(i, k, j) for i, row in enumerate(table.right) for k, j in enumerate(row)
+             if (i, k) not in tree]
+    out = np.empty((blocks, len(edges)) + F.shape[2:], dtype=np.int64)
+    for e, (i, k, j) in enumerate(edges):
+        out[:, e] = (F[:, j] - step(i, k)) % p
+    return out.reshape(blocks * len(edges) * d, F.shape[3])
+
+
+def h1_dimension(pair: GroupModulePair) -> int:
+    """dim Z^1 - dim B^1 on generator values; B^1 is spanned by x -> m - m^x."""
     d, p = pair.d, pair.p
-    check_allocation(f"a {n * n * d} x {n * d} int64 system", n * n * d * n * d * 8)
-    mul = pair.group.multiplication_table().mul
-    g, h = (a.ravel() for a in np.indices((n, n)))
-    r = np.arange(d)[None, :]
-    g2, h2, gh = g[:, None], h[:, None], mul[g, h][:, None]
+    unknowns = _check_size(pair, 1, "H^1")
+    t = np.arange(d)
 
-    # rows (g, h, coordinate), columns (element, coordinate)
-    system = np.zeros((n, n, d, n, d), dtype=np.int64)
-    system[g2, h2, r, gh, r] += 1
-    system[g, h, :, g, :] -= pair.images[h].transpose(0, 2, 1)
-    system[g2, h2, r, h2, r] -= 1
-    z1 = n * d - len(row_echelon(system.reshape(n * n * d, n * d), p)[1])
+    def add_units(out, i, k):
+        out[0, t, k * d + t] += 1
 
-    principal = (np.eye(d, dtype=np.int64) - pair.images).transpose(1, 0, 2).reshape(d, n * d)
+    z1 = unknowns - len(row_echelon(_tree_system(pair, 1, add_units), p)[1])
+    principal = (np.eye(d, dtype=np.int64) - pair.gens).transpose(1, 0, 2).reshape(d, unknowns)
     return z1 - len(row_echelon(principal, p)[1])
 
 
 def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
-    """Coboundary of normalized 1-cochains, one row per basis cochain.
+    """Coboundaries of normalized 1-cochains on the (g, x, coordinate) columns.
 
-    Row (i, a): the 2-cochain delta f for f = e_a at the i-th nonidentity
-    element, laid out over the (g, h, coordinate) columns of the normalized
-    2-cochain space.  Its row space is B^2.
+    Row (i, a): delta c(g, x) = c(g)^x + c(x) - c(gx) for c = e_a at the
+    i-th nonidentity element, at every nonidentity g and generator x.  Its
+    row space is B^2 restricted to the unknowns of delta2_matrix.
     """
-    n, d, p = len(pair.elements), pair.d, pair.p
-    m = n - 1
-    # positions among the nonidentity elements: element index - 1, so the
-    # identity (whose cochain values are zero) sits at -1 and is dropped
-    pos = pair.group.multiplication_table().mul[1:, 1:] - 1
-    g, h = (a.ravel() for a in np.indices((m, m)))
-    r = np.arange(d)[None, :]
-    g2, h2 = g[:, None], h[:, None]
-    gh = pos[g, h]
-    keep = gh >= 0
+    m, r, d = len(pair.elements) - 1, len(pair.gens), pair.d
+    # positions among the nonidentity elements; the identity is at -1
+    right = np.array(pair.group.element_table().right, dtype=np.intp) - 1
+    g, k = (a.ravel() for a in np.indices((m, r)))
+    t = np.arange(d)
 
-    # rows (element, coordinate), columns (g, h, coordinate)
-    out = np.zeros((m, d, m, m, d), dtype=np.int64)
-    out[g, :, g, h, :] += pair.images[h + 1]
-    out[gh[keep][:, None], r, g2[keep], h2[keep], r] -= 1
-    out[h2, r, g2, h2, r] += 1
-    return out.reshape(m * d, m * m * d) % p
+    # rows (element, coordinate), columns (g, generator, coordinate)
+    out = np.zeros((m, d, m, r, d), dtype=np.int64)
+    out[np.arange(m), :, np.arange(m)] += pair.gens.transpose(1, 0, 2)
+    for at, sign in ((right[0][k], 1), (right[1:].ravel(), -1)):  # c(x), c(gx)
+        keep = at >= 0
+        out[at[keep][:, None], t, g[keep][:, None], k[keep][:, None], t] += sign
+    return out.reshape(m * d, m * r * d) % pair.p
 
 
 def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
-    """Cocycle system for normalized 2-cochains, one row per (g,h,k,coord).
+    """Word-tree cocycle system: Z^2 is its kernel on the u(g, x) columns.
 
-    Z^2 is the kernel of this matrix applied to unknown column vectors;
-    triples with an identity entry are vacuous under normalization and
-    are skipped.
+    Column (g * r + k) * d + t is coordinate t of u at the g-th nonidentity
+    element and generator k; rows are the identities on the Cayley edges
+    outside the tree, for each g != 1.
     """
-    n, d, p = len(pair.elements), pair.d, pair.p
-    m = n - 1
-    pos = pair.group.multiplication_table().mul[1:, 1:] - 1  # as in delta1_matrix
-    g, h, k = (a.ravel() for a in np.indices((m, m, m)))
-    r = np.arange(d)[None, :]
-    g2, h2, k2 = g[:, None], h[:, None], k[:, None]
-    gh, hk = pos[g, h], pos[h, k]
-    gh_keep, hk_keep = gh >= 0, hk >= 0
+    mul = pair.group.multiplication_table().mul[1:].astype(np.intp) - 1  # as in delta1_matrix
+    m, r, d = len(pair.elements) - 1, len(pair.gens), pair.d
+    g, t = np.arange(m), np.arange(d)
 
-    # rows (g, h, k, coordinate), columns (g', h', coordinate)
-    out = np.zeros((m, m, m, d, m, m, d), dtype=np.int64)
-    out[g, h, k, :, g, h, :] += pair.images[k + 1].transpose(0, 2, 1)
-    out[g2[gh_keep], h2[gh_keep], k2[gh_keep], r, gh[gh_keep][:, None], k2[gh_keep], r] += 1
-    out[g2, h2, k2, r, h2, k2, r] -= 1
-    out[g2[hk_keep], h2[hk_keep], k2[hk_keep], r, g2[hk_keep], hk[hk_keep][:, None], r] -= 1
-    return out.reshape(m * m * m * d, m * m * d) % p
+    def add_units(out, i, k):
+        # + u(g h', x) where g h' != 1, - u(h', x) where h' != 1
+        keep = mul[:, i] >= 0
+        out[g[keep][:, None], t, (mul[keep, i][:, None] * r + k) * d + t] += 1
+        if i:
+            out[:, t, ((i - 1) * r + k) * d + t] -= 1
+
+    return _tree_system(pair, m, add_units)
 
 
 def h2_dimension(pair: GroupModulePair) -> int:
-    """dim Z^2 - dim B^2 on normalized cochains, by two GF(p) ranks."""
-    m = len(pair.elements) - 1
-    unknowns = m * m * pair.d
-    check_allocation(f"a {m * unknowns} x {unknowns} int64 system", m * unknowns * unknowns * 8)
+    """dim Z^2 - dim B^2 on the word-tree unknowns, by two GF(p) ranks."""
+    unknowns = _check_size(pair, len(pair.elements) - 1, "H^2")
     z2 = unknowns - len(row_echelon(delta2_matrix(pair), pair.p)[1])
-    b2 = len(row_echelon(delta1_matrix(pair), pair.p)[1])
-    return z2 - b2
+    return z2 - len(row_echelon(delta1_matrix(pair), pair.p)[1])
 
 
 def splits_implies(pair: GroupModulePair, h2dim: int) -> str:

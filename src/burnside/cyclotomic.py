@@ -43,8 +43,37 @@ def prime_factors(n: int) -> list:
     return out
 
 
+# Miller-Rabin with these bases is exact below _WITNESS_BOUND (Sorenson and
+# Webster, Math. Comp. 86 (2017)), which covers every int64 field size
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == [n]
+    """Deterministic Miller-Rabin; trial division from _WITNESS_BOUND up."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < _WITNESSES[-1] ** 2:
+        return True
+    if n >= _WITNESS_BOUND:
+        return prime_factors(n) == [n]
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -204,18 +204,28 @@ def test_h2_c2_trivial_module(capsys):
     assert "2 equivalence classes of extensions" in lines[1]
 
 
-def test_h2_oversized_system_exits_3(capsys, tmp_path):
-    # C2^4 on a trivial 7-dimensional module needs a 298 MB system
-    gens = [Perm.from_cycles(8, [(2 * i, 2 * i + 1)]) for i in range(4)]
-    perm = tmp_path / "c2x4.perm.mtx"
+def elementary_abelian_h2(capsys, tmp_path, k):
+    """Run h2 on C2^k with the trivial GF(2) module."""
+    gens = [Perm.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]
+    perm = tmp_path / f"c2x{k}.perm.mtx"
     perm.write_text(write_meataxe(gens))
-    mod = tmp_path / "triv7.mtx"
-    mod.write_text(write_meataxe(FFMatrix.identity(PrimeField(2), 7)))
-    code, out, err = run(capsys, "h2", "--perm", str(perm),
-                         "--mod", ",".join([str(mod)] * 4), "--p", "2")
+    mod = tmp_path / "triv1.mtx"
+    mod.write_text(write_meataxe(FFMatrix.identity(PrimeField(2), 1)))
+    return run(capsys, "h2", "--perm", str(perm), "--mod", ",".join([str(mod)] * k), "--p", "2")
+
+
+def test_h2_order_64(capsys, tmp_path):
+    code, out, _ = elementary_abelian_h2(capsys, tmp_path, 6)
+    assert code == 0
+    assert out.splitlines()[0] == "21"
+
+
+def test_h2_oversized_system_exits_3(capsys, tmp_path):
+    # C2^7, order 128, on the trivial 1-dimensional module needs 810 MB
+    code, out, err = elementary_abelian_h2(capsys, tmp_path, 7)
     assert code == 3
     assert out == ""
-    assert "297675000 bytes" in err
+    assert "810191928 bytes" in err
 
 
 def test_h2_misaligned_module_exits_3(capsys, tmp_path):

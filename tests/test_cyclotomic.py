@@ -17,9 +17,11 @@ from burnside.cyclotomic import (
     divisors,
     euler_phi,
     galois,
+    is_prime,
     is_rational,
     is_rational_integer,
     multiplicative_order,
+    prime_factors,
     zeta,
 )
 
@@ -45,6 +47,19 @@ def test_euler_phi_and_divisors():
     assert multiplicative_order(2, 9) == 6
     with pytest.raises(ValueError):
         multiplicative_order(3, 9)
+
+
+def test_is_prime_agrees_with_trial_division():
+    n = 10**5
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if prime_factors(k) == [k]]
+
+
+def test_is_prime_near_int64():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**63 - 25)  # the largest prime below 2^63
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
 
 
 def test_cyclotomic_polynomials_frozen():

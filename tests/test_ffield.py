@@ -6,6 +6,7 @@ the blow-up to GF(p) for extension fields) so the two never share code.
 """
 
 import random
+import time
 
 import pytest
 
@@ -229,6 +230,14 @@ def test_associativity_random_gf3():
         lhs = mul_oracle(mul_oracle(a, b), c)
         assert (a * b) * c == lhs
         assert a * (b * c) == lhs
+
+
+def test_fields_of_primes_near_int64_construct_at_once():
+    start = time.monotonic()
+    assert PrimeField(2**63 - 25).q == 2**63 - 25
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3825123056546413051)
+    assert time.monotonic() - start < 1.0
 
 
 def test_large_primes_are_refused_not_wrapped():
