@@ -6,7 +6,6 @@ from .census import (
     census_brute_force,
     census_from_tom,
     fixed_space_dim_dual,
-    regular_orbit_count,
     validate_action_homomorphism,
 )
 from .chartab import (
@@ -74,7 +73,6 @@ __all__ = [
     "mulclose",
     "orders_of",
     "rational_degree_census",
-    "regular_orbit_count",
     "splits_implies",
     "subgroup_classes",
     "validate_action_homomorphism",

@@ -10,25 +10,25 @@ The fixed count for U is q^dim of the common left-nullspace of the stacked
 stored on the table come in: they rebuild class generators inside any
 matrix group with aligned generators.
 
-census_brute_force is the sanity route: enumerate the whole dual space,
-walk orbits, classify each stabilizer by scanning group elements.  It is
-exponential in d and only meant for desk-size checks, so it carries hard
-bounds.
+census_brute_force is the independent oracle: every dual vector becomes an
+integer code, every generator a permutation of the q^d codes, and orbits,
+stabilizers and fixed counts are read off those permutations, with no
+table of marks, nullspace or straight-line program.  It is exponential in
+d, so the code arrays it holds are checked against the byte bound before
+anything is built.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .ffield import FFMatrix
-from .permgroup import PermGroup, is_conjugate_subgroup, subgroup_classes
+from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, subgroup_classes
 from .slp import SLProgram, evaluate
-from .tom import TableOfMarks, decompose_fixed_vector, orders_of
+from .tom import TableOfMarks, decompose_fixed_vector
 
-# brute-force route only; the tom route has no such limits
-ORACLE_GROUP_BOUND = 10_000
-ORACLE_SPACE_BOUND = 2**24
+# dual vectors per matrix product in the brute-force route
+_BLOCK = 4096
 
 
 class ModuleAction:
@@ -93,13 +93,15 @@ class CensusReport:
         if self.regular_orbits != self.decomp[0]:
             raise ValueError("regular_orbits must equal the trivial-class count")
 
+    @classmethod
+    def from_counts(cls, q, dim, fixed, decomp, orders):
+        """The report for per-class fixed and orbit counts; orders[i] = |U_(i+1)|."""
+        nz = tuple(i + 1 for i, c in enumerate(decomp) if c)
+        return cls(q, dim, tuple(fixed), tuple(decomp), nz, tuple(orders[i - 1] for i in nz), decomp[0])
+
     @property
     def orbits(self):
         return sum(self.decomp)
-
-
-def regular_orbit_count(report: CensusReport) -> int:
-    return report.regular_orbits
 
 
 def fixed_space_dim_dual(mats) -> int:
@@ -143,16 +145,7 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
         raise ValueError("table of marks carries no straight-line programs")
     fixed = [_class_fixed_count(tom, action, i) for i in range(tom.n)]
     decomp = decompose_fixed_vector(tom, fixed)
-    nonzeropos = tuple(i + 1 for i, c in enumerate(decomp) if c)
-    return CensusReport(
-        q=action.q,
-        dim=action.d,
-        fixed=tuple(fixed),
-        decomp=decomp,
-        nonzeropos=nonzeropos,
-        staborders=tuple(orders_of(tom, nonzeropos)),
-        regular_orbits=decomp[0],
-    )
+    return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
 
 
 def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None:
@@ -165,29 +158,6 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
     group.element_table().images(action.matrices, FFMatrix.identity(action.field, action.d))
 
 
-def _gf2_apply(code, rowcodes):
-    out = 0
-    i = 0
-    while code:
-        if code & 1:
-            out ^= rowcodes[i]
-        code >>= 1
-        i += 1
-    return out
-
-
-def _vec_apply(vec, rows, field):
-    """vec * the square matrix with the given rows (lists of scalars) over field."""
-    out = [field.zero] * len(vec)
-    for vi, row in zip(vec, rows):
-        if vi == field.zero:
-            continue
-        for j, mij in enumerate(row):
-            if mij != field.zero:
-                out[j] = field.add(out[j], field.mul(vi, mij))
-    return tuple(out)
-
-
 def _classify_stabilizer(group, classes, stab):
     """Position of the class of the subgroup stab (a frozenset of Perms)."""
     candidates = [i for i, c in enumerate(classes) if c.order == len(stab)]
@@ -197,72 +167,81 @@ def _classify_stabilizer(group, classes, stab):
     raise ValueError("stabilizer matches no subgroup class")
 
 
-def census_brute_force(
-    group: PermGroup,
-    action: ModuleAction,
-    classes=None,
-    group_bound: int = ORACLE_GROUP_BOUND,
-    space_bound: int = ORACLE_SPACE_BOUND,
-) -> CensusReport:
+def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> CensusReport:
     """Census by enumerating all q^d dual vectors; independent of any tom.
 
-    Applies every group element to one vector of each orbit, which gives the
-    orbit and the stabilizer at once, classifies the stabilizer among the
-    subgroup classes by order and, when orders tie, by an explicit conjugacy
-    search.  The per-class fixed counts come from direct counting as well,
-    not from nullspaces.
+    Every dual vector is an integer code (its base-q digits), and each dual
+    generator becomes a permutation of the codes.  Orbit minima come from
+    min-label propagation along those permutations; a representative's
+    stabilizer from its images along the element table's tree, classified
+    by order and, when orders tie, by an explicit conjugacy search.  The
+    fixed count of a class is counted directly, composing the generator
+    permutations along the words of the class generators.
     """
-    order = group.order()
-    if order > group_bound:
-        raise ValueError(f"group order {order} exceeds the brute-force bound {group_bound}")
-    space = action.q**action.d
-    if space > space_bound:
-        raise ValueError(f"dual space size {space} exceeds the brute-force bound {space_bound}")
-    field = action.field
-    d = action.d
-    table = group.element_table(group_bound)
+    q, d = action.q, action.d
+    gens = len(action.matrices)
+    space = q**d
+    # the generator permutations, the codes and three arrays of labels
+    check_allocation(f"the brute-force census of {space} dual vectors", (gens + 4) * space * 8)
+    table = group.element_table()
     duals = [m.transpose().inverse() for m in action.matrices]
-    dual_of = table.images(duals, FFMatrix.identity(field, d))
+    table.images(duals, FFMatrix.identity(action.field, d))
     if classes is None:
         classes = subgroup_classes(group)
 
-    if action.q == 2:
-        # row i of each matrix as the bit code sum_j m[i, j] 2^j
-        el_ops = (np.stack([m.array for m in dual_of]) @ (1 << np.arange(d))).tolist()
-        points = list(range(space))
-        act = _gf2_apply
-    else:
-        el_ops = [m.to_rows() for m in dual_of]
-        points = [()]
-        for _ in range(d):
-            points = [v + (x,) for v in points for x in field.elements()]
-        act = partial(_vec_apply, field=field)
+    # perms[k, x] is the code of (vector x) * dual k, for all k in one product
+    weights = q ** np.arange(d, dtype=np.int64)
+    stacked = FFMatrix(action.field, d, gens * d, np.hstack([m.array for m in duals]))
+    codes = np.arange(space, dtype=np.int64)
+    perms = np.empty((gens, space), dtype=np.int64)
+    for lo in range(0, space, _BLOCK):
+        block = codes[lo : lo + _BLOCK]
+        vecs = FFMatrix(action.field, len(block), d, block[:, None] // weights % q)
+        moved = (vecs * stacked).array.reshape(len(block), gens, d)
+        perms[:, lo : lo + len(block)] = (moved @ weights).T
 
+    # orbit minima: pull the least label back along every generator, then
+    # jump pointers, until nothing moves
+    label = codes
+    while True:
+        before = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    sizes = np.bincount(label)
+    reps = np.flatnonzero(sizes)
+
+    order = len(table.perms)
     counts = [0] * len(classes)
-    seen = set()
-    for start in points:
-        if start in seen:
-            continue
-        image = [act(start, op) for op in el_ops]
-        orbit = set(image)
-        seen.update(orbit)
-        stab = frozenset(table.perms[i] for i, y in enumerate(image) if y == start)
-        if len(orbit) * len(stab) != order:
+    class_of = {}  # stabilizer, as a mask over the elements -> its class
+    # images of a block of representatives under every element, along the
+    # tree; a block holds about 2^20 images
+    step = max(1, 2**20 // order)
+    for lo in range(0, len(reps), step):
+        block = reps[lo : lo + step]
+        images = np.empty((order, len(block)), dtype=np.int64)
+        images[0] = block
+        for i, k, j in table.tree:
+            images[j] = perms[k][images[i]]
+        fixes = images == block
+        if np.any(fixes.sum(axis=0) * sizes[block] != order):
             raise RuntimeError("orbit-stabilizer mismatch; the action is inconsistent")
-        counts[_classify_stabilizer(group, classes, stab)] += 1
+        for column in fixes.T:
+            key = column.tobytes()
+            if key not in class_of:
+                stab = frozenset(table.perms[i] for i in np.flatnonzero(column))
+                class_of[key] = _classify_stabilizer(group, classes, stab)
+            counts[class_of[key]] += 1
 
     fixed = []
     for c in classes:
-        ops = [el_ops[i] for i in table.subset(c.subgroup.generators)]
-        fixed.append(sum(1 for v in points if all(act(v, op) == v for op in ops)))
-
-    nonzeropos = tuple(i + 1 for i, cnt in enumerate(counts) if cnt)
-    return CensusReport(
-        q=action.q,
-        dim=d,
-        fixed=tuple(fixed),
-        decomp=tuple(counts),
-        nonzeropos=nonzeropos,
-        staborders=tuple(classes[i - 1].order for i in nonzeropos),
-        regular_orbits=counts[0],
-    )
+        fixed_by_all = np.ones(space, dtype=bool)
+        for g in c.subgroup.generators:
+            image = codes
+            for k in table.words[g]:
+                image = perms[k][image]
+            fixed_by_all &= image == codes
+        fixed.append(int(fixed_by_all.sum()))
+    return CensusReport.from_counts(q, d, fixed, counts, [c.order for c in classes])

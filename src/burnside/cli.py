@@ -21,7 +21,7 @@ from .chartab import (
     rational_degree_census,
 )
 from .cohomology import GroupModulePair, h2_dimension, splits_implies
-from .cyclotomic import prime_factors
+from .cyclotomic import is_prime
 from .ffield import FFMatrix, blow_up
 from .formats import (
     ParseError,
@@ -60,8 +60,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _root(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _check_prime_power(q: int) -> None:
-    if q < 2 or len(prime_factors(q)) != 1:
+    # q = r^k for a prime r, tested on exact k-th roots so nothing is factored
+    roots = [_root(q, k) for k in range(1, q.bit_length())] if q > 1 else []
+    if not any(r**k == q and is_prime(r) for k, r in enumerate(roots, 1)):
         raise UsageError(f"q = {q} is not a prime power")
 
 

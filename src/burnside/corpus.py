@@ -8,7 +8,7 @@ action on those points; the quaternion pair falls back to the right-regular
 copy on the eight matrices themselves.
 """
 
-from .census import ModuleAction, _vec_apply
+from .census import ModuleAction
 from .ffield import ExtField, FFMatrix, PrimeField, blow_up
 from .permgroup import Perm, PermGroup
 
@@ -16,13 +16,9 @@ from .permgroup import Perm, PermGroup
 def perm_from_matrix(mat, points):
     """Permutation of the point list induced by v -> v * mat."""
     pos = {p: i for i, p in enumerate(points)}
-    rows = mat.to_rows()
-    images = []
-    for p in points:
-        q = _vec_apply(p, rows, mat.field)
-        if q not in pos:
-            raise ValueError("the matrix does not stabilize the point set")
-        images.append(pos[q])
+    images = [pos.get(tuple(v)) for v in (FFMatrix.from_rows(mat.field, points) * mat).to_rows()]
+    if None in images:
+        raise ValueError("the matrix does not stabilize the point set")
     return Perm(images)
 
 
@@ -71,8 +67,8 @@ def _normalize_projective(field, v):
 
 def _projective_perm(field, mat, points):
     pos = {p: i for i, p in enumerate(points)}
-    rows = mat.to_rows()
-    return Perm([pos[_normalize_projective(field, _vec_apply(p, rows, field))] for p in points])
+    moved = (FFMatrix.from_rows(field, points) * mat).to_rows()
+    return Perm([pos[_normalize_projective(field, tuple(v))] for v in moved])
 
 
 def pair_s3():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from burnside.census import (
@@ -6,11 +7,21 @@ from burnside.census import (
     census_brute_force,
     census_from_tom,
     fixed_space_dim_dual,
-    regular_orbit_count,
     validate_action_homomorphism,
 )
-from burnside.corpus import _projective_line, _projective_perm, census_corpus, pair_c3, pair_d8, pair_s3
+from burnside.cli import main
+from burnside.corpus import (
+    _nonzero_vectors,
+    _projective_line,
+    _projective_perm,
+    census_corpus,
+    pair_c3,
+    pair_d8,
+    pair_s3,
+    perm_from_matrix,
+)
 from burnside.ffield import ExtField, FFMatrix, PrimeField
+from burnside.formats import write_meataxe
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
 from burnside.slp import SLProgram
 from burnside.tom import TableOfMarks, compute_tom
@@ -89,24 +100,64 @@ def s6():
     return PermGroup(6, [Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
 
 
+def _perm_matrix(field, g):
+    n = g.degree
+    return FFMatrix.from_rows(field, [[int(g(i) == j) for j in range(n)] for i in range(n)])
+
+
 def permutation_module(group):
     """The GF(2) permutation module of a permutation group."""
+    return ModuleAction([_perm_matrix(PrimeField(2), g) for g in group.generators])
+
+
+def with_permutation_module(group):
+    return group, permutation_module(group)
+
+
+def _direct_sum(blocks, trivial):
+    """Block-diagonal sum of square matrices plus `trivial` one-dimensional trivial summands."""
+    n = sum(b.rows for b in blocks) + trivial
+    a = np.eye(n, dtype=np.int64)
+    at = 0
+    for b in blocks:
+        a[at : at + b.rows, at : at + b.rows] = b.array
+        at += b.rows
+    return FFMatrix(blocks[0].field, n, n, a)
+
+
+def gl32_on_gf2_15():
+    """GL(3,2) on its 7 points; module natural + dual + permutation + 2 trivial."""
     f = PrimeField(2)
-    n = group.degree
-    return ModuleAction(
-        [FFMatrix.from_rows(f, [[int(g(i) == j) for j in range(n)] for i in range(n)])
-         for g in group.generators]
-    )
+    mats = [
+        FFMatrix.from_rows(f, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        FFMatrix.from_rows(f, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+    ]
+    perms = [perm_from_matrix(m, _nonzero_vectors(f, 3)) for m in mats]
+    module = [_direct_sum([m, m.transpose().inverse(), _perm_matrix(f, g)], 2) for m, g in zip(mats, perms)]
+    return PermGroup(7, perms), ModuleAction(module)
 
 
-# PSL(2,11) contains A5, so its classes need the perfect seeds
-@pytest.mark.parametrize("make,order",
-                         [(psl2_8, 504), (lambda: projective_line_psl2(11), 660), (s6, 720)],
-                         ids=["PSL(2,8)", "PSL(2,11)", "S6"])
+def s5_on_gf3_8():
+    """S5 on 5 points; module permutation + sign + 2 trivial over GF(3)."""
+    f = PrimeField(3)
+    perms = [Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    signs = [(-1) ** sum(len(c) - 1 for c in g.cycles()) % 3 for g in perms]
+    module = [_direct_sum([_perm_matrix(f, g), FFMatrix.from_rows(f, [[s]])], 2) for g, s in zip(perms, signs)]
+    return PermGroup(5, perms), ModuleAction(module)
+
+
+# PSL(2,11) contains A5, so its classes need the perfect seeds; the GL(3,2)
+# and S5 modules add natural, dual, sign and trivial summands
+@pytest.mark.parametrize("make,order", [
+    (lambda: with_permutation_module(psl2_8()), 504),
+    (lambda: with_permutation_module(projective_line_psl2(11)), 660),
+    (lambda: with_permutation_module(s6()), 720),
+    (gl32_on_gf2_15, 168),
+    (s5_on_gf3_8, 120),
+], ids=["PSL(2,8)", "PSL(2,11)", "S6", "GL(3,2) on GF(2)^15", "S5 on GF(3)^8"])
 def test_tom_route_matches_brute_force_on_permutation_modules(make, order):
-    group = make()
+    group, action = make()
     assert group.order() == order
-    action = permutation_module(group)
     classes = subgroup_classes(group)
     tom = compute_tom(group, classes=classes)
     assert census_from_tom(tom, action) == census_brute_force(group, action, classes=classes)
@@ -147,7 +198,6 @@ def test_s3_frozen_report():
     assert rep.nonzeropos == (2, 4)
     assert rep.staborders == (2, 6)
     assert rep.regular_orbits == 0
-    assert regular_orbit_count(rep) == 0
 
 
 def test_c3_frozen_report():
@@ -222,12 +272,26 @@ def test_program_requiring_missing_generator_fails():
         census_from_tom(tom, action)
 
 
-def test_brute_force_bounds():
-    group, action = pair_s3()
-    with pytest.raises(ValueError, match="group order"):
-        census_brute_force(group, action, group_bound=5)
-    with pytest.raises(ValueError, match="dual space"):
-        census_brute_force(group, action, space_bound=3)
+def test_brute_force_byte_bound(monkeypatch, tmp_path, capsys):
+    # five int64 arrays of 2^24 codes: the generator's permutation and four more
+    group = PermGroup(2, [Perm.from_cycles(2, [(0, 1)])])
+    matrix = FFMatrix.identity(PrimeField(2), 24)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("group elements enumerated before the byte bound was checked")
+
+    monkeypatch.setattr(PermGroup, "element_table", no_enumeration)
+    with pytest.raises(ValueError, match="671088640 bytes"):
+        census_brute_force(group, ModuleAction([matrix]))
+    perm = tmp_path / "c2.perm"
+    perm.write_text(write_meataxe(list(group.generators)))
+    gen = tmp_path / "id24.mtx"
+    gen.write_text(write_meataxe(matrix))
+    code = main(["census", "brute", "--perm", str(perm), "--gens", str(gen), "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "671088640 bytes" in captured.err
 
 
 def test_brute_force_generator_count_mismatch():

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib.resources import files
 
 import pytest
@@ -90,6 +91,18 @@ def test_census_q_validation(capsys):
     code, _, err = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),
                        "--gens", gens, "--q", "3")
     assert code == 2 and "declared q" in err
+
+
+# the prime 2^63 - 25 passes on to the missing file; (2^61 - 1) * 3 is no
+# prime power; neither may wait on trial division
+@pytest.mark.parametrize("q,expected", [(2**63 - 25, 2), ((2**61 - 1) * 3, 1)],
+                         ids=["prime", "composite"])
+def test_census_large_q_checked_at_once(capsys, tmp_path, q, expected):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),
+                       "--gens", str(tmp_path / "missing.mtx"), "--q", str(q))
+    assert (code, out) == (expected, "")
+    assert time.monotonic() - start < 5
 
 
 # ---------------------------------------------------------------- tom ----
