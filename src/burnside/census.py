@@ -8,7 +8,9 @@ decomposes over the table of marks into orbit counts per stabilizer class.
 The fixed count for U is q^dim of the common left-nullspace of the stacked
 (g^T - 1) for generators g of U, which is where the straight-line programs
 stored on the table come in: they rebuild class generators inside any
-matrix group with aligned generators.
+matrix group with aligned generators.  The class programs are combined
+into one and evaluated once, so a product that several classes share is
+computed once.
 
 census_brute_force is the independent oracle: every dual vector becomes an
 integer code, every generator a permutation of the q^d codes, and orbits,
@@ -24,7 +26,7 @@ import numpy as np
 
 from .ffield import FFMatrix
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, subgroup_classes
-from .slp import SLProgram, evaluate
+from .slp import SLProgram, combine, evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
 
 # dual vectors per matrix product in the brute-force route
@@ -126,24 +128,51 @@ def fixed_space_dim_dual(mats) -> int:
     return len(FFMatrix(field, d, d * len(blocks), np.hstack(blocks)).nullspace())
 
 
-def _class_fixed_count(tom, action, i):
-    prog = tom.slps[i]
-    mats = list(action.matrices)
-    if prog.n_inputs != len(mats):
-        # programs may have been stored against a narrower generator list;
-        # re-targeting fails loudly if the program reads a missing slot
-        prog = SLProgram(len(mats), prog.statements, prog.returns)
-    gens = evaluate(prog, mats)
-    if not gens:
-        return action.q**action.d
-    return action.q ** fixed_space_dim_dual(gens)
+def _class_generators(programs, mats):
+    """Each program's returns on mats, evaluating runs of programs combined.
+
+    A run starts as all remaining programs and is halved until its combined
+    program fits in MAX_SLOTS; a program that does not fit even alone runs
+    as it is.
+    """
+    out = []
+    start = 0
+    while start < len(programs):
+        end = len(programs)
+        while True:
+            try:
+                prog, slices = combine(programs[start:end])
+                break
+            except ValueError:
+                if end - start == 1:
+                    prog, slices = programs[start], [(0, len(programs[start].returns))]
+                    break
+                end = start + (end - start) // 2
+        gens = evaluate(prog, mats)
+        out.extend(gens[a:b] for a, b in slices)
+        start = end
+    return out
 
 
 def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
-    """Census via the table of marks; needs the table's straight-line programs."""
+    """Census via the table of marks; needs the table's straight-line programs.
+
+    A class without generators is the trivial class, which fixes the whole
+    dual space.
+    """
     if tom.slps is None:
         raise ValueError("table of marks carries no straight-line programs")
-    fixed = [_class_fixed_count(tom, action, i) for i in range(tom.n)]
+    mats = list(action.matrices)
+    # programs may have been stored against a narrower generator list;
+    # re-targeting fails loudly if the program reads a missing slot
+    programs = [
+        prog if prog.n_inputs == len(mats) else SLProgram(len(mats), prog.statements, prog.returns)
+        for prog in tom.slps
+    ]
+    fixed = [
+        action.q ** (fixed_space_dim_dual(gens) if gens else action.d)
+        for gens in _class_generators(programs, mats)
+    ]
     decomp = decompose_fixed_vector(tom, fixed)
     return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
 

@@ -69,6 +69,10 @@ def _root(n: int, k: int) -> int:
 
 
 def _check_prime_power(q: int) -> None:
+    # no field with q >= 2^63 can be built, and is_prime would fall back to
+    # trial division on such a q
+    if q >= 2**63:
+        raise UsageError(f"q = {q} is too large: field scalars must fit int64 (q < 2^63)")
     # q = r^k for a prime r, tested on exact k-th roots so nothing is factored
     roots = [_root(q, k) for k in range(1, q.bit_length())] if q > 1 else []
     if not any(r**k == q and is_prime(r) for k, r in enumerate(roots, 1)):

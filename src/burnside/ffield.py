@@ -8,9 +8,11 @@ Dimensions in this package stay small (module actions top out around 28), so
 matrices are dense: an FFMatrix holds its entries in a read-only int64 numpy
 array, in the same int encoding, so every value here is immutable and safe
 to share.  Every prime field, GF(2) included, has one product (an integer
-matrix product reduced mod p) and one elimination routine (row_echelon).  A
-matrix over GF(p^k) is added, multiplied, inverted and reduced through its
-blow-up to GF(p).
+matrix product reduced mod p) and one elimination routine: row_echelon, a
+one-pass Gauss-Jordan elimination that returns the reduced row echelon
+form.  Ranks, inverses and nullspaces all come from it.  A matrix over
+GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
+GF(p).
 """
 
 from __future__ import annotations
@@ -480,23 +482,32 @@ class FFMatrix:
     def nullspace(self):
         """Row-reduced basis of the left nullspace {v : v*m = 0}.
 
-        Over GF(p) it is the part of the RREF of [m | 1] whose pivots fall
-        in the identity block.  Over GF(p^k) the nullspace of the blow-up is
-        the GF(q) nullspace written in digits, and the rows of its RREF with
-        a pivot on digit 0 of an entry are the GF(q) RREF rows.
+        Over GF(p), v*m = 0 says that v is in the right nullspace of the
+        transpose.  That transpose is row-reduced with its columns in
+        reverse order, so each free column gives a basis vector whose last
+        nonzero entry, a 1, is at that column.  Reversed back, these
+        vectors form the RREF basis.  Over GF(p^k) the nullspace of the
+        blow-up is the GF(q) nullspace written in digits, and the rows of
+        its RREF with a pivot on digit 0 of an entry are the GF(q) RREF rows.
         """
         f = self.field
-        r, c = self.rows, self.cols
+        n = self.rows
         if f.k > 1:
             k = f.k
             out = []
             for v in blow_up(self).nullspace():
                 lead = next(j for j, x in enumerate(v) if x)
                 if lead % k == 0:
-                    out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, r * k, k)))
+                    out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, n * k, k)))
             return out
-        a, pivots = _rref(_augmented(self), f.p)
-        return [tuple(row[c:]) for row, col in zip(a.tolist(), pivots) if col >= c]
+        a, pivots = row_echelon(self.array.T[:, ::-1], f.p)
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = is_free.nonzero()[0][::-1]
+        basis = np.zeros((free.size, n), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = -a[: len(pivots), free].T % f.p
+        return [tuple(v) for v in basis[:, ::-1].tolist()]
 
     def rank(self):
         f = self.field
@@ -535,7 +546,7 @@ class FFMatrix:
         n = self.rows
         if f.k > 1:
             return _blow_down(f, blow_up(self).inverse())
-        a, pivots = _rref(_augmented(self), f.p)
+        a, pivots = row_echelon(np.hstack([self.array, np.eye(n, dtype=np.int64)]), f.p)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return FFMatrix(f, n, n, a[:, n:])
@@ -547,15 +558,12 @@ class FFMatrix:
 # prime-field elimination on int64 arrays of residues
 
 
-def _augmented(m):
-    return np.hstack([m.array, np.eye(m.rows, dtype=np.int64)])
-
-
 def row_echelon(a, p: int):
-    """Forward elimination over GF(p) of a copy of the integer matrix a.
+    """Gauss-Jordan elimination over GF(p) of a copy of the integer matrix a.
 
-    Returns (e, pivots): e is a row echelon form with leading entries 1,
-    and pivots lists the pivot column of each of its leading rows.
+    Each pivot clears its column in every other row, so one pass gives the
+    reduced row echelon form.  Returns (e, pivots): e is that form, and
+    pivots lists the pivot column of each of its nonzero rows.
     """
     _check_int64(p, 1)
     a = np.asarray(a, dtype=np.int64) % p
@@ -565,29 +573,21 @@ def row_echelon(a, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = r + np.nonzero(a[r:, c])[0]
+        nz = r + a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0] != r:
             a[[r, nz[0]]] = a[[nz[0], r]]
-        # left of column c, rows r and below are already zero
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        below = nz[1:]  # a swapped-down row is zero in column c
-        if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+        # left of column c, row r is zero
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r, c:] = a[r, c:] * inv % p
+        # a row swapped down is zero in column c
+        others = np.concatenate([a[:r, c].nonzero()[0], nz[1:]])
+        if others.size:
+            a[others, c:] = (a[others, c:] - a[others, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
-    return a, pivots
-
-
-def _rref(a, p):
-    """row_echelon followed by back-substitution: the RREF and its pivots."""
-    a, pivots = row_echelon(a, p)
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]  # row r is zero left of column c
-        above = np.nonzero(a[:r, c])[0]
-        if above.size:
-            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
     return a, pivots
 
 

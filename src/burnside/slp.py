@@ -77,6 +77,41 @@ class SLProgram:
         return cls(n_inputs, tuple(statements), tuple(outs))
 
 
+def combine(programs):
+    """One program computing the returns of all the given programs.
+
+    Each distinct operation on the same operands is done once, so programs
+    built from words with shared prefixes share those products.  Returns the
+    combined program and, per input program, the (start, end) slice of the
+    combined returns that holds its returns.  Raises ValueError if the
+    programs take different numbers of inputs, or if the distinct
+    statements do not fit in MAX_SLOTS slots.
+    """
+    programs = list(programs)
+    if not programs:
+        raise ValueError("need at least one program")
+    n = programs[0].n_inputs
+    if any(prog.n_inputs != n for prog in programs):
+        raise ValueError("programs take different numbers of inputs")
+    statements = []
+    made = {}  # (op, operands over combined slots) -> combined slot
+    returns = []
+    slices = []
+    for prog in programs:
+        slot = {i: i for i in range(1, n + 1)}  # program slot -> combined slot
+        for target, op, *args in prog.statements:
+            key = (op, slot[args[0]], slot[args[1]]) if op == MUL else (op, slot[args[0]], *args[1:])
+            if key not in made:
+                made[key] = n + len(statements) + 1
+                if made[key] > MAX_SLOTS:
+                    raise ValueError(f"the combined program needs more than {MAX_SLOTS} slots")
+                statements.append((made[key], *key))
+            slot[target] = made[key]
+        slices.append((len(returns), len(returns) + len(prog.returns)))
+        returns.extend(slot[s] for s in prog.returns)
+    return SLProgram(n, tuple(statements), tuple(returns)), slices
+
+
 def _check_carrier(inputs):
     first = inputs[0]
     if isinstance(first, FFMatrix):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from burnside import census, slp
 from burnside.census import (
     CensusReport,
     ModuleAction,
@@ -23,8 +24,8 @@ from burnside.corpus import (
 from burnside.ffield import ExtField, FFMatrix, PrimeField
 from burnside.formats import write_meataxe
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
-from burnside.slp import SLProgram
-from burnside.tom import TableOfMarks, compute_tom
+from burnside.slp import SLProgram, combine, evaluate
+from burnside.tom import TableOfMarks, compute_tom, decompose_fixed_vector
 from test_tom import projective_line_psl2
 
 CORPUS = census_corpus()
@@ -161,6 +162,63 @@ def test_tom_route_matches_brute_force_on_permutation_modules(make, order):
     classes = subgroup_classes(group)
     tom = compute_tom(group, classes=classes)
     assert census_from_tom(tom, action) == census_brute_force(group, action, classes=classes)
+
+
+def per_class_report(tom, action):
+    """The census with each class program evaluated on its own."""
+    fixed = []
+    for prog in tom.slps:
+        gens = evaluate(prog, action.matrices)
+        fixed.append(action.q ** (fixed_space_dim_dual(gens) if gens else action.d))
+    decomp = decompose_fixed_vector(tom, fixed)
+    return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_census_evaluates_one_combined_program(monkeypatch):
+    group, action = s5_on_gf3_8()
+    tom = compute_tom(group)
+    expected = per_class_report(tom, action)
+    distinct = len(combine(tom.slps)[0].statements)
+    assert distinct < sum(len(prog.statements) for prog in tom.slps)
+    evaluations = counting(monkeypatch, census, "evaluate")
+    products = counting(monkeypatch, FFMatrix, "__mul__")
+    assert census_from_tom(tom, action) == expected
+    assert len(evaluations) == 1
+    # the stored programs are words: every statement is one product
+    assert len(products) == distinct
+
+
+# 25 slots hold the largest S5 program but not all of them; with 12, some
+# programs do not fit even alone and run as they are
+@pytest.mark.parametrize("max_slots", [25, 12])
+def test_census_splits_programs_past_max_slots(monkeypatch, max_slots):
+    group, action = s5_on_gf3_8()
+    tom = compute_tom(group)
+    expected = per_class_report(tom, action)
+    monkeypatch.setattr(slp, "MAX_SLOTS", max_slots)
+    evaluations = counting(monkeypatch, census, "evaluate")
+    assert census_from_tom(tom, action) == expected
+    assert 1 < len(evaluations) < tom.n
+    alone = 0  # stored programs run as they are
+    for prog, _ in evaluations:
+        if any(prog is stored for stored in tom.slps):
+            alone += 1
+        else:
+            assert all(stmt[0] <= max_slots for stmt in prog.statements)
+    assert bool(alone) == (max_slots == 12)
 
 
 @pytest.mark.parametrize("name,group,action", CORPUS, ids=IDS)

@@ -94,14 +94,20 @@ def test_census_q_validation(capsys):
 
 
 # the prime 2^63 - 25 passes on to the missing file; (2^61 - 1) * 3 is no
-# prime power; neither may wait on trial division
-@pytest.mark.parametrize("q,expected", [(2**63 - 25, 2), ((2**61 - 1) * 3, 1)],
-                         ids=["prime", "composite"])
+# prime power; (2^61 - 1)^2 and the prime 2^89 - 1 do not fit int64; none
+# may wait on trial division
+@pytest.mark.parametrize(
+    "q,expected",
+    [(2**63 - 25, 2), ((2**61 - 1) * 3, 1), ((2**61 - 1) ** 2, 1), (2**89 - 1, 1)],
+    ids=["prime", "composite", "square_past_int64", "prime_past_int64"],
+)
 def test_census_large_q_checked_at_once(capsys, tmp_path, q, expected):
     start = time.monotonic()
-    code, out, _ = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),
-                       "--gens", str(tmp_path / "missing.mtx"), "--q", str(q))
+    code, out, err = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),
+                         "--gens", str(tmp_path / "missing.mtx"), "--q", str(q))
     assert (code, out) == (expected, "")
+    if q >= 2**63:
+        assert "int64" in err
     assert time.monotonic() - start < 5
 
 

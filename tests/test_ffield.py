@@ -18,6 +18,7 @@ from burnside.ffield import (
     blow_up,
     default_modulus,
     norm,
+    row_echelon,
 )
 from burnside.formats import parse_meataxe
 
@@ -338,6 +339,50 @@ def test_nullspace_basis_is_rref():
         assert is_rref(basis, m.field)
         for v in basis:
             assert mul_oracle(FFMatrix(m.field, 1, m.rows, v), m) == FFMatrix.zero(m.field, 1, m.cols)
+
+
+def test_nullspace_tall_and_very_wide_match_enumeration():
+    rng = random.Random(37)
+    for f in (GF2, GF3, GF7, GF4, GF9):
+        # tall: more rows than columns; very wide: at least 4 columns per row
+        rows = 4 if f.q < 9 else 3
+        for r, c in ((rows, 2), (rows, 1), (2, 8), (3, 12), (1, 5)):
+            for thin in (False, True):
+                if thin:
+                    m = mul_oracle(random_matrix(f, r, 1, rng), random_matrix(f, 1, c, rng))
+                else:
+                    m = random_matrix(f, r, c, rng)
+                basis = m.nullspace()
+                all_null = set(nullspace_oracle(m))
+                assert f.q ** len(basis) == len(all_null)
+                assert set(basis) <= all_null
+                assert is_rref(basis, f)
+
+
+def test_row_echelon_is_one_pass_rref():
+    rng = random.Random(43)
+    for f in (GF2, GF3, GF5, GF7):
+        p = f.p
+        cases = [FFMatrix.zero(f, 4, 6), FFMatrix.identity(f, 5)]
+        for r, c in ((12, 3), (3, 12), (6, 6), (1, 7), (7, 1)):
+            cases.append(random_matrix(f, r, c, rng))
+            cases.append(mul_oracle(random_matrix(f, r, 2, rng), random_matrix(f, 2, c, rng)))
+        while len(cases) < 16:  # full rank
+            m = random_matrix(f, 4, 4, rng)
+            if m.is_invertible():
+                cases.append(m)
+        for m in cases:
+            a = m.array.copy()
+            e, pivots = row_echelon(a, p)
+            assert (a == m.array).all()  # the input is not touched
+            rank = len(pivots)
+            rows = [tuple(row) for row in e.tolist()]
+            assert is_rref(rows[:rank], f)
+            assert not any(any(row) for row in rows[rank:])
+            assert pivots == [next(j for j, x in enumerate(row) if x) for row in rows[:rank]]
+            # same row space: m and e stacked have the rank of e
+            stacked = FFMatrix(f, 2 * m.rows, m.cols, list(m.entries) + [x for row in rows for x in row])
+            assert len(row_echelon(stacked.array, p)[1]) == rank
 
 
 def test_rank_nullity():

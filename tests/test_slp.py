@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from burnside.ffield import FFMatrix, PrimeField
+from burnside import slp
+from burnside.ffield import ExtField, FFMatrix, PrimeField
 from burnside.permgroup import Perm
-from burnside.slp import INV, MUL, POW, SLProgram, evaluate
+from burnside.slp import INV, MUL, POW, SLProgram, combine, evaluate
 
 GF3 = PrimeField(3)
 
@@ -122,3 +123,63 @@ def test_from_words():
     assert evaluate(prog, [a, b]) == [a * b * a, b]
     trivial = SLProgram.from_words(2, [])
     assert trivial.returns == ()
+
+
+# ---------------------------------------------------------------- combine
+
+
+# the first two programs share r1*r2 and its inverse; the third re-uses r1
+# for r1*r2 and then overwrites that slot again
+COMBINE_CASES = (
+    SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, POW, 4, 3)), (5, 3)),
+    SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, MUL, 4, 1)), (5,)),
+    SLProgram(2, ((1, MUL, 1, 2), (1, POW, 1, -2), (3, MUL, 2, 1)), (3, 1, 2)),
+    SLProgram(2, (), ()),
+    SLProgram(2, ((3, POW, 2, 0),), (3, 3)),
+)
+
+
+def combine_carriers():
+    rng = random.Random(41)
+    yield [Perm.from_cycles(5, [(0, 1, 2, 3, 4)]), Perm.from_cycles(5, [(0, 1)])]
+    for f in (PrimeField(2), GF3, ExtField(2, 2)):
+        yield [random_invertible(f, 3, rng) for _ in range(2)]
+
+
+@pytest.mark.parametrize("inputs", list(combine_carriers()), ids=["perm", "gf2", "gf3", "gf4"])
+def test_combined_program_returns_each_programs_returns(inputs):
+    prog, slices = combine(COMBINE_CASES)
+    out = evaluate(prog, inputs)
+    assert len(slices) == len(COMBINE_CASES)
+    assert [out[a:b] for a, b in slices] == [evaluate(p, inputs) for p in COMBINE_CASES]
+
+
+def test_combine_computes_a_shared_product_once():
+    words = SLProgram.from_words(2, [(1, 2, 1)]), SLProgram.from_words(2, [(1, 2, 2), (1, 2)])
+    prog, slices = combine(words)
+    # r1*r2 once, then *r1 and *r2
+    assert len(prog.statements) == 3
+    assert [prog.returns[a:b] for a, b in slices] == [(4,), (5, 3)]
+    again, _ = combine(words + words)
+    assert again.statements == prog.statements
+
+
+def test_combine_rejects_mixed_input_counts():
+    with pytest.raises(ValueError, match="inputs"):
+        combine([SLProgram(1, (), (1,)), SLProgram(2, (), (2,))])
+    with pytest.raises(ValueError):
+        combine([])
+
+
+def test_combine_empty_returns_give_an_empty_slice():
+    prog, slices = combine([SLProgram(2, ((3, MUL, 1, 2),), ()), SLProgram(2, (), (2,))])
+    assert slices == [(0, 0), (0, 1)]
+    assert prog.returns == (2,)
+
+
+def test_combine_refuses_more_than_max_slots(monkeypatch):
+    monkeypatch.setattr(slp, "MAX_SLOTS", 4)
+    programs = [SLProgram.from_words(2, [(1, 2)]), SLProgram.from_words(2, [(2, 1)])]
+    assert len(combine(programs[:1])[0].statements) == 1
+    with pytest.raises(ValueError, match="4 slots"):
+        combine(programs + [SLProgram.from_words(2, [(1, 1)])])
