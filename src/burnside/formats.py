@@ -319,11 +319,11 @@ def parse_tom(text: str) -> TableOfMarks:
             raise ParseError("tom: slps must be a list of program texts", 1, 1)
         if len(texts) != n:
             raise ParseError(f"tom: expected {n} programs, found {len(texts)}", 1, 1)
-        # every class program reads the same generator list, so align all
-        # programs to the widest inferred input count
-        progs = [parse_slp(s) for s in texts]
-        width = max(p.n_inputs for p in progs)
-        slps = tuple(SLProgram(width, p.statements, p.returns) for p in progs)
+        # every class program reads the same generator list, so build all
+        # programs with the widest inferred input count
+        parsed = [_parse_slp_lines(s) for s in texts]
+        width = max(max_input for _, _, max_input in parsed)
+        slps = tuple(_slprogram(width, statements, returns) for statements, returns, _ in parsed)
     try:
         return TableOfMarks(n, tuple(orders), tuple(tuple(r) for r in dense), slps)
     except ValueError as exc:
@@ -381,6 +381,12 @@ def parse_slp(text: str, n_inputs: int | None = None) -> SLProgram:
     inferred as the largest such slot (at least 1).  A bare `return` encodes
     the empty result list.
     """
+    statements, returns, max_input = _parse_slp_lines(text)
+    return _slprogram(max_input if n_inputs is None else n_inputs, statements, returns)
+
+
+def _parse_slp_lines(text: str):
+    """(statements, returns, largest slot read before assignment, at least 1)."""
     statements = []
     returns = None
     defined = set()
@@ -431,10 +437,12 @@ def parse_slp(text: str, n_inputs: int | None = None) -> SLProgram:
         raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
     if returns is None:
         raise ParseError("missing return line", max(1, len(text.splitlines())), 1)
-    if n_inputs is None:
-        n_inputs = max_input
+    return tuple(statements), returns, max_input
+
+
+def _slprogram(n_inputs, statements, returns) -> SLProgram:
     try:
-        return SLProgram(n_inputs, tuple(statements), returns)
+        return SLProgram(n_inputs, statements, returns)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
 

@@ -4,8 +4,11 @@ Provides exactly what the table-of-marks pipeline needs: orbits with
 transversals, group order and membership through a deterministic
 Schreier-Sims chain, full element enumeration with generator words, conjugacy
 classes of subgroups, and subgroup-conjugacy tests.  Everything is exhaustive
-and deterministic; groups here top out around order 1000 (tables for the
-sporadic-group censuses are ingested from files, never computed).
+and deterministic.  The product table below caps the order at 11,585; on
+2 vCPUs (Python 3.11, numpy 2.4) the table of marks of A7 (order 2520) takes
+about 0.5 s and that of M11 (order 7920) about 2.5 s, once the order bound of
+subgroup_classes is raised past its default of 1000.  Tables for the
+sporadic-group censuses of the paper are ingested from files, never computed.
 
 The exhaustive algorithms work on element indices, not on Perm objects.
 Each group builds one ElementTable on first enumeration: the elements in
@@ -23,6 +26,7 @@ generator words transfer verbatim to matrix generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -202,19 +206,20 @@ class ElementTable:
 
     def closure(self, gens, cap=None):
         """Indices of the subgroup generated by gens; None past cap elements."""
-        steps = [self.mul[:, g] for g in gens]  # right multiplication by each generator
-        inside = np.zeros(len(self.perms), dtype=bool)
-        inside[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        while len(frontier):
-            reached = np.zeros_like(inside)
+        steps = [self.mul[:, g].tolist() for g in gens]  # right multiplication by each generator
+        inside = bytearray(len(self.perms))
+        inside[0] = 1
+        reached = [0]
+        cap = len(self.perms) if cap is None else cap
+        for x in reached:  # breadth-first: the loop extends the list it walks
             for step in steps:
-                reached[step[frontier]] = True
-            frontier = np.flatnonzero(reached & ~inside)
-            inside[frontier] = True
-            if cap is not None and inside.sum() > cap:
+                y = step[x]
+                if not inside[y]:
+                    inside[y] = 1
+                    reached.append(y)
+            if len(reached) > cap:
                 return None
-        return np.flatnonzero(inside)
+        return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8))
 
     def subset(self, perms):
         """Indices of a collection of group elements."""
@@ -427,6 +432,24 @@ def _cyclic(table, x):
     return powers
 
 
+def _cyclic_generators(powers):
+    """The generators of a cyclic group from _cyclic: x^k with k prime to the order."""
+    order = len(powers)
+    return [powers[k % order] for k in range(1, order + 1) if gcd(k, order) == 1]
+
+
+def _class_minima(table):
+    """The least element of each conjugacy class of elements, ascending."""
+    n = len(table.perms)
+    covered = np.zeros(n, dtype=bool)
+    minima = []
+    for x in range(n):
+        if not covered[x]:
+            minima.append(x)
+            covered[table.conjugates([x])[:, 0]] = True
+    return minima
+
+
 def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupClassList:
     """One representative per conjugacy class of subgroups.
 
@@ -438,28 +461,59 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     closures, and the full group is appended if still missing.  Ordering is
     by subgroup order with a canonical tie-break, trivial first, G last.
 
-    Subgroups are arrays of element indices, looked up by the bytes of their
-    sorted indices.  Elements are indexed in sorted order, so the least key
+    Subgroups are sorted arrays of element indices, looked up by the bytes
+    of those arrays.  Elements are indexed in sorted order, so the least key
     among the conjugates is the same tie-break as the least sorted tuple of
-    permutations.
+    permutations.  A class's conjugates are g^-1 U g for one g per right
+    coset N(U)g of its normalizer, which are exactly the distinct ones.
+
+    Each class is found by the first candidate, in a fixed scan order, that
+    generates one of its subgroups, and keeps that candidate's generators.
+    The searches skip only candidates that generate the same group as an
+    earlier candidate, or a conjugate of it, and that group's class is then
+    already known or already refused.  So the classes, their order and their
+    generators do not depend on the skips:
+    - a cyclic seed x is skipped when <x> = <y> for an earlier y, that is
+      when x = y^k with k prime to the order of y;
+    - a perfect seed <a, b> is skipped when b = (x c^k y)^g for an earlier
+      c, with x, y in <a>, k prime to the order of c and g centralizing a,
+      since then <a, b> = <a, c>^g;
+    - an extension U<z> is skipped when z lies in an extension U<y> tried
+      before: z then has the same prime order modulo U, and U<z> = U<y>.
+
+    Perfect subgroups are only sought with orders divisible by 60 or 168.
+    That misses those built on PSL(2,13), PSL(2,17) or PSL(3,3), of orders
+    1092, 2448 and 5616, which first fit in groups of order 2184, past the
+    default bound.
     """
     n = group.order()
     if n > bound:
         raise ValueError(f"group order {n} exceeds subgroup enumeration bound {bound}")
     table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
-    mul = table.mul
+    mul, inv = table.mul, table.inv
 
-    classes = []  # dicts: els (index array), gens (indices), size, key
+    classes = []  # dicts: els (sorted index array), gens (indices), normalizer, size, key
     seen = {}  # key of every conjugate of a class -> that class
 
     def key(h):
         # big-endian, so that bytes order sorted index arrays lexicographically
-        return np.sort(h).astype(">u2").tobytes()
+        return h.astype(">u2").tobytes()
 
     def add(h, gens):
-        conj = {key(row) for row in table.conjugates(h)}
-        c = {"els": h, "gens": tuple(gens), "size": len(conj), "key": min(conj)}
-        seen.update(dict.fromkeys(conj, c))
+        in_h = np.zeros(n, dtype=bool)
+        in_h[h] = True
+        normalizer = np.flatnonzero(in_h[table.conjugates(gens)].all(axis=1))
+        # g^-1 U g depends only on the right coset N(U)g
+        reps = []
+        covered = np.zeros(n, dtype=bool)
+        for g in range(n):
+            if not covered[g]:
+                reps.append(g)
+                covered[mul[normalizer, g]] = True
+        conj = np.sort(mul[inv[reps][:, None], mul[h[:, None], reps].T], axis=1).astype(">u2", order="C")
+        keys = conj.view(np.dtype((np.void, conj.shape[1] * 2))).ravel().tolist()
+        c = {"els": h, "gens": tuple(gens), "normalizer": normalizer, "size": len(keys), "key": min(keys)}
+        seen.update(dict.fromkeys(keys, c))
         classes.append(c)
         return c
 
@@ -468,8 +522,13 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
 
     add(np.array([0]), ())
     queue = []
+    generated = np.zeros(n, dtype=bool)  # x with <x> already tried
     for x in range(1, n):
-        h = np.array(_cyclic(table, x))
+        if generated[x]:
+            continue
+        cyclic = _cyclic(table, x)
+        generated[_cyclic_generators(cyclic)] = True
+        h = np.sort(cyclic)
         if is_prime(len(h)) and key(h) not in seen:
             queue.append(add(h, (x,)))
 
@@ -477,16 +536,18 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     # nonabelian simple order; all perfect groups that fit below |G| <= 1000
     # are generated by two elements
     if any(s * 2 <= n and n % s == 0 for s in _SIMPLE_ORDERS):
-        # one a per conjugacy class of elements: the least one of the class
-        every = np.arange(n)
-        for a in np.flatnonzero(table.conjugates(every).min(axis=0) == every)[1:]:
-            # <a, b> is the same group for every b in the double coset <a>b<a>
-            cyclic = _cyclic(table, a)
+        for a in _class_minima(table)[1:]:  # one a per conjugacy class of elements
+            cyclic = np.array(_cyclic(table, a))
+            centralizer = np.flatnonzero(table.conjugates([a])[:, 0] == a)
             done = np.zeros(n, dtype=bool)
             for b in range(n):
                 if done[b]:
                     continue
-                done[mul[mul[cyclic, b][:, None], cyclic]] = True
+                # <a, b> is the same group for every b' in <a> b^k <a>, k prime
+                # to |b|, and a conjugate one for b'^c, c centralizing a
+                bk = _cyclic_generators(_cyclic(table, b))
+                same = mul[mul[cyclic[:, None], bk][:, :, None], cyclic].ravel()
+                done[mul[inv[centralizer][:, None], mul[same[:, None], centralizer].T]] = True
                 h = table.closure((a, b), cap=n // 2)
                 if h is None or len(h) % 60 and len(h) % 168:
                     continue
@@ -496,11 +557,11 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     primes = prime_factors(n)
     while queue:
         cls = queue.pop(0)
-        u = cls["els"]
+        u, normalizer = cls["els"], cls["normalizer"]
         in_u = np.zeros(n, dtype=bool)
         in_u[u] = True
-        normalizer = np.flatnonzero(in_u[table.conjugates(cls["gens"])].all(axis=1))
         quotient = len(normalizer) // len(u)
+        tried = in_u.copy()  # U and every U<z> extended so far
         for p in primes:
             if quotient % p:
                 continue
@@ -508,7 +569,16 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
             for _ in range(p - 1):
                 z_p = mul[z_p, normalizer]
             for z in normalizer[~in_u[normalizer] & in_u[z_p]].tolist():
-                v = np.unique(mul[u[:, None], _cyclic(table, z)])
+                if tried[z]:
+                    continue
+                # z^p lies in U, so U<z> is U z^0, ..., U z^(p-1)
+                powers = [0, z]
+                while len(powers) < p:
+                    powers.append(int(mul[powers[-1], z]))
+                extended = np.zeros(n, dtype=bool)
+                extended[mul[u[:, None], powers]] = True
+                tried |= extended
+                v = np.flatnonzero(extended)
                 if key(v) not in seen:
                     queue.append(add(v, cls["gens"] + (z,)))
 

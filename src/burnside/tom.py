@@ -3,12 +3,14 @@
 The marks matrix is lower triangular over the ordered subgroup classes:
 m[i][j] counts the cosets of U_i fixed by U_j.  Any G-set is determined by
 its fixed-point vector, and back-substitution against the marks matrix
-recovers the orbit counts per stabilizer class — exactly, over rationals, so
-that corrupted inputs are detected instead of rounded away.
+recovers the orbit counts per stabilizer class — exactly, in integers, and
+over the rationals once an entry fails, so that corrupted inputs are detected
+instead of rounded away.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,7 +121,27 @@ def decompose_fixed_vector(tom: TableOfMarks, fixed) -> tuple:
     fixed = list(fixed)
     if len(fixed) != n:
         raise ValueError(f"fixed vector length {len(fixed)} != {n} classes")
-    marks = tom.marks
+    try:
+        rest = [operator.index(x) for x in fixed]
+    except TypeError:
+        return _decompose_rational(tom.marks, fixed)
+    # in integers, subtracting each solved row from the entries left of it
+    a = [0] * n
+    for j in range(n - 1, -1, -1):
+        q, r = divmod(rest[j], tom.marks[j][j])
+        if r or q < 0:
+            # the rationals name the first offending class, not the last
+            return _decompose_rational(tom.marks, fixed)
+        if q:
+            a[j] = q
+            row = tom.marks[j]
+            for k in range(j):
+                rest[k] -= q * row[k]
+    return tuple(a)
+
+
+def _decompose_rational(marks, fixed) -> tuple:
+    n = len(fixed)
     a = [Fraction(0)] * n
     for j in range(n - 1, -1, -1):
         s = Fraction(fixed[j]) - sum(a[i] * marks[i][j] for i in range(j + 1, n))

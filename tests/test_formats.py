@@ -189,6 +189,22 @@ def test_tom_round_trip_with_slps():
     assert parse_tom(write_tom(back)) == back
 
 
+def test_tom_builds_each_program_once(monkeypatch):
+    s5 = PermGroup(5, [Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    tom = compute_tom(s5)
+    text = write_tom(tom)
+    built = []
+    post_init = SLProgram.__post_init__
+    monkeypatch.setattr(SLProgram, "__post_init__", lambda self: (built.append(self), post_init(self)))
+    back = parse_tom(text)
+    assert tom.n == len(built) == 19
+    assert back == tom
+    # as programs parsed one by one and then widened to the common input count
+    progs = [parse_slp(write_slp(p)) for p in tom.slps]
+    width = max(p.n_inputs for p in progs)
+    assert back.slps == tuple(SLProgram(width, p.statements, p.returns) for p in progs)
+
+
 def test_tom_minimal_file():
     tom = parse_tom('{"n_classes": 1, "orders": [1], "marks": [[1, 1, 1]]}')
     assert tom.marks == ((1,),)

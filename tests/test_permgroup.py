@@ -253,6 +253,36 @@ def test_class_elements_are_subgroups_and_sizes_divide():
         assert frozenset(mulclose(minimal_generators(c.elements), 4)) == c.elements
 
 
+def a7():
+    return PermGroup(7, [cyc(7, (0, 1, 2)), cyc(7, (2, 3, 4, 5, 6))])
+
+
+@pytest.mark.parametrize("make", [lambda: PermGroup(6, [cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))]), a7],
+                         ids=["S6", "A7"])
+def test_closure_matches_mulclose(make):
+    group = make()
+    table = group.multiplication_table()
+    rng = random.Random(8)
+    for _ in range(25):
+        gens = rng.sample(range(len(table.perms)), rng.randint(1, 3))
+        expected = mulclose([table.perms[i] for i in gens], group.degree)
+        assert table.closure(gens).tolist() == sorted(table.index[x] for x in expected)
+
+
+def test_closure_of_no_generators_is_the_identity():
+    table = s4().multiplication_table()
+    assert table.closure(()).tolist() == [0]
+
+
+def test_closure_cap_is_inclusive():
+    table = s4().multiplication_table()
+    gens = table.subset([cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])  # A4
+    a4_els = table.closure(gens)
+    assert len(a4_els) == 12
+    assert table.closure(gens, cap=12).tolist() == a4_els.tolist()
+    assert table.closure(gens, cap=11) is None
+
+
 # ---------------------------------------------------------------------------
 # conjugacy of subgroups
 

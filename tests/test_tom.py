@@ -6,6 +6,8 @@ the counting is actually right.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -144,6 +146,24 @@ def test_written_table_is_byte_identical(name, make, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# Digests recorded before subgroup_classes skipped any candidate.  A7 needs
+# perfect seeds of orders 60 and 168; in S5 x S3 the perfect seeds meet
+# elements with large centralizers.
+SEARCH_TOMS = [
+    ("A7", lambda: PermGroup(7, [cyc(7, (0, 1, 2)), cyc(7, (2, 3, 4, 5, 6))]), 3000, 40,
+     "8994632b1abaebd8f25f8b5357f73643fd8be88e2ff963e75e9ad30165706767"),
+    ("S5xS3", lambda: PermGroup(8, [cyc(8, (0, 1)), cyc(8, (0, 1, 2, 3, 4)), cyc(8, (5, 6)), cyc(8, (5, 6, 7))]),
+     1000, 121, "0a5c58273700c39e9fbcf4531dfdd3f226c81a5d5a2e692d0d4eb9e16cb2dcfb"),
+]
+
+
+@pytest.mark.parametrize("name,make,bound,n,digest", SEARCH_TOMS, ids=[g[0] for g in SEARCH_TOMS])
+def test_search_skips_keep_the_table(name, make, bound, n, digest):
+    tom = compute_tom(make(), bound=bound)
+    assert tom.n == n
+    assert hashlib.sha256(write_tom(tom).encode()).hexdigest() == digest
+
+
 def test_decompose_rows_give_unit_vectors():
     for make in (s3, a4, s4):
         tom = compute_tom(make(), with_slps=False)
@@ -180,6 +200,46 @@ def test_decompose_rejects_negative():
     with pytest.raises(DecompositionError) as info:
         decompose_fixed_vector(tom, (0, 2, 0, 2))
     assert info.value.index == 3
+
+
+def rational_decomposition(tom, fixed):
+    """Back-substitution in Fractions: the tuple, or (index, message) of the error."""
+    n = tom.n
+    a = [Fraction(0)] * n
+    for j in range(n - 1, -1, -1):
+        s = Fraction(fixed[j]) - sum(a[i] * tom.marks[i][j] for i in range(j + 1, n))
+        a[j] = s / tom.marks[j][j]
+    for j in range(n):
+        if a[j].denominator != 1 or a[j] < 0:
+            return j + 1, f"inconsistent fixed vector: entry {j + 1} solves to {a[j]}"
+    return tuple(int(x) for x in a)
+
+
+@pytest.mark.parametrize("make", [s4, lambda: PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))])],
+                         ids=["S4", "S5"])
+def test_decompose_matches_rational_reference(make):
+    tom = compute_tom(make(), with_slps=False)
+    rng = random.Random(11)
+    failures = 0
+    for trial in range(300):
+        coeffs = [rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(tom.n)]
+        fixed = [sum(coeffs[i] * tom.marks[i][j] for i in range(tom.n)) for j in range(tom.n)]
+        if trial % 2:
+            # a valid vector with one entry nudged, or a row taken away
+            if trial % 4 == 1:
+                fixed[rng.randrange(tom.n)] += rng.choice((-2, -1, 1, 3))
+            else:
+                row = tom.marks[rng.randrange(tom.n)]
+                fixed = [f - m for f, m in zip(fixed, row)]
+        expected = rational_decomposition(tom, fixed)
+        if isinstance(expected[1], str):
+            failures += 1
+            with pytest.raises(DecompositionError) as info:
+                decompose_fixed_vector(tom, fixed)
+            assert (info.value.index, str(info.value)) == expected
+        else:
+            assert decompose_fixed_vector(tom, fixed) == expected
+    assert 50 < failures < 150
 
 
 def test_decompose_length_check():
