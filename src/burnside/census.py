@@ -5,12 +5,15 @@ G acting by the matrices of a ModuleAction.  Counting G-orbits on the
 irreducible characters of N (the dual module) only needs, for each subgroup
 class U of G, the number of dual vectors fixed by U; that vector of counts
 decomposes over the table of marks into orbit counts per stabilizer class.
-The fixed count for U is q^dim of the common left-nullspace of the stacked
+The fixed count for U is q^dim of the common left-nullspace of the
 (g^T - 1) for generators g of U, which is where the straight-line programs
 stored on the table come in: they rebuild class generators inside any
 matrix group with aligned generators.  The class programs are combined
 into one and evaluated once, so a product that several classes share is
-computed once.
+computed once.  Tables built by cyclic extension give a class the
+generators of a smaller class plus one more, so the fixed spaces are
+reduced one generator at a time and shared by generator prefix: each
+prefix that several classes share is reduced once.
 
 census_brute_force is the independent oracle: every dual vector becomes an
 integer code, every generator a permutation of the q^d codes, and orbits,
@@ -106,26 +109,49 @@ class CensusReport:
         return sum(self.decomp)
 
 
-def fixed_space_dim_dual(mats) -> int:
+def fixed_space_dim_dual(mats, bases=None) -> int:
     """dim of the common fixed space of the duals of the given matrices.
 
     A row vector v is fixed by the dual (inverse-transpose) action of g
-    exactly when v * (g^T - 1) = 0, so the answer is the dimension of the
-    left nullspace of the horizontally stacked blocks g^T - 1.
+    exactly when v * (g^T - 1) = 0, so the space fixed by g_1 is the left
+    nullspace of g_1^T - 1.  If the rows of B (k x d) are a basis of the
+    space fixed by g_1..g_(r-1), the space fixed by g_1..g_r is spanned by
+    the rows of X * B, where X is the left nullspace of the k x d matrix
+    B * (g_r^T - 1).
+
+    bases, when given, is filled in and read back: it maps each generator
+    tuple (g_1..g_r) reduced so far to its basis, and each generator g to
+    its block g^T - 1.  Calls that share one dict reduce a shared prefix
+    of their generators once, and form each generator's block once.
     """
-    mats = list(mats)
+    mats = tuple(mats)
     if not mats:
         raise ValueError("need at least one matrix")
     field = mats[0].field
     d = mats[0].rows
-    ident = FFMatrix.identity(field, d)
     for m in mats:
         if m.rows != d or m.cols != d or m.field != field:
             raise ValueError("matrices must be square, equal-sized, same field")
     if d == 0:
         return 0
-    blocks = [(m.transpose() - ident).array for m in mats]
-    return len(FFMatrix(field, d, d * len(blocks), np.hstack(blocks)).nullspace())
+    if bases is None:
+        bases = {}
+    # start from the longest prefix reduced before, if any
+    r = len(mats)
+    while r and mats[:r] not in bases:
+        r -= 1
+    basis = bases[mats[:r]] if r else None
+    for r in range(r + 1, len(mats) + 1):
+        g = mats[r - 1]
+        block = bases.get(g)
+        if block is None:
+            block = bases[g] = g.transpose() - FFMatrix.identity(field, d)
+        # for one generator B is the identity, and is left out
+        m = block if basis is None else basis * block
+        x = m.nullspace()
+        x = FFMatrix(field, len(x), m.rows, x)
+        basis = bases[mats[:r]] = x if basis is None else x * basis
+    return basis.rows
 
 
 def _class_generators(programs, mats):
@@ -169,8 +195,9 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
         prog if prog.n_inputs == len(mats) else SLProgram(len(mats), prog.statements, prog.returns)
         for prog in tom.slps
     ]
+    bases = {}  # fixed-space bases by generator prefix, shared by all classes
     fixed = [
-        action.q ** (fixed_space_dim_dual(gens) if gens else action.d)
+        action.q ** (fixed_space_dim_dual(gens, bases) if gens else action.d)
         for gens in _class_generators(programs, mats)
     ]
     decomp = decompose_fixed_vector(tom, fixed)

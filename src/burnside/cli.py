@@ -10,6 +10,7 @@ compatibility and changes nothing.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -230,6 +231,8 @@ def _cmd_slp(args) -> str:
     return "".join(write_meataxe(m) for m in results)
 
 
+# built on the first call, not at import, and kept for later calls of main
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="burnside",

@@ -40,9 +40,12 @@ SYSTEM_BYTES_BOUND = 2**28
 # element indices; the byte bound keeps every order below 2^15
 _INDEX = np.int16
 
-# orders of the nonabelian simple groups that can sit inside a proper subgroup
-# when |G| <= 1000; used to decide when cyclic extension needs perfect seeds
-_SIMPLE_ORDERS = (60, 168, 504)
+# nonabelian simple orders that can divide the order of a proper subgroup of
+# a group with a product table (order <= 11585, so proper subgroups <= 5792):
+# every such order is a multiple of 60 or 168 or one of 1092 (PSL(2,13)),
+# 2448 (PSL(2,17)) and 5616 (PSL(3,3)); subgroup_classes seeds perfect
+# subgroups only when one of these can divide a proper subgroup's order
+_SIMPLE_ORDERS = (60, 168, 1092, 2448, 5616)
 
 
 def check_allocation(what: str, nbytes: int) -> None:
@@ -481,10 +484,13 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     - an extension U<z> is skipped when z lies in an extension U<y> tried
       before: z then has the same prime order modulo U, and U<z> = U<y>.
 
-    Perfect subgroups are only sought with orders divisible by 60 or 168.
-    That misses those built on PSL(2,13), PSL(2,17) or PSL(3,3), of orders
-    1092, 2448 and 5616, which first fit in groups of order 2184, past the
-    default bound.
+    Perfect subgroups are sought among the two-generator closures whose
+    order is a multiple of a nonabelian simple order in _SIMPLE_ORDERS,
+    which covers every simple group that fits in a proper subgroup, among
+    them PSL(2,13), PSL(2,17) and PSL(3,3) (orders 1092, 2448 and 5616;
+    PSL(2,13) first fits in PGL(2,13), of order 2184, past the default
+    bound).  Every perfect subgroup of a group of order <= 1000 has two
+    generators; in a larger group one that needs three would be missed.
     """
     n = group.order()
     if n > bound:
@@ -549,7 +555,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
                 same = mul[mul[cyclic[:, None], bk][:, :, None], cyclic].ravel()
                 done[mul[inv[centralizer][:, None], mul[same[:, None], centralizer].T]] = True
                 h = table.closure((a, b), cap=n // 2)
-                if h is None or len(h) % 60 and len(h) % 168:
+                if h is None or all(len(h) % s for s in _SIMPLE_ORDERS):
                     continue
                 if key(h) not in seen:
                     queue.append(add(h, generators_of(h)))

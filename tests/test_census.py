@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from burnside.formats import write_meataxe
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
 from burnside.slp import SLProgram, combine, evaluate
 from burnside.tom import TableOfMarks, compute_tom, decompose_fixed_vector
+from test_ffield import random_matrix
 from test_tom import projective_line_psl2
 
 CORPUS = census_corpus()
@@ -164,6 +168,30 @@ def test_tom_route_matches_brute_force_on_permutation_modules(make, order):
     assert census_from_tom(tom, action) == census_brute_force(group, action, classes=classes)
 
 
+def pgl2_13_sign():
+    """PGL(2,13) = <x+1, 2x, -1/x> on 14 points, on GF(3) by the sign of PGL/PSL."""
+    p = 13
+    shift = Perm([(x + 1) % p for x in range(p)] + [p])
+    double = Perm([2 * x % p for x in range(p)] + [p])
+    inv = Perm([p] + [-pow(x, p - 2, p) % p for x in range(1, p)] + [0])
+    f = PrimeField(3)
+    return PermGroup(p + 1, [shift, double, inv]), ModuleAction(
+        [FFMatrix.from_rows(f, [[s]]) for s in (1, 2, 1)]
+    )
+
+
+def test_census_of_a_group_with_a_perfect_subgroup_of_order_1092():
+    # PSL(2,13) has order 1092, a multiple of neither 60 nor 168; its class is
+    # the stabilizer of the nonzero dual vectors
+    group, action = pgl2_13_sign()
+    classes = subgroup_classes(group, bound=3000)
+    assert group.order() == 2184 and len(classes) == 30
+    tom = compute_tom(group, bound=3000, classes=classes)
+    report = census_from_tom(tom, action)
+    assert report == census_brute_force(group, action, classes=classes)
+    assert report.staborders == (1092, 2184)
+
+
 def per_class_report(tom, action):
     """The census with each class program evaluated on its own."""
     fixed = []
@@ -195,10 +223,21 @@ def test_census_evaluates_one_combined_program(monkeypatch):
     assert distinct < sum(len(prog.statements) for prog in tom.slps)
     evaluations = counting(monkeypatch, census, "evaluate")
     products = counting(monkeypatch, FFMatrix, "__mul__")
+    # the fixed spaces multiply bases too; count the program's products only
+    during_evaluate = []
+    counted_evaluate = census.evaluate
+
+    def evaluate_counting_products(*args):
+        before = len(products)
+        out = counted_evaluate(*args)
+        during_evaluate.append(len(products) - before)
+        return out
+
+    monkeypatch.setattr(census, "evaluate", evaluate_counting_products)
     assert census_from_tom(tom, action) == expected
     assert len(evaluations) == 1
     # the stored programs are words: every statement is one product
-    assert len(products) == distinct
+    assert during_evaluate == [distinct]
 
 
 # 25 slots hold the largest S5 program but not all of them; with 12, some
@@ -288,6 +327,69 @@ def test_fixed_space_dim_basics():
         fixed_space_dim_dual([])
     with pytest.raises(ValueError):
         fixed_space_dim_dual([transvection, FFMatrix.identity(f, 3)])
+
+
+def stacked_fixed_dim(mats):
+    """The dual fixed dimension as one left nullspace of all blocks g^T - 1 side by side."""
+    field, d = mats[0].field, mats[0].rows
+    ident = FFMatrix.identity(field, d)
+    blocks = [(m.transpose() - ident).array for m in mats]
+    return len(FFMatrix(field, d, d * len(mats), np.hstack(blocks)).nullspace())
+
+
+def near_identity(a, rng):
+    """An invertible 1 + a * b for a random 2 x d matrix b, a being d x 2.
+
+    Its dual fixes at least d - 2 dimensions.  Two of these with the same a
+    generically fix d - 4 dual dimensions together, but d - 2 (the v with
+    v * a = 0) as matrices, so a transpose left out changes the answer.
+    """
+    field, d = a.field, a.rows
+    while True:
+        g = FFMatrix.identity(field, d) + a * random_matrix(field, 2, d, rng)
+        if g.is_invertible():
+            return g
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), ExtField(2, 2), ExtField(3, 2)],
+    ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)"],
+)
+def test_shared_bases_match_unshared_fixed_dims(field):
+    rng = random.Random(field.q)
+    d = 6
+    while True:
+        dense = random_matrix(field, d, d, rng)
+        if dense.is_invertible():
+            break
+    a = random_matrix(field, d, 2, rng)
+    pool = [FFMatrix.identity(field, d), near_identity(a, rng), near_identity(a, rng), dense]
+    # every tuple of up to three pool matrices, in an order that reaches some
+    # tuples before their prefixes and some after
+    tuples = [t for r in (1, 2, 3) for t in itertools.product(pool, repeat=r)]
+    rng.shuffle(tuples)
+    bases = {}
+    zero_early = 0
+    for mats in tuples:
+        expected = stacked_fixed_dim(mats)
+        assert fixed_space_dim_dual(mats, bases) == fixed_space_dim_dual(mats) == expected
+        zero_early += any(stacked_fixed_dim(mats[:r]) == 0 for r in range(1, len(mats)))
+    assert zero_early
+    assert len({fixed_space_dim_dual(mats, bases) for mats in tuples}) > 2
+
+
+def test_census_reduces_each_generator_prefix_once(monkeypatch):
+    group, action = s5_on_gf3_8()
+    tom = compute_tom(group)
+    gens = [evaluate(prog, action.matrices) for prog in tom.slps]
+    prefixes = [tuple(g[:r]) for g in gens for r in range(1, len(g) + 1)]
+    assert len(set(prefixes)) < len(prefixes)
+    expected = per_class_report(tom, action)
+    nullspaces = counting(monkeypatch, FFMatrix, "nullspace")
+    blocks = counting(monkeypatch, FFMatrix, "__sub__")
+    assert census_from_tom(tom, action) == expected
+    assert len(nullspaces) == len(set(prefixes))
+    assert len(blocks) == len({m for g in gens for m in g})
 
 
 @pytest.mark.parametrize("pair", [pair_s3, pair_d8, pair_c3])

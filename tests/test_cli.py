@@ -325,6 +325,17 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 1
 
 
+def test_usage_error_between_runs_changes_nothing(capsys):
+    # one parser serves every main call of a process
+    argv = ["census", "tom", "--tom", p("s3.tom.json"),
+            "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}", "--q", "2"]
+    first = run(capsys, *argv, "--verbose", "--threads", "3")
+    assert run(capsys, "census", "tom", "--tom", p("s3.tom.json"), "--q", "2")[0] == 1
+    second = run(capsys, *argv)
+    assert first[:2] == second[:2] == (0, "regular_orbits 0\nstaborders [2, 6]\n")
+    assert first[2] and not second[2]
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "census", "--help")[0] == 0

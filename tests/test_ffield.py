@@ -51,9 +51,9 @@ def random_matrix(field, rows, cols, rng):
 
 
 def gf2_stack(rng):
-    """[g1 | g2 | g3] at GF(2)^28 with each g of rank <= 3, stacked as
-    fixed_space_dim_dual stacks its blocks g^T - 1: a 28 x 84 matrix whose
-    left nullspace has dimension at least 19."""
+    """[g1 | g2 | g3] at GF(2)^28 with each g of rank <= 3: a wide 28 x 84
+    matrix whose left nullspace has dimension at least 19, the common left
+    nullspace of three blocks of low rank."""
     blocks = [mul_oracle(random_matrix(GF2, 28, 3, rng), random_matrix(GF2, 3, 28, rng))
               for _ in range(3)]
     return FFMatrix.from_rows(GF2, [sum((b.to_rows()[i] for b in blocks), []) for i in range(28)])
