@@ -13,7 +13,9 @@ into one and evaluated once, so a product that several classes share is
 computed once.  Tables built by cyclic extension give a class the
 generators of a smaller class plus one more, so the fixed spaces are
 reduced one generator at a time and shared by generator prefix: each
-prefix that several classes share is reduced once.
+prefix that several classes share is reduced once.  Before decomposing,
+the fixed dimensions are checked against the marks, so generators that do
+not match the table fail with both classes named.
 
 census_brute_force is the independent oracle: every dual vector becomes an
 integer code, every generator a permutation of the q^d codes, and orbits,
@@ -196,12 +198,31 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
         for prog in tom.slps
     ]
     bases = {}  # fixed-space bases by generator prefix, shared by all classes
-    fixed = [
-        action.q ** (fixed_space_dim_dual(gens, bases) if gens else action.d)
+    dims = [
+        fixed_space_dim_dual(gens, bases) if gens else action.d
         for gens in _class_generators(programs, mats)
     ]
+    _check_fixed_dims(tom, dims)
+    fixed = [action.q**dim for dim in dims]
     decomp = decompose_fixed_vector(tom, fixed)
     return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
+
+
+def _check_fixed_dims(tom: TableOfMarks, dims) -> None:
+    """Raise ValueError unless fixed dimensions shrink along the marks.
+
+    marks[i][j] > 0 says that U_j is conjugate to a subgroup of U_i, so U_i
+    fixes a space no larger than U_j does.  Generators that do not match
+    the table's programs break this at once, before any decomposition.
+    """
+    dims = np.array(dims, dtype=np.int64)
+    bad = np.argwhere(np.array(tom.marks, dtype=bool) & (dims[:, None] > dims[None, :]))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(
+            f"class {i + 1} contains a conjugate of class {j + 1} but fixes dimension "
+            f"{dims[i]} > {dims[j]}: the generators do not match the table of marks"
+        )
 
 
 def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None:

@@ -12,7 +12,9 @@ matrix product reduced mod p) and one elimination routine: row_echelon, a
 one-pass Gauss-Jordan elimination that returns the reduced row echelon
 form.  Ranks, inverses and nullspaces all come from it.  A matrix over
 GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
-GF(p).
+GF(p).  Each GF(p^k) matrix is blown up at most once: the blow-up is kept
+with the matrix, and a result computed over GF(p) keeps the GF(p) matrix it
+came from.
 """
 
 from __future__ import annotations
@@ -357,10 +359,11 @@ class FFMatrix:
     `array` is a (rows, cols) int64 numpy array of the scalars' int
     encodings.  An ndarray given as entries is taken over, not copied; the
     kernels wrap the arrays they compute this way.  Items, rows and entries
-    come back as Python ints.
+    come back as Python ints.  Two private slots cache the hash and, over
+    GF(p^k), the blow-up; they take no part in equality or the repr.
     """
 
-    __slots__ = ("field", "rows", "cols", "array")
+    __slots__ = ("field", "rows", "cols", "array", "_blown", "_hash")
 
     def __init__(self, field, rows, cols, entries):
         if field.q >= 2**63:
@@ -376,6 +379,8 @@ class FFMatrix:
         self.rows = rows
         self.cols = cols
         self.array = a
+        self._blown = None
+        self._hash = None
 
     @classmethod
     def from_rows(cls, field, rowlists):
@@ -419,7 +424,9 @@ class FFMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.array.shape, self.array.tobytes()))
+        if self._hash is None:
+            self._hash = hash((self.field, self.array.shape, self.array.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"FFMatrix({self.field!r}, {self.to_rows()!r})"
@@ -472,7 +479,14 @@ class FFMatrix:
         return out
 
     def transpose(self):
-        return FFMatrix(self.field, self.cols, self.rows, self.array.T)
+        out = FFMatrix(self.field, self.cols, self.rows, self.array.T)
+        b = self._blown
+        if b is not None:
+            # the grid of k x k blocks is transposed, each block kept as it is
+            k = self.field.k
+            blocks = b.array.reshape(self.rows, k, self.cols, k).transpose(2, 1, 0, 3)
+            out._blown = FFMatrix(b.field, b.cols, b.rows, blocks)
+        return out
 
     def is_identity(self):
         return self.rows == self.cols and self == FFMatrix.identity(self.field, self.rows)
@@ -494,12 +508,13 @@ class FFMatrix:
         n = self.rows
         if f.k > 1:
             k = f.k
-            out = []
-            for v in blow_up(self).nullspace():
-                lead = next(j for j, x in enumerate(v) if x)
-                if lead % k == 0:
-                    out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, n * k, k)))
-            return out
+            blown = blow_up(self).nullspace()
+            if not blown:
+                return []
+            digits = np.array(blown, dtype=np.int64)
+            keep = digits[(digits != 0).argmax(axis=1) % k == 0]
+            basis = keep.reshape(len(keep), n, k) @ f.p ** np.arange(k)
+            return [tuple(v) for v in basis.tolist()]
         a, pivots = row_echelon(self.array.T[:, ::-1], f.p)
         is_free = np.ones(n, dtype=bool)
         is_free[pivots] = False
@@ -605,20 +620,28 @@ def blow_up(m: FFMatrix) -> FFMatrix:
     the identity transformation.
 
     The block of a = sum d_u z^u is sum d_u Z^u, for Z the companion matrix
-    of the modulus (multiplication by z).
+    of the modulus (multiplication by z).  A matrix is blown up at most
+    once: the result is kept with it and returned by later calls.
     """
     f = m.field
     if isinstance(f, PrimeField):
         return m
-    p, k = f.p, f.k
-    _check_int64(p, k)
-    digits = m.array[:, :, None] // p ** np.arange(k) % p
-    blocks = (digits @ f._zpow % p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
-    return FFMatrix(PrimeField(p), m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
+    if m._blown is None:
+        p, k = f.p, f.k
+        _check_int64(p, k)
+        digits = m.array[:, :, None] // p ** np.arange(k) % p
+        blocks = (digits @ f._zpow % p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
+        m._blown = FFMatrix(PrimeField(p), m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
+    return m._blown
 
 
 def _blow_down(field, m: FFMatrix) -> FFMatrix:
-    """Inverse of blow_up on its image: a scalar is the first row of its block."""
+    """Inverse of blow_up on its image: a scalar is the first row of its block.
+
+    m must lie in that image; it is kept as the blow-up of the result.
+    """
     k = field.k
     first_rows = m.array[::k].reshape(m.rows // k, m.cols // k, k)
-    return FFMatrix(field, m.rows // k, m.cols // k, first_rows @ field.p ** np.arange(k))
+    out = FFMatrix(field, m.rows // k, m.cols // k, first_rows @ field.p ** np.arange(k))
+    out._blown = m
+    return out

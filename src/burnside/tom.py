@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .permgroup import ENUMERATION_BOUND, SUBGROUP_BOUND, PermGroup, subgroup_classes
+from .permgroup import ENUMERATION_BOUND, SUBGROUP_BOUND, PermGroup, check_allocation, subgroup_classes
 from .slp import SLProgram
 
 
@@ -75,7 +75,8 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None, wit
 
     m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i.  Whether g
     qualifies depends only on its coset, so the count is the number of such
-    g in G over |U_i|; it is read off the group's product table.  When
+    g in G over |U_i|; it is read off the group's product table, one column
+    j at a time for every class i whose order |U_j| divides.  When
     with_slps is set, each class also gets a program expressing its
     generators as words in the group generators (breadth-first words), so the
     table can replay subgroup generators on matrix representations.
@@ -84,17 +85,24 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None, wit
         classes = subgroup_classes(group, bound)
     table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
     n = len(classes)
+    size = len(table.perms)
+    orders = np.array([c.order for c in classes], dtype=np.int64)
+    # in_u[i, g]: element g lies in U_i
+    check_allocation(f"the membership table of {n} classes in {size} elements", n * size)
+    in_u = np.zeros((n, size), dtype=bool)
+    for i, ci in enumerate(classes):
+        in_u[i, table.subset(ci.elements)] = True
     # conjugates of each class's generators by every element of G
     conj = [table.conjugates(table.subset(c.subgroup.generators)) for c in classes]
-    rows = []
-    for i, ci in enumerate(classes):
-        in_u = np.zeros(len(table.perms), dtype=bool)
-        in_u[table.subset(ci.elements)] = True
-        row = [0] * n
-        for j in range(i + 1):
-            if ci.order % classes[j].order == 0:
-                row[j] = int(in_u[conj[j]].all(axis=1).sum()) // ci.order
-        rows.append(tuple(row))
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        below = j + np.flatnonzero(orders[j:] % orders[j] == 0)
+        check_allocation(f"the marks of class {j + 1}", len(below) * conj[j].size)
+        counts = in_u[below][:, conj[j]].all(axis=-1).sum(axis=-1) // orders[below]
+        for i, mark in zip(below.tolist(), counts.tolist()):
+            rows[i][j] = mark
+    for i in range(n):  # in place, so the lists and the tuples never all coexist
+        rows[i] = tuple(rows[i])
 
     slps = None
     if with_slps:

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from burnside import census, slp
+from burnside import census, ffield, slp
 from burnside.census import (
     CensusReport,
     ModuleAction,
@@ -24,8 +25,8 @@ from burnside.corpus import (
     pair_s3,
     perm_from_matrix,
 )
-from burnside.ffield import ExtField, FFMatrix, PrimeField
-from burnside.formats import write_meataxe
+from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
+from burnside.formats import write_meataxe, write_tom
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
 from burnside.slp import SLProgram, combine, evaluate
 from burnside.tom import TableOfMarks, compute_tom, decompose_fixed_vector
@@ -93,12 +94,20 @@ def _projective_line_group(field, mats):
     return PermGroup(len(points), [_projective_perm(field, m, points) for m in mats])
 
 
+def sl2_on_projective_line(field):
+    """SL(2,q) generators, and their permutations of the projective line."""
+    # a primitive element: GF(9)'s modulus root has order 4, not 8
+    z = next(a for a in field.elements() if len({field.pow(a, e) for e in range(field.q - 1)}) == field.q - 1)
+    mats = [
+        FFMatrix.from_rows(field, m)
+        for m in ([[1, 1], [0, 1]], [[z, 0], [0, field.inv(z)]], [[0, 1], [field.neg(1), 0]])
+    ]
+    return _projective_line_group(field, mats), mats
+
+
 def psl2_8():
     """PSL(2,8) = SL(2,8) on the 9 points of the projective line."""
-    f = ExtField(2, 3)
-    z = f.gen
-    mats = [[[1, 1], [0, 1]], [[z, 0], [0, f.inv(z)]], [[0, 1], [1, 0]]]
-    return _projective_line_group(f, [FFMatrix.from_rows(f, m) for m in mats])
+    return sl2_on_projective_line(ExtField(2, 3))[0]
 
 
 def s6():
@@ -508,3 +517,93 @@ def test_validate_rejects_gen_count_mismatch():
     _, action = pair_c3()
     with pytest.raises(ValueError, match="generators"):
         validate_action_homomorphism(group, action)
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k) censuses against their blow-ups
+
+
+def sym2(field, m):
+    """The action of a 2 x 2 matrix on quadratic forms, basis x^2, xy, y^2 (rows act)."""
+    (a, b), (c, d) = m.to_rows()
+    mul, add = field.mul, field.add
+    return FFMatrix.from_rows(field, [
+        [mul(a, a), mul(2 % field.p, mul(a, b)), mul(b, b)],
+        [mul(a, c), add(mul(a, d), mul(b, c)), mul(b, d)],
+        [mul(c, c), mul(2 % field.p, mul(c, d)), mul(d, d)],
+    ])
+
+
+def psl2_8_natural():
+    """SL(2,8) = PSL(2,8) on GF(8)^2 plus a trivial summand."""
+    group, mats = sl2_on_projective_line(ExtField(2, 3))
+    return group, ModuleAction([_direct_sum([m], 1) for m in mats])
+
+
+def psl2_9_sym2():
+    """PSL(2,9) on the quadratic forms GF(9)^3, where -1 acts trivially."""
+    f = ExtField(3, 2)
+    group, mats = sl2_on_projective_line(f)
+    return group, ModuleAction([sym2(f, m) for m in mats])
+
+
+@pytest.mark.parametrize("make,order", [(psl2_8_natural, 504), (psl2_9_sym2, 360)],
+                         ids=["PSL(2,8) on GF(8)^3", "PSL(2,9) on GF(9)^3"])
+def test_ext_census_matches_its_blow_up_and_brute_force(make, order):
+    group, action = make()
+    assert group.order() == order
+    validate_action_homomorphism(group, action)
+    classes = subgroup_classes(group)
+    tom = compute_tom(group, classes=classes)
+    report = census_from_tom(tom, action)
+    k = action.field.k
+    blown = ModuleAction([blow_up(m) for m in action.matrices])
+    assert census_from_tom(tom, blown) == dataclasses.replace(report, q=action.field.p, dim=k * action.d)
+    assert report == census_brute_force(group, action, classes=classes)
+    assert len(report.nonzeropos) > 1
+
+
+def test_gf4_census_blows_each_matrix_up_once(monkeypatch):
+    group, mats = sl2_on_projective_line(ExtField(2, 2))
+    action = ModuleAction([_direct_sum([m, m.transpose().inverse()], 1) for m in mats])
+    validate_action_homomorphism(group, action)
+    tom = compute_tom(group)
+    expected = census_from_tom(tom, ModuleAction([blow_up(m) for m in action.matrices]))
+    action = ModuleAction([FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices])
+    computed = []  # every matrix whose blow-up was computed, not read back
+    original = ffield.blow_up
+
+    def spy(m):
+        if m.field.k > 1 and m._blown is None:
+            computed.append(m)
+        return original(m)
+
+    monkeypatch.setattr(ffield, "blow_up", spy)
+    report = census_from_tom(tom, action)
+    assert dataclasses.replace(report, q=2, dim=2 * action.d) == expected
+    assert computed
+    assert len({id(m) for m in computed}) == len(computed)
+
+
+def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
+    # A5 on its GF(3) permutation module: with the generator files swapped the
+    # 3-cycle stands for the 5-cycle, and class 7 fixes more than class 2
+    group = PermGroup(5, [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    tom = compute_tom(group)
+    f = PrimeField(3)
+    mats = [_perm_matrix(f, g) for g in group.generators]
+    tom_file = tmp_path / "a5.tom.json"
+    tom_file.write_text(write_tom(tom))
+    files = []
+    for i, m in enumerate(mats, 1):
+        files.append(tmp_path / f"g{i}.mtx")
+        files[-1].write_text(write_meataxe(m))
+    assert census_from_tom(tom, ModuleAction(mats)).staborders == (2, 3, 6, 12, 60)
+    with pytest.raises(ValueError, match="class 7 contains a conjugate of class 2 but fixes dimension 2 > 1"):
+        census_from_tom(tom, ModuleAction(mats[::-1]))
+    gens = ",".join(str(x) for x in files[::-1])
+    code = main(["census", "tom", "--tom", str(tom_file), "--gens", gens, "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "class 7 contains a conjugate of class 2" in captured.err

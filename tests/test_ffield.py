@@ -478,3 +478,96 @@ def test_blow_up_det_is_field_norm():
         for _ in range(10):
             a = random_matrix(f, 3, 3, rng)
             assert blow_up(a).det() == norm(f, a.det())
+
+
+# ---------------------------------------------------------------------------
+# the blow-up kept with each GF(p^k) matrix
+
+GF25 = ExtField(5, 2)
+CACHE_FIELDS = [GF4, GF8, GF9, GF25]
+
+
+def fresh_blow_up(m):
+    """The blow-up of m's entries, computed again on a matrix with none kept."""
+    copy = FFMatrix(m.field, m.rows, m.cols, m.array)
+    assert copy._blown is None
+    return blow_up(copy)
+
+
+def random_invertible(field, n, rng):
+    while True:
+        m = random_matrix(field, n, n, rng)
+        if m.is_invertible():
+            return m
+
+
+@pytest.mark.parametrize("f", CACHE_FIELDS, ids=[repr(f) for f in CACHE_FIELDS])
+def test_kept_blow_up_matches_a_fresh_one(f):
+    rng = random.Random(f.q)
+    ops = [
+        lambda a, b: a * b,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a.transpose(),
+        lambda a, b: a.inverse(),
+        lambda a, b: a ** rng.choice((-3, -2, -1, 1, 2, 3)),
+    ]
+    for _ in range(4):
+        pool = [random_invertible(f, 3, rng) for _ in range(3)]
+        blow_up(pool[0])  # so some transposes start from a kept blow-up
+        for _ in range(30):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = rng.randrange(len(ops))
+            if op in (4, 5) and not a.is_invertible():
+                continue
+            out = ops[op](a, b)
+            if op != 3 or a._blown is not None:
+                assert out._blown is not None
+            assert blow_up(out) == fresh_blow_up(out)
+            pool.append(out)
+    # rectangular transposes, blown up before and after
+    for r, c in ((2, 5), (5, 2), (1, 4), (0, 3), (3, 0)):
+        m = random_matrix(f, r, c, rng)
+        blow_up(m)
+        t = m.transpose()
+        assert t._blown is not None and (t.rows, t.cols) == (c, r)
+        assert blow_up(t) == fresh_blow_up(t)
+        assert blow_up(t.transpose()) == blow_up(m)
+
+
+def test_kept_blow_up_is_invisible():
+    z = GF4.gen
+    a = FFMatrix.from_rows(GF4, [[z, 1], [0, z]])
+    b = FFMatrix(GF4, 2, 2, a.array)
+    text = repr(a)
+    assert blow_up(a) is blow_up(a)
+    assert a._blown is not None and b._blown is None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == text
+    product = a * a
+    assert FFMatrix(GF4, 2, 2, product.array)._blown is None
+
+
+def nullspace_per_row(m):
+    """The GF(p^k) nullspace by converting each blown basis row with from_coeffs."""
+    f, n, k = m.field, m.rows, m.field.k
+    out = []
+    for v in blow_up(m).nullspace():
+        lead = next(j for j, x in enumerate(v) if x)
+        if lead % k == 0:
+            out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, n * k, k)))
+    return out
+
+
+@pytest.mark.parametrize("f", CACHE_FIELDS, ids=[repr(f) for f in CACHE_FIELDS])
+def test_ext_nullspace_matches_per_row_conversion(f):
+    rng = random.Random(41 + f.q)
+    cases = [FFMatrix.zero(f, r, c) for r, c in ((0, 0), (0, 3), (3, 0), (2, 2))]
+    cases += [random_matrix(f, 0, 2, rng), random_matrix(f, 4, 0, rng)]
+    for _ in range(25):
+        r, c, t = rng.randrange(1, 7), rng.randrange(1, 6), rng.randrange(1, 3)
+        cases.append(random_matrix(f, r, c, rng))
+        cases.append(random_matrix(f, r, t, rng) * random_matrix(f, t, c, rng))
+    for m in cases:
+        basis = m.nullspace()
+        assert basis == nullspace_per_row(m)
+        assert all(type(x) is int for v in basis for x in v)

@@ -9,6 +9,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from burnside.formats import write_tom
@@ -21,6 +22,7 @@ from burnside.tom import (
     decompose_fixed_vector,
     orders_of,
 )
+from smallgroups import all_small_groups
 
 
 def cyc(degree, *cycles):
@@ -102,6 +104,30 @@ def test_marks_match_coset_oracle(make):
     classes = subgroup_classes(group)
     tom = compute_tom(group, classes=classes)
     assert tom.marks == tuple(marks_oracle(group, classes))
+
+
+def marks_pairwise(group, classes):
+    """Marks by one membership test per pair of classes (i, j), j <= i."""
+    table = group.multiplication_table()
+    conj = [table.conjugates(table.subset(c.subgroup.generators)) for c in classes]
+    rows = []
+    for i, ci in enumerate(classes):
+        in_u = np.zeros(len(table.perms), dtype=bool)
+        in_u[table.subset(ci.elements)] = True
+        row = [0] * len(classes)
+        for j in range(i + 1):
+            if ci.order % classes[j].order == 0:
+                row[j] = int(in_u[conj[j]].all(axis=1).sum()) // ci.order
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name,group", all_small_groups(), ids=[name for name, _ in all_small_groups()])
+def test_marks_match_pairwise_reference(name, group):
+    classes = subgroup_classes(group)
+    tom = compute_tom(group, classes=classes, with_slps=False)
+    assert tom.marks == marks_pairwise(group, classes)
+    assert all(type(x) is int for row in tom.marks for x in row)
 
 
 def test_diagonal_counts_normalizer_cosets():
