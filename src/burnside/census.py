@@ -17,12 +17,18 @@ prefix that several classes share is reduced once.  Before decomposing,
 the fixed dimensions are checked against the marks, so generators that do
 not match the table fail with both classes named.
 
-census_brute_force is the independent oracle: every dual vector becomes an
-integer code, every generator a permutation of the q^d codes, and orbits,
-stabilizers and fixed counts are read off those permutations, with no
-table of marks, nullspace or straight-line program.  It is exponential in
-d, so the code arrays it holds are checked against the byte bound before
-anything is built.
+census_brute_force is the independent oracle, with no table of marks,
+nullspace or straight-line program.  It works over GF(p) on the n = k*d
+coordinates of the blown-up duals.  Every dual vector becomes an integer
+code and every generator a permutation of the p^n codes, built from split
+tables at half the exponent: the images of the p^(n/2) low halves and of
+the high halves, added in broadcast blocks.  Orbits and stabilizers are
+read off the permutations.  The fixed count of a class is a meet in the
+middle: the vectors x = (lo, hi) with x * (M - 1) = 0 for the dual image M
+of each class generator are counted as pairs of matching low and high
+rows.  It is exponential in n, so the code arrays, the split tables and a
+broadcast block are checked against the byte bound before anything is
+built.
 """
 
 from dataclasses import dataclass
@@ -34,7 +40,7 @@ from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, subgr
 from .slp import SLProgram, combine, evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
 
-# dual vectors per matrix product in the brute-force route
+# dual vectors per broadcast block in the brute-force route
 _BLOCK = 4096
 
 
@@ -143,11 +149,12 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     while r and mats[:r] not in bases:
         r -= 1
     basis = bases[mats[:r]] if r else None
+    ident = FFMatrix.identity(field, d)  # one per call: over GF(p^k) each is blown up
     for r in range(r + 1, len(mats) + 1):
         g = mats[r - 1]
         block = bases.get(g)
         if block is None:
-            block = bases[g] = g.transpose() - FFMatrix.identity(field, d)
+            block = bases[g] = g.transpose() - ident
         # for one generator B is the identity, and is left out
         m = block if basis is None else basis * block
         x = m.nullspace()
@@ -232,7 +239,7 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
     and verifies image(g * gen_i) == image(g) * mat_i throughout; that covers
     all defining relations, including collapses under a non-faithful action.
     """
-    group.element_table().images(action.matrices, FFMatrix.identity(action.field, action.d))
+    group.element_table().images(action.matrices)
 
 
 def _classify_stabilizer(group, classes, stab):
@@ -247,39 +254,61 @@ def _classify_stabilizer(group, classes, stab):
 def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> CensusReport:
     """Census by enumerating all q^d dual vectors; independent of any tom.
 
-    Every dual vector is an integer code (its base-q digits), and each dual
-    generator becomes a permutation of the codes.  Orbit minima come from
-    min-label propagation along those permutations; a representative's
-    stabilizer from its images along the element table's tree, classified
-    by order and, when orders tie, by an explicit conjugacy search.  The
-    fixed count of a class is counted directly, composing the generator
-    permutations along the words of the class generators.
+    The action runs over GF(p), on the n = k*d coordinates of the blown-up
+    duals.  Every dual vector is an integer code whose n base-p digits are
+    its coordinates; over GF(q) these are also the base-q digits of its
+    entries.  Each dual generator becomes a permutation of the codes, built
+    from two split tables: with x = lo + p^h * hi and h = n // 2, they hold
+    lo * M_top and hi * M_bottom for every generator M, so a block of codes
+    is a broadcast sum of the two, reduced mod p and weighted back to codes.
+    Orbit minima come from min-label propagation along the permutations; a
+    representative's stabilizer from its images along the element table's
+    tree, classified by order and, when orders tie, by an explicit
+    conjugacy search.  The fixed count of a class is the number of x with
+    x * (M_g - 1) = 0 for its generators g, M_g the dual image of g from
+    the element table: the pairs with lo * A_top = -hi * A_bottom, counted
+    by matching sorted row keys, so a class costs O(p^(n - h)).
+
+    Before anything is built, the byte bound counts, at 8 bytes an entry,
+    the generator permutations and four more arrays of p^n codes (labels
+    and their temporaries), the rows of digits and the split tables of
+    each generator (p^h + p^(n-h) rows of n entries each), and one
+    broadcast block of about _BLOCK rows per generator.
     """
-    q, d = action.q, action.d
+    p, n = action.field.p, action.field.k * action.d
     gens = len(action.matrices)
-    space = q**d
-    # the generator permutations, the codes and three arrays of labels
-    check_allocation(f"the brute-force census of {space} dual vectors", (gens + 4) * space * 8)
+    space = p**n
+    h = n // 2
+    lows, highs = p**h, p ** (n - h)
+    per_block = max(1, _BLOCK // lows)  # values of hi in a block
+    nbytes = 8 * ((gens + 4) * space + n * ((gens + 1) * (lows + highs) + gens * per_block * lows))
+    check_allocation(f"the brute-force census of {space} dual vectors", nbytes)
     table = group.element_table()
-    duals = [m.transpose().inverse() for m in action.matrices]
-    table.images(duals, FFMatrix.identity(action.field, d))
+    duals = table.images([m.transpose().inverse() for m in action.matrices])
     if classes is None:
         classes = subgroup_classes(group)
 
-    # perms[k, x] is the code of (vector x) * dual k, for all k in one product
-    weights = q ** np.arange(d, dtype=np.int64)
-    stacked = FFMatrix(action.field, d, gens * d, np.hstack([m.array for m in duals]))
-    codes = np.arange(space, dtype=np.int64)
+    # the rows of sides are the vectors (lo, 0) and then (0, hi)
+    sides = np.zeros((lows + highs, n), dtype=np.int64)
+    sides[:lows, :h] = _digits(p, h)
+    sides[lows:, h:] = _digits(p, n - h)
+
+    # perms[k, x] is the code of (vector x) * dual k: for x = lo + p^h * hi,
+    # the sum mod p of the rows (lo, 0) * dual k and (0, hi) * dual k.  A sum
+    # of two residues fits the smallest unsigned type that holds 2p - 2
+    small = np.min_scalar_type(2 * p - 2)
+    tables = (sides @ duals[table.right[0]] % p).astype(small)
+    top, bottom = tables[:, :lows], tables[:, lows:]
+    weights = p ** np.arange(n, dtype=np.int64)
     perms = np.empty((gens, space), dtype=np.int64)
-    for lo in range(0, space, _BLOCK):
-        block = codes[lo : lo + _BLOCK]
-        vecs = FFMatrix(action.field, len(block), d, block[:, None] // weights % q)
-        moved = (vecs * stacked).array.reshape(len(block), gens, d)
-        perms[:, lo : lo + len(block)] = (moved @ weights).T
+    for a in range(0, highs, per_block):
+        block = bottom[:, a : a + per_block, None] + top[:, None]
+        block -= small.type(p) * (block >= p)
+        perms[:, a * lows : (a + per_block) * lows] = (block @ weights).reshape(gens, -1)
 
     # orbit minima: pull the least label back along every generator, then
     # jump pointers, until nothing moves
-    label = codes
+    label = np.arange(space, dtype=np.int64)
     while True:
         before = label
         for perm in perms:
@@ -296,8 +325,8 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     # images of a block of representatives under every element, along the
     # tree; a block holds about 2^20 images
     step = max(1, 2**20 // order)
-    for lo in range(0, len(reps), step):
-        block = reps[lo : lo + step]
+    for a in range(0, len(reps), step):
+        block = reps[a : a + step]
         images = np.empty((order, len(block)), dtype=np.int64)
         images[0] = block
         for i, k, j in table.tree:
@@ -312,13 +341,26 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
                 class_of[key] = _classify_stabilizer(group, classes, stab)
             counts[class_of[key]] += 1
 
+    # x = (lo, hi) is fixed by g when lo * A_top = -hi * A_bottom for
+    # A = M_g - 1; as hi runs over GF(p)^(n-h) so does -hi, so the fixed
+    # count is the number of pairs with lo * A_top = hi * A_bottom, rows of
+    # sides * A.  Each row gets an id, equal for rows equal over every
+    # generator of the class so far: after each generator, id * p^n + code
+    # is renumbered by sorting
+    ident = np.eye(n, dtype=np.int64)
+    codes = {}  # element index -> the codes of the rows of sides * A
     fixed = []
     for c in classes:
-        fixed_by_all = np.ones(space, dtype=bool)
-        for g in c.subgroup.generators:
-            image = codes
-            for k in table.words[g]:
-                image = perms[k][image]
-            fixed_by_all &= image == codes
-        fixed.append(int(fixed_by_all.sum()))
-    return CensusReport.from_counts(q, d, fixed, counts, [c.order for c in classes])
+        ids = np.zeros(len(sides), dtype=np.int64)
+        for g in table.subset(c.subgroup.generators):
+            if g not in codes:
+                codes[g] = sides @ (duals[g] - ident) % p @ weights
+            ids = np.unique(ids * space + codes[g], return_inverse=True)[1]
+        left, right = (np.bincount(i, minlength=len(ids)) for i in np.split(ids, [lows]))
+        fixed.append(int(left @ right))
+    return CensusReport.from_counts(action.q, action.d, fixed, counts, [c.order for c in classes])
+
+
+def _digits(p, width):
+    """The base-p digits of 0 .. p^width - 1, a row each, least significant first."""
+    return np.arange(p**width, dtype=np.int64)[:, None] // p ** np.arange(width, dtype=np.int64) % p

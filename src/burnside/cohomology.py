@@ -28,7 +28,7 @@ bytes together, nothing is built.  The rank holds a reduced copy besides.
 
 import numpy as np
 
-from .ffield import FFMatrix, row_echelon
+from .ffield import row_echelon
 from .permgroup import PermGroup, check_allocation
 
 
@@ -68,8 +68,7 @@ class GroupModulePair:
         self.d = d
         table = group.element_table()
         self.elements = table.perms
-        images = table.images(matrices, FFMatrix.identity(field, d))
-        self.images = np.stack([m.array for m in images])
+        self.images = table.images(matrices)
         self.gens = np.stack([m.array for m in matrices])
 
 

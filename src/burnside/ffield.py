@@ -530,30 +530,6 @@ class FFMatrix:
             return blow_up(self).rank() // f.k
         return len(row_echelon(self.array, f.p)[1])
 
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        f = self.field
-        n = self.rows
-        rows = self.to_rows()
-        det = f.one
-        for col in range(n):
-            piv = next((i for i in range(col, n) if rows[i][col] != f.zero), None)
-            if piv is None:
-                return f.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = f.neg(det)
-            pval = rows[col][col]
-            det = f.mul(det, pval)
-            pinv = f.inv(pval)
-            for i in range(col + 1, n):
-                factor = rows[i][col]
-                if factor != f.zero:
-                    scale = f.mul(factor, pinv)
-                    rows[i] = [f.sub(x, f.mul(scale, y)) for x, y in zip(rows[i], rows[col])]
-        return det
-
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")

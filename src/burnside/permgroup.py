@@ -4,11 +4,10 @@ Provides exactly what the table-of-marks pipeline needs: orbits with
 transversals, group order and membership through a deterministic
 Schreier-Sims chain, full element enumeration with generator words, conjugacy
 classes of subgroups, and subgroup-conjugacy tests.  Everything is exhaustive
-and deterministic.  The product table below caps the order at 11,585; on
-2 vCPUs (Python 3.11, numpy 2.4) the table of marks of A7 (order 2520) takes
-about 0.5 s and that of M11 (order 7920) about 2.5 s, once the order bound of
-subgroup_classes is raised past its default of 1000.  Tables for the
-sporadic-group censuses of the paper are ingested from files, never computed.
+and deterministic.  The product table below caps the order at 11,585, and
+subgroup_classes refuses orders above 1000 unless its bound is raised.
+Tables for the sporadic-group censuses of the paper are ingested from
+files, never computed.
 
 The exhaustive algorithms work on element indices, not on Perm objects.
 Each group builds one ElementTable on first enumeration: the elements in
@@ -31,6 +30,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import is_prime, prime_factors
+from .ffield import _check_int64, blow_up
 
 ENUMERATION_BOUND = 10_000
 SUBGROUP_BOUND = 1000
@@ -89,7 +89,10 @@ class Perm:
         if len(other.images) != len(self.images):
             raise ValueError("degree mismatch")
         q = other.images
-        return Perm(q[i] for i in self.images)
+        # a composite of permutations is one: skip the check in __init__
+        out = object.__new__(Perm)
+        out.images = tuple([q[i] for i in self.images])
+        return out
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -184,23 +187,41 @@ class ElementTable:
         self.tree = [(index[x], k, index[y]) for x, k, y in tree]
         self.mul = self.inv = None
 
-    def images(self, gen_images, one):
+    def images(self, gen_images):
         """Image of every element, by index, under generators -> gen_images.
 
-        Images are built along the tree and then checked on every Cayley
-        edge, image(x * g_k) == image(x) * gen_images[k]; those edges carry
-        all defining relations of the group, so a ValueError here means the
-        generator images do not define a homomorphism.
+        Returns an (n, D, D) int64 array over GF(p): the blow-ups of the
+        images, for gen_images FFMatrices over GF(p^k) with D = k * size.
+        Images are built one breadth-first level at a time, with one batched
+        product per generator, and then checked on every Cayley edge,
+        image(x * g_k) == image(x) * gen_images[k], with one batched product
+        per generator.  Those edges carry all defining relations of the
+        group, so a ValueError here means the generator images do not
+        define a homomorphism.  blow_up is an injective ring homomorphism,
+        so the check over GF(p) is the check over GF(p^k).
         """
-        if len(gen_images) != len(self.right[0]):
-            raise ValueError(f"{len(self.right[0])} group generators but {len(gen_images)} matrices")
-        images = [one] * len(self.perms)
-        for i, k, j in self.tree:
-            images[j] = images[i] * gen_images[k]
-        for i, row in enumerate(self.right):
-            for k, j in enumerate(row):
-                if images[j] != images[i] * gen_images[k]:
-                    raise ValueError("matrices are not aligned with the group generators")
+        r = len(self.right[0])
+        if len(gen_images) != r:
+            raise ValueError(f"{r} group generators but {len(gen_images)} matrices")
+        gens = np.stack([blow_up(m).array for m in gen_images])
+        p, size = gen_images[0].field.p, gens.shape[1]
+        _check_int64(p, size)
+        n = len(self.perms)
+        # the images, one batch of products and its reduction mod p
+        check_allocation(f"the images of {n} elements", 3 * n * size * size * 8)
+        images = np.empty((n, size, size), dtype=np.int64)
+        images[0] = np.eye(size, dtype=np.int64)
+        edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
+        depth = np.array([len(self.words[x]) for x in self.perms])  # word lengths
+        for level in range(1, depth.max() + 1):
+            at = edges[depth[edges[:, 2]] == level]
+            for k in range(r):
+                i, _, j = at[at[:, 1] == k].T
+                images[j] = images[i] @ gens[k] % p
+        right = np.array(self.right, dtype=np.intp)
+        for k in range(r):
+            if not np.array_equal(images[right[:, k]], images @ gens[k] % p):
+                raise ValueError("matrices are not aligned with the group generators")
         return images
 
     def conjugates(self, xs):
@@ -357,10 +378,6 @@ def _build_chain(gens):
                 seen.add(sg)
                 stab_gens.append(sg)
     return [(base, transversal, tuple(gens))] + _build_chain(stab_gens)
-
-
-def group_order(group: PermGroup) -> int:
-    return group.order()
 
 
 # ---------------------------------------------------------------------------

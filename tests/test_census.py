@@ -442,7 +442,10 @@ def test_program_requiring_missing_generator_fails():
 
 
 def test_brute_force_byte_bound(monkeypatch, tmp_path, capsys):
-    # five int64 arrays of 2^24 codes: the generator's permutation and four more
+    # five int64 arrays of 2^24 codes (the generator's permutation and four
+    # more), then rows of 24 entries at 8 bytes: the split tables of the
+    # generator and of the digits (2 x 2^12 rows each) and a block of 2^12
+    # rows, 671088640 + 3932160 bytes
     group = PermGroup(2, [Perm.from_cycles(2, [(0, 1)])])
     matrix = FFMatrix.identity(PrimeField(2), 24)
 
@@ -450,7 +453,7 @@ def test_brute_force_byte_bound(monkeypatch, tmp_path, capsys):
         raise AssertionError("group elements enumerated before the byte bound was checked")
 
     monkeypatch.setattr(PermGroup, "element_table", no_enumeration)
-    with pytest.raises(ValueError, match="671088640 bytes"):
+    with pytest.raises(ValueError, match="675020800 bytes"):
         census_brute_force(group, ModuleAction([matrix]))
     perm = tmp_path / "c2.perm"
     perm.write_text(write_meataxe(list(group.generators)))
@@ -460,7 +463,7 @@ def test_brute_force_byte_bound(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "671088640 bytes" in captured.err
+    assert "675020800 bytes" in captured.err
 
 
 def test_brute_force_generator_count_mismatch():
@@ -571,18 +574,37 @@ def test_gf4_census_blows_each_matrix_up_once(monkeypatch):
     expected = census_from_tom(tom, ModuleAction([blow_up(m) for m in action.matrices]))
     action = ModuleAction([FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices])
     computed = []  # every matrix whose blow-up was computed, not read back
-    original = ffield.blow_up
+    built = set()  # ids of the matrices FFMatrix.identity returned
+    identities = []  # per fixed_space_dim_dual call, the identities blown up
+    original, fixed_dim, identity = ffield.blow_up, census.fixed_space_dim_dual, FFMatrix.identity
 
     def spy(m):
         if m.field.k > 1 and m._blown is None:
             computed.append(m)
+            if id(m) in built:
+                identities[-1] += 1
         return original(m)
 
+    def spy_identity(cls, field, n):
+        m = identity(field, n)
+        built.add(id(m))
+        return m
+
+    def per_call(*args):
+        identities.append(0)
+        return fixed_dim(*args)
+
     monkeypatch.setattr(ffield, "blow_up", spy)
+    monkeypatch.setattr(FFMatrix, "identity", classmethod(spy_identity))
+    monkeypatch.setattr(census, "fixed_space_dim_dual", per_call)
     report = census_from_tom(tom, action)
     assert dataclasses.replace(report, q=2, dim=2 * action.d) == expected
+    # one call that forms a block for each of two fresh generators
+    fresh = [FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices]
+    assert 4 ** census.fixed_space_dim_dual(fresh) == report.fixed[-1]
     assert computed
     assert len({id(m) for m in computed}) == len(computed)
+    assert max(identities) == 1
 
 
 def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
@@ -607,3 +629,91 @@ def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "class 7 contains a conjugate of class 2" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the split-table oracle against composing code permutations along words
+
+
+def word_fixed_counts(group, action, classes):
+    """Per-class fixed counts by composing generator permutations along words.
+
+    Every dual vector is its base-q code, each dual generator a permutation
+    of the q^d codes, and an element's permutation the composite along its
+    word; a class fixes the codes that all its generators fix.
+    """
+    q, d = action.q, action.d
+    weights = q ** np.arange(d, dtype=np.int64)
+    codes = np.arange(q**d, dtype=np.int64)
+    vectors = FFMatrix(action.field, q**d, d, codes[:, None] // weights % q)
+    perms = [(vectors * m.transpose().inverse()).array @ weights for m in action.matrices]
+    words = group.element_words()
+    counts = []
+    for c in classes:
+        fixed = np.ones(q**d, dtype=bool)
+        for g in c.subgroup.generators:
+            image = codes
+            for k in words[g]:
+                image = perms[k][image]
+            fixed &= image == codes
+        counts.append(int(fixed.sum()))
+    return counts
+
+
+def s3_on(field, d):
+    """S3 on GF(q)^d: the sign on the first coordinate, trivial on the rest."""
+    group, _ = pair_s3()
+    signs = [(-1) ** sum(len(c) - 1 for c in g.cycles()) for g in group.generators]
+    mats = []
+    for s in signs:
+        a = np.eye(d, dtype=np.int64)
+        if d:
+            a[0, 0] = s % field.p
+        mats.append(FFMatrix(field, d, d, a))
+    return group, ModuleAction(mats)
+
+
+def a4_on_gf3_3():
+    """A4 on its GF(3)^3 permutation module, less the trivial summand (d = 3)."""
+    group = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2)]), Perm.from_cycles(4, [(0, 1), (2, 3)])])
+    f = PrimeField(3)
+    # the permutation module on the sum-zero vectors e_i - e_3, i < 3
+    mats = []
+    for g in group.generators:
+        rows = []
+        for i in range(3):
+            image = [0] * 4
+            image[g(i)] += 1
+            image[g(3)] -= 1
+            rows.append([x % 3 for x in image[:3]])  # e_a - e_b = b_a - b_b, b_3 = 0
+        mats.append(FFMatrix.from_rows(f, rows))
+    return group, ModuleAction(mats)
+
+
+SMALL_D = {
+    "S3 on GF(3)^0": lambda: s3_on(PrimeField(3), 0),
+    "S3 on GF(5)^1": lambda: s3_on(PrimeField(5), 1),
+    "S3 on GF(2)^5": lambda: s3_on(PrimeField(2), 5),
+    "S3 on GF(8)^1": lambda: s3_on(ExtField(2, 3), 1),
+    "A4 on GF(3)^3": a4_on_gf3_3,
+}
+ORACLE_PAIRS = {name: (lambda g=group, a=action: (g, a)) for name, group, action in CORPUS}
+ORACLE_PAIRS.update({"PSL(2,8) on GF(8)^3": psl2_8_natural, "PSL(2,9) on GF(9)^3": psl2_9_sym2,
+                     "GL(3,2) on GF(2)^15": gl32_on_gf2_15, **SMALL_D})
+
+
+@pytest.mark.parametrize("make", ORACLE_PAIRS.values(), ids=ORACLE_PAIRS.keys())
+def test_split_table_fixed_counts_match_word_composition(make):
+    group, action = make()
+    classes = subgroup_classes(group)
+    report = census_brute_force(group, action, classes=classes)
+    assert list(report.fixed) == word_fixed_counts(group, action, classes)
+
+
+@pytest.mark.parametrize("make", SMALL_D.values(), ids=SMALL_D.keys())
+def test_split_table_census_matches_the_tom_route_for_small_d(make):
+    group, action = make()
+    classes = subgroup_classes(group)
+    tom = compute_tom(group, classes=classes)
+    assert census_brute_force(group, action, classes=classes) == census_from_tom(tom, action)
+    assert census_brute_force(group, action).orbits == burnside_lemma_orbits(group, action)

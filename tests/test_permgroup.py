@@ -7,14 +7,16 @@ independent of the cyclic-extension code under test.
 
 import random
 
+import numpy as np
 import pytest
 
-from burnside.census import ModuleAction, validate_action_homomorphism
-from burnside.ffield import FFMatrix, PrimeField
+from burnside.census import ModuleAction, census_brute_force, validate_action_homomorphism
+from burnside.cohomology import GroupModulePair
+from burnside.corpus import census_corpus
+from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.permgroup import (
     Perm,
     PermGroup,
-    group_order,
     is_conjugate_subgroup,
     minimal_generators,
     mulclose,
@@ -129,9 +131,9 @@ def test_orbit_transversal_reconstructs_points():
 
 
 def test_group_order_examples():
-    assert group_order(PermGroup(3, [])) == 1
-    assert group_order(s3()) == 6
-    assert group_order(a5()) == 60
+    assert PermGroup(3, []).order() == 1
+    assert s3().order() == 6
+    assert a5().order() == 60
     assert len(a5().elements()) == 60
 
 
@@ -141,10 +143,10 @@ def test_order_invariant_under_generator_changes():
     rng = random.Random(4)
     els = g1.elements()
     words = [els[rng.randrange(len(els))] for _ in range(4)]
-    while group_order(PermGroup(4, words)) != 24:
+    while PermGroup(4, words).order() != 24:
         words = [els[rng.randrange(len(els))] for _ in range(4)]
-    assert group_order(g2) == 24
-    assert group_order(PermGroup(4, words)) == 24
+    assert g2.order() == 24
+    assert PermGroup(4, words).order() == 24
 
 
 def test_membership():
@@ -155,7 +157,7 @@ def test_membership():
 
 def test_orbit_stabilizer():
     for g in (s3(), a4(), s4(), d12()):
-        n = group_order(g)
+        n = g.order()
         for point in range(g.degree):
             orb, _ = g.orbit(point)
             stab = sum(1 for x in g.element_words() if x(point) == point)
@@ -242,12 +244,78 @@ def test_element_images_need_no_product_table(monkeypatch):
     wrong = ModuleAction([FFMatrix.from_rows(f, [[1]]), FFMatrix.from_rows(f, [[2]])])
     with pytest.raises(ValueError, match="not aligned"):
         validate_action_homomorphism(s7, wrong)
+    with pytest.raises(ValueError, match="not aligned"):
+        GroupModulePair(s7, wrong.matrices)
+    # the dual images are checked before any subgroup is enumerated
+    with pytest.raises(ValueError, match="not aligned"):
+        census_brute_force(s7, wrong)
+
+
+def image_pairs():
+    """(name, group, generator matrices): the corpus and two GF(p^k) pairs."""
+    from test_census import psl2_9_sym2, sl2_on_projective_line
+
+    pairs = [(name, group, action.matrices) for name, group, action in census_corpus()]
+    pairs.append(("SL(2,4) on GF(4)^2", *sl2_on_projective_line(ExtField(2, 2))))
+    group, action = psl2_9_sym2()
+    pairs.append(("PSL(2,9) on GF(9)^3", group, action.matrices))
+    return pairs
+
+
+IMAGE_PAIRS = image_pairs()
+
+
+@pytest.mark.parametrize("name,group,mats", IMAGE_PAIRS, ids=[n for n, _, _ in IMAGE_PAIRS])
+def test_batched_images_match_sequential_products(name, group, mats):
+    table = group.element_table()
+    images = table.images(mats)
+    assert images.shape == (len(table.perms), *blow_up(mats[0]).array.shape)
+    for x, word in table.words.items():
+        m = FFMatrix.identity(mats[0].field, mats[0].rows)
+        for k in word:
+            m = m * mats[k]
+        assert np.array_equal(images[table.index[x]], blow_up(m).array)
+
+
+def misaligned(group, mats, rng):
+    """The matrices plus a 3-dimensional summand on which generator 0 acts by
+    some x with x^m != 1, m the order of generator 0, and the others act
+    trivially: the relation g_0^m = 1 fails, so they define no action."""
+    from test_ffield import random_matrix
+
+    f, d = mats[0].field, mats[0].rows
+    m = group.generators[0].order()
+    x = random_matrix(f, 3, 3, rng)
+    while not x.is_invertible() or (x**m).is_identity():
+        x = random_matrix(f, 3, 3, rng)
+    out = []
+    for k, mat in enumerate(mats):
+        a = np.eye(d + 3, dtype=np.int64)
+        a[:d, :d] = mat.array
+        if k == 0:
+            a[d:, d:] = x.array
+        out.append(FFMatrix(f, d + 3, d + 3, a))
+    return out
+
+
+@pytest.mark.parametrize("name,group,mats", IMAGE_PAIRS, ids=[n for n, _, _ in IMAGE_PAIRS])
+def test_misaligned_generators_are_not_aligned(name, group, mats):
+    wrong = misaligned(group, mats, random.Random(name))
+    with pytest.raises(ValueError, match="not aligned"):
+        group.element_table().images(wrong)
+    with pytest.raises(ValueError, match="not aligned"):
+        validate_action_homomorphism(group, ModuleAction(wrong))
+    with pytest.raises(ValueError, match="not aligned"):
+        census_brute_force(group, ModuleAction(wrong))
+    if wrong[0].field.k == 1:
+        with pytest.raises(ValueError, match="not aligned"):
+            GroupModulePair(group, wrong)
 
 
 def test_class_elements_are_subgroups_and_sizes_divide():
     g = s4()
     cl = subgroup_classes(g)
-    n = group_order(g)
+    n = g.order()
     for c in cl:
         assert n % c.order == 0
         assert frozenset(mulclose(minimal_generators(c.elements), 4)) == c.elements
