@@ -128,9 +128,11 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     B * (g_r^T - 1).
 
     bases, when given, is filled in and read back: it maps each generator
-    tuple (g_1..g_r) reduced so far to its basis, and each generator g to
-    its block g^T - 1.  Calls that share one dict reduce a shared prefix
-    of their generators once, and form each generator's block once.
+    tuple (g_1..g_r) reduced so far to its basis, each generator g to its
+    block g^T - 1, and "identity" to the identity those blocks subtract.
+    Calls that share one dict reduce a shared prefix of their generators
+    once, form each generator's block once, and over GF(p^k) blow one
+    identity up.
     """
     mats = tuple(mats)
     if not mats:
@@ -149,12 +151,13 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     while r and mats[:r] not in bases:
         r -= 1
     basis = bases[mats[:r]] if r else None
-    ident = FFMatrix.identity(field, d)  # one per call: over GF(p^k) each is blown up
     for r in range(r + 1, len(mats) + 1):
         g = mats[r - 1]
         block = bases.get(g)
         if block is None:
-            block = bases[g] = g.transpose() - ident
+            if "identity" not in bases:
+                bases["identity"] = FFMatrix.identity(field, d)
+            block = bases[g] = g.transpose() - bases["identity"]
         # for one generator B is the identity, and is left out
         m = block if basis is None else basis * block
         x = m.nullspace()

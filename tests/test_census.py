@@ -574,20 +574,20 @@ def test_gf4_census_blows_each_matrix_up_once(monkeypatch):
     expected = census_from_tom(tom, ModuleAction([blow_up(m) for m in action.matrices]))
     action = ModuleAction([FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices])
     computed = []  # every matrix whose blow-up was computed, not read back
-    built = set()  # ids of the matrices FFMatrix.identity returned
+    built = []  # the matrices FFMatrix.identity returned, kept so ids stay unique
     identities = []  # per fixed_space_dim_dual call, the identities blown up
     original, fixed_dim, identity = ffield.blow_up, census.fixed_space_dim_dual, FFMatrix.identity
 
     def spy(m):
         if m.field.k > 1 and m._blown is None:
             computed.append(m)
-            if id(m) in built:
+            if any(m is x for x in built):
                 identities[-1] += 1
         return original(m)
 
     def spy_identity(cls, field, n):
         m = identity(field, n)
-        built.add(id(m))
+        built.append(m)
         return m
 
     def per_call(*args):
@@ -599,12 +599,13 @@ def test_gf4_census_blows_each_matrix_up_once(monkeypatch):
     monkeypatch.setattr(census, "fixed_space_dim_dual", per_call)
     report = census_from_tom(tom, action)
     assert dataclasses.replace(report, q=2, dim=2 * action.d) == expected
+    assert sum(identities) == 1  # the calls of one census share an identity
     # one call that forms a block for each of two fresh generators
     fresh = [FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices]
     assert 4 ** census.fixed_space_dim_dual(fresh) == report.fixed[-1]
+    assert identities[-1] == 1
     assert computed
     assert len({id(m) for m in computed}) == len(computed)
-    assert max(identities) == 1
 
 
 def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
