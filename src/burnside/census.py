@@ -129,7 +129,7 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
 
     bases, when given, is filled in and read back: it maps each generator
     tuple (g_1..g_r) reduced so far to its basis, each generator g to its
-    block g^T - 1, and "identity" to the identity those blocks subtract.
+    block g^T - 1, and (field, d) to the identity those blocks subtract.
     Calls that share one dict reduce a shared prefix of their generators
     once, form each generator's block once, and over GF(p^k) blow one
     identity up.
@@ -155,9 +155,9 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
         g = mats[r - 1]
         block = bases.get(g)
         if block is None:
-            if "identity" not in bases:
-                bases["identity"] = FFMatrix.identity(field, d)
-            block = bases[g] = g.transpose() - bases["identity"]
+            if (field, d) not in bases:
+                bases[field, d] = FFMatrix.identity(field, d)
+            block = bases[g] = g.transpose() - bases[field, d]
         # for one generator B is the identity, and is left out
         m = block if basis is None else basis * block
         x = m.nullspace()

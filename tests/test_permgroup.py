@@ -22,6 +22,8 @@ from burnside.permgroup import (
     mulclose,
     subgroup_classes,
 )
+from test_census import psl2_9_sym2, sl2_on_projective_line
+from test_ffield import random_matrix
 
 
 def cyc(degree, *cycles):
@@ -253,8 +255,6 @@ def test_element_images_need_no_product_table(monkeypatch):
 
 def image_pairs():
     """(name, group, generator matrices): the corpus and two GF(p^k) pairs."""
-    from test_census import psl2_9_sym2, sl2_on_projective_line
-
     pairs = [(name, group, action.matrices) for name, group, action in census_corpus()]
     pairs.append(("SL(2,4) on GF(4)^2", *sl2_on_projective_line(ExtField(2, 2))))
     group, action = psl2_9_sym2()
@@ -281,8 +281,6 @@ def misaligned(group, mats, rng):
     """The matrices plus a 3-dimensional summand on which generator 0 acts by
     some x with x^m != 1, m the order of generator 0, and the others act
     trivially: the relation g_0^m = 1 fails, so they define no action."""
-    from test_ffield import random_matrix
-
     f, d = mats[0].field, mats[0].rows
     m = group.generators[0].order()
     x = random_matrix(f, 3, 3, rng)
