@@ -70,8 +70,8 @@ def _root(n: int, k: int) -> int:
 
 
 def _check_prime_power(q: int) -> None:
-    # no field with q >= 2^63 can be built, and is_prime would fall back to
-    # trial division on such a q
+    # no field with q >= 2^63 can be built; refusing it here makes it a
+    # usage error, before any file is read
     if q >= 2**63:
         raise UsageError(f"q = {q} is too large: field scalars must fit int64 (q < 2^63)")
     # q = r^k for a prime r, tested on exact k-th roots so nothing is factored

@@ -50,7 +50,11 @@ _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; trial division from _WITNESS_BOUND up."""
+    """Deterministic Miller-Rabin; refuses n from _WITNESS_BOUND up.
+
+    Past the bound the witnesses prove nothing, and trial division would not
+    finish, so a ValueError is raised instead.
+    """
     if n < 2:
         return False
     for a in _WITNESSES:
@@ -59,7 +63,7 @@ def is_prime(n: int) -> bool:
     if n < _WITNESSES[-1] ** 2:
         return True
     if n >= _WITNESS_BOUND:
-        return prime_factors(n) == [n]
+        raise ValueError(f"{n} is too large to test for primality")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -4,6 +4,11 @@ Scalars are plain ints.  In a prime field they are residues 0..p-1; in an
 extension field GF(p^k) an int encodes the polynomial c_0 + c_1*z + ... by its
 base-p digits, where z is a root of the defining modulus.
 
+One field class, ExtField, describes GF(p^k) by the companion matrix of its
+modulus over GF(p); a prime field is the case k = 1 (PrimeField).  The
+modulus is checked by Rabin's test on that companion matrix, with the same
+product and elimination as every other GF(p) matrix.
+
 Dimensions in this package stay small (module actions top out around 28), so
 matrices are dense: an FFMatrix holds its entries in a read-only int64 numpy
 array, in the same int encoding, so every value here is immutable and safe
@@ -14,13 +19,12 @@ form.  Ranks, inverses and nullspaces all come from it.  A matrix over
 GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
 GF(p).  Each GF(p^k) matrix is blown up at most once: the blow-up is kept
 with the matrix, and a result computed over GF(p) keeps the GF(p) matrix it
-came from.
+came from.  No field with q >= 2^63 is built, so every scalar fits int64.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 import numpy as np
 
@@ -28,159 +32,7 @@ from .cyclotomic import is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p), as tuples of ints in ascending degree
-
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # remainder of a modulo f; f need not be monic
-    a = list(a)
-    df = len(f) - 1
-    lead_inv = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        c = a[-1] * lead_inv % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(base, e, f, p):
-    result = (1,)
-    base = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _minus_x(poly, p):
-    d = list(poly) + [0] * (2 - len(poly))
-    d[1] = (d[1] - 1) % p
-    return _ptrim(d)
-
-
-def _poly_is_irreducible(f, p):
-    """Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
-    x = (0, 1)
-    if _minus_x(_ppowmod(x, p**k, f, p), p) != ():
-        return False
-    for r in prime_factors(k):
-        g = _minus_x(_ppowmod(x, p ** (k // r), f, p), p)
-        if len(_pgcd(g, f, p)) - 1 != 0:
-            return False
-    return True
-
-
-def default_modulus(p: int, k: int) -> tuple:
-    """Lexicographically smallest monic irreducible of degree k over GF(p).
-
-    Candidates x^k + c are ordered by the base-p integer encoding of the
-    non-leading part c, so the choice is deterministic.  For GF(4) this gives
-    x^2+x+1 and for GF(8) x^3+x+1.
-    """
-    for m in range(p**k):
-        cand = tuple((m // p**i) % p for i in range(k)) + (1,)
-        if _poly_is_irreducible(cand, p):
-            return cand
-    raise ValueError(f"no irreducible of degree {k} over GF({p})")  # unreachable
-
-
-# ---------------------------------------------------------------------------
 # fields
-
-
-class PrimeField:
-    """GF(p) with int scalars 0..p-1."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.k = 1
-        self.q = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def frobenius(self, a):
-        return a % self.p
-
-    def elements(self):
-        return range(self.p)
-
-    def coeffs(self, a):
-        return (a,)
-
-    def from_coeffs(self, c):
-        if len(c) != 1:
-            raise ValueError("prime-field scalar has one coefficient")
-        return c[0] % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 class ExtField:
@@ -190,39 +42,44 @@ class ExtField:
     (1, 1, 1).  When omitted it defaults to the lexicographically smallest
     irreducible; any choice gives an isomorphic field and everything computed
     downstream (fixed-space dimensions, orbit counts) is basis-independent.
+    The field is described by the companion matrix of its modulus over GF(p),
+    which tests the modulus and blows matrices up.  The scalar methods are
+    plain loops: the matrix kernel does not use them, and the tests compare
+    it against them.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if not 1 <= k <= 16:
             raise ValueError("extension degree must be between 1 and 16")
+        self.p = p
+        self.k = k
+        self.q = p**k
+        if self.q >= 2**63:
+            raise ValueError(f"{self!r} is too large: its scalars do not fit int64")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if modulus is None:
             modulus = default_modulus(p, k)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.k = k
-        self.q = p**k
         self.modulus = modulus
         self.zero = 0
         self.one = 1
-        # digits of z^j for j = k .. 2k-2, used to fold products back down
-        red = []
-        cur = [(-c) % p for c in modulus[:k]]  # z^k
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[: k - 1]
-            top = cur[k - 1]
-            if top:
-                for t in range(k):
-                    nxt[t] = (nxt[t] + top * red[0][t]) % p
-            red.append(tuple(nxt))
-            cur = nxt
-        self._red = red
+        self._base = self  # GF(p), where blow-ups live
+        self._red = []  # digits of z^j for j = k .. 2k-2, used to fold products back down
+        if k == 1:
+            return  # x + c is irreducible, and GF(p) blows up to itself
+        self._base = PrimeField(p)
+        z = _companion(modulus, self._base)
+        if not _rabin(z):
+            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        zpow = [FFMatrix.identity(self._base, k)]
+        for _ in range(k - 1):
+            zpow.append(zpow[-1] * z)
+        # Z^0, ..., Z^(k-1) as flat rows: row s of Z^u holds the digits of z^(u+s)
+        self._zpow = np.stack([m.array for m in zpow]).reshape(k, k * k)
+        self._red = zpow[-1].to_rows()[1:]
 
     def coeffs(self, a) -> tuple:
         p = self.p
@@ -302,15 +159,6 @@ class ExtField:
     def elements(self):
         return range(self.q)
 
-    @cached_property
-    def _zpow(self):
-        """Z^0, ..., Z^(k-1) as flat rows, for Z the companion matrix of the
-        modulus (multiplication by z in the power basis): row s of Z^u holds
-        the digits of z^(u+s)."""
-        k = self.k
-        zdigits = np.vstack([np.eye(k, dtype=np.int64), np.array(self._red, dtype=np.int64)])
-        return zdigits[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
-
     @property
     def gen(self):
         """The modulus root z as a scalar (for k = 1 the root of x + c is -c)."""
@@ -319,18 +167,65 @@ class ExtField:
         return -self.modulus[0] % self.p
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
+        # matrix products compare fields, so the common case is one object
+        return self is other or (
+            isinstance(other, ExtField) and other.q == self.q and other.modulus == self.modulus
         )
 
     def __hash__(self):
         return hash(("GF", self.p, self.k, self.modulus))
 
     def __repr__(self):
-        return f"GF({self.p}^{self.k})"
+        return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
+
+
+class PrimeField(ExtField):
+    """GF(p) with int scalars 0..p-1: GF(p^1) modulo x."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1, (0, 1))
+
+
+def _companion(modulus, base) -> FFMatrix:
+    """The companion matrix Z of a monic modulus f of degree k, over GF(p).
+
+    Z is multiplication by z in the power basis {1, z, ..., z^(k-1)} of
+    GF(p)[z]/(f): row s holds the digits of z^(s+1).
+    """
+    k = len(modulus) - 1
+    z = np.eye(k, k, 1, dtype=np.int64)
+    z[-1] = [-c % base.p for c in modulus[:k]]
+    return FFMatrix(base, k, k, z)
+
+
+def _rabin(z) -> bool:
+    """Rabin's irreducibility test on the companion matrix Z of f over GF(p).
+
+    f of degree k is irreducible exactly when it divides x^(p^k) - x and is
+    prime to x^(p^(k/r)) - x for each prime r dividing k (M. O. Rabin, SIAM
+    J. Comput. 9, 1980).  f is the minimal polynomial of Z, so f divides g
+    exactly when g(Z) = 0, and gcd(g, f) = 1 exactly when g(Z) is
+    invertible.  At k = 1 both conditions hold, and nothing is multiplied.
+    """
+    p, k = z.field.p, z.rows
+    return k == 1 or (
+        z ** p**k == z and all((z ** p ** (k // r) - z).is_invertible() for r in prime_factors(k))
+    )
+
+
+def default_modulus(p: int, k: int) -> tuple:
+    """Lexicographically smallest monic irreducible of degree k over GF(p).
+
+    Candidates x^k + c are ordered by the base-p integer encoding of the
+    non-leading part c, so the choice is deterministic.  For GF(4) this gives
+    x^2+x+1 and for GF(8) x^3+x+1.
+    """
+    base = PrimeField(p)
+    for m in range(p**k):
+        cand = tuple((m // p**i) % p for i in range(k)) + (1,)
+        if _rabin(_companion(cand, base)):
+            return cand
+    raise ValueError(f"no irreducible of degree {k} over GF({p})")  # unreachable
 
 
 def norm(field, a):
@@ -354,7 +249,7 @@ def _check_int64(p, n):
 
 
 class FFMatrix:
-    """Dense matrix over a PrimeField or ExtField, held in a read-only array.
+    """Dense matrix over a field (an ExtField), held in a read-only array.
 
     `array` is a (rows, cols) int64 numpy array of the scalars' int
     encodings.  An ndarray given as entries is taken over, not copied; the
@@ -366,8 +261,6 @@ class FFMatrix:
     __slots__ = ("field", "rows", "cols", "array", "_blown", "_hash")
 
     def __init__(self, field, rows, cols, entries):
-        if field.q >= 2**63:
-            raise ValueError(f"{field!r} is too large: its scalars do not fit int64")
         if not isinstance(entries, np.ndarray):
             entries = list(entries)
         a = np.asarray(entries, dtype=np.int64)
@@ -600,14 +493,15 @@ def blow_up(m: FFMatrix) -> FFMatrix:
     once: the result is kept with it and returned by later calls.
     """
     f = m.field
-    if isinstance(f, PrimeField):
+    if f.k == 1:
         return m
     if m._blown is None:
+        # the field's own construction multiplied k x k matrices over GF(p),
+        # so these sums of k products fit int64 too
         p, k = f.p, f.k
-        _check_int64(p, k)
         digits = m.array[:, :, None] // p ** np.arange(k) % p
         blocks = (digits @ f._zpow % p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
-        m._blown = FFMatrix(PrimeField(p), m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
+        m._blown = FFMatrix(f._base, m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
     return m._blown
 
 

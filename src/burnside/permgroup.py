@@ -295,36 +295,39 @@ class PermGroup:
 
     # -- enumeration ------------------------------------------------------
 
-    def element_words(self, limit=ENUMERATION_BOUND):
+    def element_words(self):
         """All elements with a generator word each, in breadth-first order.
 
         A word (i1, i2, ...) means generators[i1] * generators[i2] * ...;
         the empty word is the identity.  The first call builds the group's
-        ElementTable.
+        ElementTable, and refuses a group of order past ENUMERATION_BOUND.
         """
-        if self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds enumeration bound {limit}")
         if self._table is None:
+            if self.order() > ENUMERATION_BOUND:
+                raise ValueError(f"group order {self.order()} exceeds enumeration bound {ENUMERATION_BOUND}")
             self._table = ElementTable(self.degree, self.generators)
         return self._table.words
 
-    def elements(self, limit=ENUMERATION_BOUND):
-        return list(self.element_table(limit).perms)
+    def elements(self):
+        return list(self.element_table().perms)
 
-    def element_table(self, limit=ENUMERATION_BOUND) -> ElementTable:
+    def element_table(self) -> ElementTable:
         """The group's ElementTable, without its products."""
-        self.element_words(limit)
+        self.element_words()
         return self._table
 
-    def multiplication_table(self, limit=ENUMERATION_BOUND) -> ElementTable:
+    def multiplication_table(self) -> ElementTable:
         """The element table with its products filled in.
 
         Refuses a group whose product table exceeds SYSTEM_BYTES_BOUND
-        before enumerating a single element.
+        before enumerating a single element; that bound alone limits it.
         """
         n = self.order()
         check_allocation(f"the {n} x {n} product table", n * n * np.dtype(_INDEX).itemsize)
-        table = self.element_table(limit)
+        if self._table is None and n > ENUMERATION_BOUND:
+            # the allocation check above bounds this enumeration
+            self._table = ElementTable(self.degree, self.generators)
+        table = self.element_table()
         if table.mul is None:
             # along the tree: x * (y g_k) = (x y) g_k
             right = np.array(table.right, dtype=_INDEX).reshape(n, -1)
@@ -512,7 +515,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
     n = group.order()
     if n > bound:
         raise ValueError(f"group order {n} exceeds subgroup enumeration bound {bound}")
-    table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
+    table = group.multiplication_table()
     mul, inv = table.mul, table.inv
 
     classes = []  # dicts: els (sorted index array), gens (indices), normalizer, size, key

@@ -10,13 +10,12 @@ instead of rounded away.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .permgroup import ENUMERATION_BOUND, SUBGROUP_BOUND, PermGroup, check_allocation, subgroup_classes
+from .permgroup import SUBGROUP_BOUND, PermGroup, check_allocation, subgroup_classes
 from .slp import SLProgram
 
 
@@ -70,20 +69,20 @@ class TableOfMarks:
         return self.marks[i]
 
 
-def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None, with_slps: bool = True) -> TableOfMarks:
+def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> TableOfMarks:
     """Marks by explicit coset counting over the subgroup classes.
 
     m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i.  Whether g
     qualifies depends only on its coset, so the count is the number of such
     g in G over |U_i|; it is read off the group's product table, one column
-    j at a time for every class i whose order |U_j| divides.  When
-    with_slps is set, each class also gets a program expressing its
-    generators as words in the group generators (breadth-first words), so the
-    table can replay subgroup generators on matrix representations.
+    j at a time for every class i whose order |U_j| divides.  Each class
+    also gets a program expressing its generators as words in the group
+    generators (breadth-first words), so the table can replay subgroup
+    generators on matrix representations.
     """
     if classes is None:
         classes = subgroup_classes(group, bound)
-    table = group.multiplication_table(limit=max(bound, ENUMERATION_BOUND))
+    table = group.multiplication_table()
     n = len(classes)
     size = len(table.perms)
     orders = np.array([c.order for c in classes], dtype=np.int64)
@@ -104,17 +103,14 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None, wit
     for i in range(n):  # in place, so the lists and the tuples never all coexist
         rows[i] = tuple(rows[i])
 
-    slps = None
-    if with_slps:
-        words = table.words
-        m = max(1, len(group.generators))
-        progs = []
-        for ci in classes:
-            gen_words = [tuple(idx + 1 for idx in words[g]) for g in ci.subgroup.generators if not g.is_identity()]
-            progs.append(SLProgram.from_words(m, gen_words))
-        slps = tuple(progs)
+    words = table.words
+    m = max(1, len(group.generators))
+    slps = []
+    for ci in classes:
+        gen_words = [tuple(idx + 1 for idx in words[g]) for g in ci.subgroup.generators if not g.is_identity()]
+        slps.append(SLProgram.from_words(m, gen_words))
 
-    return TableOfMarks(n, tuple(c.order for c in classes), tuple(rows), slps)
+    return TableOfMarks(n, tuple(c.order for c in classes), tuple(rows), tuple(slps))
 
 
 def decompose_fixed_vector(tom: TableOfMarks, fixed) -> tuple:
@@ -126,38 +122,27 @@ def decompose_fixed_vector(tom: TableOfMarks, fixed) -> tuple:
     DecompositionError naming the first offending class.
     """
     n = tom.n
-    fixed = list(fixed)
-    if len(fixed) != n:
-        raise ValueError(f"fixed vector length {len(fixed)} != {n} classes")
-    try:
-        rest = [operator.index(x) for x in fixed]
-    except TypeError:
-        return _decompose_rational(tom.marks, fixed)
-    # in integers, subtracting each solved row from the entries left of it
+    rest = list(fixed)
+    if len(rest) != n:
+        raise ValueError(f"fixed vector length {len(rest)} != {n} classes")
+    # subtracting each solved row from the entries left of it; an entry
+    # turns into a Fraction only where a division leaves a remainder
     a = [0] * n
+    bad = None  # the lowest class whose entry is not a nonnegative integer
     for j in range(n - 1, -1, -1):
-        q, r = divmod(rest[j], tom.marks[j][j])
+        row = tom.marks[j]
+        q, r = divmod(rest[j], row[j])
+        if r:
+            q = Fraction(rest[j], row[j])
         if r or q < 0:
-            # the rationals name the first offending class, not the last
-            return _decompose_rational(tom.marks, fixed)
+            bad = j
         if q:
             a[j] = q
-            row = tom.marks[j]
             for k in range(j):
                 rest[k] -= q * row[k]
+    if bad is not None:
+        raise DecompositionError(bad + 1, f"inconsistent fixed vector: entry {bad + 1} solves to {a[bad]}")
     return tuple(a)
-
-
-def _decompose_rational(marks, fixed) -> tuple:
-    n = len(fixed)
-    a = [Fraction(0)] * n
-    for j in range(n - 1, -1, -1):
-        s = Fraction(fixed[j]) - sum(a[i] * marks[i][j] for i in range(j + 1, n))
-        a[j] = s / marks[j][j]
-    for j in range(n):
-        if a[j].denominator != 1 or a[j] < 0:
-            raise DecompositionError(j + 1, f"inconsistent fixed vector: entry {j + 1} solves to {a[j]}")
-    return tuple(int(x) for x in a)
 
 
 def orders_of(tom: TableOfMarks, positions) -> list:

@@ -427,7 +427,7 @@ def test_conjugate_action_same_report(name, group, action):
 
 def test_tom_without_slps_fails_fast():
     group, action = pair_s3()
-    tom = compute_tom(group, with_slps=False)
+    tom = dataclasses.replace(compute_tom(group), slps=None)
     with pytest.raises(ValueError, match="straight-line"):
         census_from_tom(tom, action)
 

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import burnside
 from burnside.cli import main
 from burnside.corpus import pair_a4
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import parse_tom, write_meataxe
-from burnside.permgroup import Perm, PermGroup
+from burnside.permgroup import ElementTable, Perm, PermGroup
 from burnside.tom import compute_tom
 
 DATA = files("burnside") / "data"
@@ -146,10 +151,10 @@ def test_tom_compute_bound(capsys, tmp_path):
 
 
 def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypatch):
-    def never(self, limit=None):
+    def never(*args):
         raise AssertionError("the elements were enumerated")
 
-    monkeypatch.setattr(PermGroup, "element_words", never)
+    monkeypatch.setattr(ElementTable, "__init__", never)
     # A8, order 20160: a 20160 x 20160 table of 2-byte indices
     perm = tmp_path / "a8.mtx"
     perm.write_text(write_meataxe([Perm.from_cycles(8, [(0, 1, 2)]),
@@ -377,3 +382,40 @@ def test_verbose_goes_to_stderr_only(capsys):
     _, out, err = run(capsys, *argv, "--verbose")
     assert out == plain
     assert err
+
+
+# -------------------------------------------------------- huge primes ----
+
+HUGE = (2**61 - 1) ** 2  # past the range where is_prime is exact
+
+
+def huge_prime_case(tmp_path, case):
+    """The argv of one CLI run that meets HUGE, with the files it reads."""
+    if case in ("chartab prime", "brauer"):
+        table = json.loads((DATA / "d18.json").read_text())
+        if case == "chartab prime":
+            table["prime"] = HUGE
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        extra = ["--brauer", str(HUGE)] if case == "brauer" else []
+        return ["chartab", "report", "--table", str(path), *extra]
+    if case == "meataxe header":
+        path = tmp_path / "big.mtx"
+        path.write_text(f"1 {HUGE} 1 1\n1\n")
+    else:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": HUGE, "k": 1, "rows": 1, "cols": 1, "entries": [[[1]]]}))
+    return ["census", "tom", "--tom", p("s3.tom.json"), "--gens", str(path), "--q", "2"]
+
+
+@pytest.mark.parametrize("case,code", [("chartab prime", 2), ("meataxe header", 2),
+                                       ("ext matrix", 2), ("brauer", 3)])
+def test_huge_primes_are_refused_at_once(tmp_path, case, code):
+    # a child process with a timeout, so a stall fails the test instead of hanging it
+    env = dict(os.environ)
+    src = str(Path(burnside.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "burnside.cli", *huge_prime_case(tmp_path, case)],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert f"{HUGE}" in run.stderr and "too large" in run.stderr

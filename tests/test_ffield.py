@@ -5,6 +5,7 @@ kept separate from the production paths (numpy arrays for prime fields, and
 the blow-up to GF(p) for extension fields) so the two never share code.
 """
 
+import itertools
 import random
 import time
 
@@ -109,6 +110,66 @@ def test_default_modulus_small_fields():
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)
 
 
+def test_fields_are_equal_by_p_k_and_modulus():
+    # PrimeField(p) is the degree-1 field
+    for p in (2, 3, 5, 7, 2**61 - 1):
+        f, g = PrimeField(p), ExtField(p, 1)
+        assert f == g and g == f and hash(f) == hash(g)
+        assert repr(f) == f"GF({p})"
+    assert PrimeField(3) != ExtField(3, 2) and PrimeField(3) != PrimeField(5)
+    # another modulus encodes the scalars another way
+    assert ExtField(2, 3) == ExtField(2, 3, (1, 1, 0, 1)) != ExtField(2, 3, (1, 0, 1, 1))
+
+
+def poly_mul(a, b, p):
+    """Product over GF(p) of two polynomials given as ascending coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def monic(p, k):
+    """Every monic polynomial of degree k over GF(p)."""
+    return [c + (1,) for c in itertools.product(range(p), repeat=k)]
+
+
+def mobius(n):
+    """The Moebius function mu(n), by trial division."""
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+SMALL_PRIMES = [n for n in range(2, 626) if all(n % d for d in range(2, int(n**0.5) + 1))]
+SMALL_FIELDS = [(p, k) for p in SMALL_PRIMES for k in range(1, 10) if p**k <= 625]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS, ids=[f"{p}^{k}" for p, k in SMALL_FIELDS])
+def test_companion_matrix_test_accepts_exactly_the_irreducibles(p, k):
+    # the oracles: every product of two monic polynomials of lower degree,
+    # and Gauss's count (1/k) * sum over d | k of mu(d) p^(k/d)
+    reducible = {poly_mul(a, b, p) for d in range(1, k // 2 + 1) for a in monic(p, d) for b in monic(p, k - d)}
+    accepted = []
+    for f in monic(p, k):
+        try:
+            ExtField(p, k, f)
+        except ValueError as exc:
+            assert "reducible" in str(exc)
+        else:
+            accepted.append(f)
+    assert set(accepted) == set(monic(p, k)) - reducible
+    assert k * len(accepted) == sum(mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0)
+    assert default_modulus(p, k) == min(accepted, key=lambda f: sum(c * p**i for i, c in enumerate(f)))
+
+
 def test_ext_field_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         ExtField(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2 over GF(2)
@@ -210,11 +271,12 @@ def test_public_representation_contract():
 
 
 def test_unrepresentable_fields_are_refused_at_construction():
-    f = ExtField(4294967311, 2)  # q = p^2 >= 2^63 does not fit int64
-    with pytest.raises(ValueError, match=r"GF\(4294967311\^2\) is too large"):
-        FFMatrix(f, 1, 1, [1])
-    with pytest.raises(ValueError, match="too large"):
-        FFMatrix.identity(f, 2)
+    # q >= 2^63 does not fit int64; refused before the primality and Rabin tests
+    with pytest.raises(ValueError, match=r"GF\(4294967311\^2\) is too large: its scalars do not fit int64"):
+        ExtField(4294967311, 2)
+    huge = (2**61 - 1) ** 2  # past the exact range of is_prime
+    with pytest.raises(ValueError, match=rf"GF\({huge}\) is too large"):
+        PrimeField(huge)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from burnside.cohomology import GroupModulePair
 from burnside.corpus import census_corpus
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.permgroup import (
+    ElementTable,
     Perm,
     PermGroup,
     is_conjugate_subgroup,
@@ -221,20 +222,23 @@ def test_subgroup_classes_bound():
 
 
 def test_oversized_product_table_fails_before_enumeration(monkeypatch):
-    def never(self, limit=None):
+    def never(*args):
         raise AssertionError("the elements were enumerated")
 
-    monkeypatch.setattr(PermGroup, "element_words", never)
+    monkeypatch.setattr(ElementTable, "__init__", never)
     # A8 has order 20160; its table of 2-byte indices takes 20160^2 * 2 bytes
     a8 = PermGroup(8, [cyc(8, (0, 1, 2)), cyc(8, (1, 2, 3, 4, 5, 6, 7))])
     with pytest.raises(ValueError, match="812851200 bytes"):
         subgroup_classes(a8, bound=30_000)
     with pytest.raises(ValueError, match="812851200 bytes"):
         is_conjugate_subgroup(a8, [Perm.identity(8)], [Perm.identity(8)])
+    for enumerate_elements in (a8.element_words, a8.elements, a8.element_table):
+        with pytest.raises(ValueError, match="20160 exceeds enumeration bound 10000"):
+            enumerate_elements()
 
 
 def test_element_images_need_no_product_table(monkeypatch):
-    def never(self, limit=None):
+    def never(self):
         raise AssertionError("the product table was built")
 
     monkeypatch.setattr(PermGroup, "multiplication_table", never)

@@ -125,7 +125,7 @@ def marks_pairwise(group, classes):
 @pytest.mark.parametrize("name,group", all_small_groups(), ids=[name for name, _ in all_small_groups()])
 def test_marks_match_pairwise_reference(name, group):
     classes = subgroup_classes(group)
-    tom = compute_tom(group, classes=classes, with_slps=False)
+    tom = compute_tom(group, classes=classes)
     assert tom.marks == marks_pairwise(group, classes)
     assert all(type(x) is int for row in tom.marks for x in row)
 
@@ -192,7 +192,7 @@ def test_search_skips_keep_the_table(name, make, bound, n, digest):
 
 def test_decompose_rows_give_unit_vectors():
     for make in (s3, a4, s4):
-        tom = compute_tom(make(), with_slps=False)
+        tom = compute_tom(make())
         for i in range(tom.n):
             expected = tuple(1 if j == i else 0 for j in range(tom.n))
             assert decompose_fixed_vector(tom, tom.row(i)) == expected
@@ -204,7 +204,7 @@ def test_decompose_known_vector():
 
 
 def test_decompose_linearity():
-    tom = compute_tom(s4(), with_slps=False)
+    tom = compute_tom(s4())
     coeffs = tuple(range(tom.n))
     fixed = [
         sum(coeffs[i] * tom.marks[i][j] for i in range(tom.n)) for j in range(tom.n)
@@ -244,7 +244,7 @@ def rational_decomposition(tom, fixed):
 @pytest.mark.parametrize("make", [s4, lambda: PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))])],
                          ids=["S4", "S5"])
 def test_decompose_matches_rational_reference(make):
-    tom = compute_tom(make(), with_slps=False)
+    tom = compute_tom(make())
     rng = random.Random(11)
     failures = 0
     for trial in range(300):
@@ -275,7 +275,7 @@ def test_decompose_length_check():
 
 
 def test_orders_of():
-    tom = compute_tom(s4(), with_slps=False)
+    tom = compute_tom(s4())
     assert orders_of(tom, [1, tom.n]) == [1, 24]
     assert orders_of(tom, []) == []
     with pytest.raises(ValueError):
