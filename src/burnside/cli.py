@@ -2,16 +2,16 @@
 
 Exit codes: 0 success, 1 usage (bad flags, inconsistent parameters),
 2 data-format errors (unreadable or malformed files, declared q not
-matching the data), 3 computation errors (bounds exceeded, non-integral
-decompositions, misaligned generators).  All stdout output is assembled
-into one string and written at the end, so identical inputs give
-byte-identical output.  Evaluation is serial; --threads is accepted for
-compatibility and changes nothing.
+matching the data, an ext-matrix modulus that is not a list of integers
+or conflicts with blowup --modulus), 3 computation errors (bounds
+exceeded, non-integral decompositions, misaligned generators).  All
+stdout output is assembled into one string and written at the end, so
+identical inputs give byte-identical output.  Evaluation is serial;
+--threads is accepted for compatibility and changes nothing.
 """
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -89,11 +89,16 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _matrix_file(path: str) -> FFMatrix:
+def _load(path: str, modulus=None):
+    """An ext-matrix JSON file (read with `modulus`) or a MeatAxe file."""
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return parse_ext_matrix(text)
-    obj = parse_meataxe(text)
+        return parse_ext_matrix(text, modulus)
+    return parse_meataxe(text)
+
+
+def _matrix_file(path: str, modulus=None) -> FFMatrix:
+    obj = _load(path, modulus)
     if not isinstance(obj, FFMatrix):
         raise DataError(f"{path}: expected a matrix file, found permutations")
     return obj
@@ -163,21 +168,7 @@ def _cmd_blowup(args) -> str:
             modulus = tuple(int(t) for t in args.modulus.split(","))
         except ValueError:
             raise UsageError("--modulus takes comma-separated integers") from None
-    text = _read(args.infile)
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        if modulus is not None:
-            stored = data.get("modulus")
-            if stored is not None and tuple(stored) != modulus:
-                raise DataError(
-                    f"{args.infile}: file modulus {stored} conflicts with --modulus"
-                )
-            data["modulus"] = list(modulus)
-        m = parse_ext_matrix(json.dumps(data))
-    else:
-        m = parse_meataxe(text)
-        if not isinstance(m, FFMatrix):
-            raise DataError(f"{args.infile}: expected a matrix file")
+    m = _matrix_file(args.infile, modulus)
     if m.field.p != args.p or m.field.k != args.k:
         raise DataError(
             f"{args.infile}: matrix is over GF({m.field.p}^{m.field.k}), "
@@ -214,15 +205,11 @@ def _cmd_slp(args) -> str:
     prog = parse_slp(_read(args.slp))
     inputs = []
     for path in args.inputs.split(","):
-        text = _read(path)
-        if text.lstrip().startswith("{"):
-            inputs.append(parse_ext_matrix(text))
+        obj = _load(path)
+        if isinstance(obj, FFMatrix):
+            inputs.append(obj)
         else:
-            obj = parse_meataxe(text)
-            if isinstance(obj, FFMatrix):
-                inputs.append(obj)
-            else:
-                inputs.extend(obj)
+            inputs.extend(obj)
     results = evaluate(prog, inputs)
     if not results:
         return ""
@@ -322,7 +309,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, DataError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (ValueError, ArithmeticError, RuntimeError) as exc:

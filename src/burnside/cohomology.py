@@ -28,6 +28,7 @@ bytes together, nothing is built.  The rank holds a reduced copy besides.
 
 import numpy as np
 
+from .census import ModuleAction
 from .ffield import row_echelon
 from .permgroup import PermGroup, check_allocation
 
@@ -51,21 +52,13 @@ class GroupModulePair:
             raise ValueError(
                 f"{len(group.generators)} group generators but {len(matrices)} matrices"
             )
-        if not matrices:
-            raise ValueError("need at least one generator matrix")
-        field = matrices[0].field
-        if field.k != 1:
+        action = ModuleAction(matrices)
+        if action.field.k != 1:
             raise ValueError("the module must be over a prime field GF(p)")
-        d = matrices[0].rows
-        for m in matrices:
-            if m.field != field or m.rows != d or m.cols != d:
-                raise ValueError("matrices must be square, equal-sized, over one field")
-            if not m.is_invertible():
-                raise ValueError("generator matrices must be invertible")
         self.group = group
-        self.field = field
-        self.p = field.p
-        self.d = d
+        self.field = action.field
+        self.p = action.field.p
+        self.d = action.d
         table = group.element_table()
         self.elements = table.perms
         self.images = table.images(matrices)

@@ -10,6 +10,7 @@ data.  Levels in scope are tiny; nothing here tries to be clever.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,11 +22,24 @@ __all__ = [
     "is_rational",
     "is_rational_integer",
     "multiplicative_order",
+    "power",
     "zeta",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def power(x, e, one, mul=operator.mul):
+    """x^e for e >= 0 by square-and-multiply from x, so x^1 takes no product; one is x^0."""
+    out = one if e == 0 else None
+    while e:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
 
 
 def prime_factors(n: int) -> list:
@@ -353,14 +367,7 @@ class Cyclotomic:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Cyclotomic.from_rational(1))
 
     # -- comparison ---------------------------------------------------
 

@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .cyclotomic import is_prime, prime_factors
+from .cyclotomic import is_prime, power, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,7 @@ class ExtField:
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return power(a, e, 1, self.mul)
 
     def inv(self, a):
         if a == 0:
@@ -362,14 +356,7 @@ class FFMatrix:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        out = FFMatrix.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, FFMatrix.identity(self.field, self.rows))
 
     def transpose(self):
         out = FFMatrix(self.field, self.cols, self.rows, self.array.T)

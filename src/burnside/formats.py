@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 
 from .chartab import CharacterRow, CharacterTable
 from .cyclotomic import Cyclotomic
@@ -53,17 +54,25 @@ class ParseError(ValueError):
         self.col = col
 
 
+@contextmanager
+def _reraise(prefix=""):
+    """Raise a ValueError of the block as a ParseError at line 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"{prefix}{exc}", 1, 1) from None
+
+
 _INT = re.compile(r"[+-]?\d+\Z")
 
 
-def _is_int(tok: str) -> bool:
-    return bool(_INT.match(tok))
-
-
-def _tokens(lines, start):
-    for lineno, line in enumerate(lines[start:], start + 1):
+def _integers(lines):
+    """(line, column, value) of each token after the header line; all must be integers."""
+    for lineno, line in enumerate(lines[1:], 2):
         for m in re.finditer(r"\S+", line):
-            yield lineno, m.start() + 1, m.group()
+            if not _INT.match(m.group()):
+                raise ParseError(f"expected an integer, found {m.group()!r}", lineno, m.start() + 1)
+            yield lineno, m.start() + 1, int(m.group())
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +92,7 @@ def parse_meataxe(text: str):
     if not lines or not lines[0].split():
         raise ParseError("missing header", 1, 1)
     head = lines[0].split()
-    if len(head) != 4 or not all(_is_int(t) for t in head):
+    if len(head) != 4 or not all(_INT.match(t) for t in head):
         raise ParseError("header must be four integers: mode q rows cols", 1, 1)
     mode, q, rows, cols = (int(t) for t in head)
     if mode not in (1, 5, 12):
@@ -94,10 +103,8 @@ def parse_meataxe(text: str):
         if q != 1:
             raise ParseError("mode 12 requires q = 1", 1, 1)
         return _parse_perms(lines, rows, cols)
-    try:
+    with _reraise():
         field = PrimeField(q)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
     if mode == 1:
         if q > 9:
             raise ParseError("mode 1 requires q <= 9", 1, 1)
@@ -128,23 +135,17 @@ def _parse_mode1(lines, field, rows, cols):
 def _parse_mode5(lines, field, rows, cols):
     need = rows * cols
     entries = []
-    for lineno, col, tok in _tokens(lines, 1):
-        if not _is_int(tok):
-            raise ParseError(f"expected an integer, found {tok!r}", lineno, col)
+    for lineno, col, v in _integers(lines):
         if len(entries) == need:
             raise ParseError("more entries than rows*cols", lineno, col)
-        entries.append(int(tok) % field.p)
+        entries.append(v % field.p)
     if len(entries) != need:
         raise ParseError(f"expected {need} entries, found {len(entries)}", len(lines), 1)
     return FFMatrix(field, rows, cols, entries)
 
 
 def _parse_perms(lines, degree, count):
-    stream = []
-    for lineno, col, tok in _tokens(lines, 1):
-        if not _is_int(tok):
-            raise ParseError(f"expected an integer, found {tok!r}", lineno, col)
-        stream.append((lineno, col, int(tok)))
+    stream = list(_integers(lines))
     if len(stream) != degree * count:
         raise ParseError(
             f"expected {degree * count} images, found {len(stream)}", len(lines), 1
@@ -173,18 +174,12 @@ def write_meataxe(obj, mode: int | None = None) -> str:
             raise ValueError("extension-field matrices use the JSON wrapper format")
         if mode is None:
             mode = 1 if field.q <= 9 else 5
-        if mode == 1:
-            if field.q > 9:
-                raise ValueError("mode 1 requires q <= 9")
-            body = [
-                "".join(str(v) for v in obj.row(i)) for i in range(obj.rows)
-            ]
-        elif mode == 5:
-            body = [
-                " ".join(str(v) for v in obj.row(i)) for i in range(obj.rows)
-            ]
-        else:
+        if mode not in (1, 5):
             raise ValueError(f"matrices cannot be written in mode {mode}")
+        if mode == 1 and field.q > 9:
+            raise ValueError("mode 1 requires q <= 9")
+        sep = "" if mode == 1 else " "
+        body = [sep.join(str(v) for v in obj.row(i)) for i in range(obj.rows)]
         head = f"{mode} {field.q} {obj.rows} {obj.cols}"
         return "\n".join([head] + body) + "\n"
     perms = list(obj)
@@ -203,11 +198,14 @@ def write_meataxe(obj, mode: int | None = None) -> str:
 # JSON helpers
 
 
-def _load_json(text):
+def _load_json(text) -> dict:
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object", 1, 1)
+    return data
 
 
 def _require(data, key, kinds, what):
@@ -222,25 +220,30 @@ def _require(data, key, kinds, what):
 # extension-field matrices (blow-up inputs)
 
 
-def parse_ext_matrix(text: str) -> FFMatrix:
+def parse_ext_matrix(text: str, modulus=None) -> FFMatrix:
     """Matrix over GF(p^k) from the JSON wrapper.
 
     Fields: p, k, rows, cols, entries (rows of coefficient lists in
-    ascending degree), optional modulus (ascending, monic, length k+1).
+    ascending degree), optional modulus (integers, ascending, monic, length
+    k+1).  Without one the `modulus` argument applies, then the default; a
+    stored modulus that is not a list of ints or differs from `modulus` is
+    a ParseError.
     """
     data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", 1, 1)
     p = _require(data, "p", int, "ext matrix")
     k = _require(data, "k", int, "ext matrix")
     rows = _require(data, "rows", int, "ext matrix")
     cols = _require(data, "cols", int, "ext matrix")
     body = _require(data, "entries", list, "ext matrix")
-    modulus = data.get("modulus")
-    try:
-        field = ExtField(p, k, tuple(modulus) if modulus is not None else None)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    stored = data.get("modulus")
+    if stored is not None:
+        if not isinstance(stored, list) or not all(isinstance(c, int) for c in stored):
+            raise ParseError("ext matrix: modulus must be a list of integers", 1, 1)
+        if modulus is not None and tuple(stored) != tuple(modulus):
+            raise ParseError(f"ext matrix: modulus {stored} conflicts with {list(modulus)}", 1, 1)
+        modulus = stored
+    with _reraise():
+        field = ExtField(p, k, None if modulus is None else tuple(modulus))
     if len(body) != rows:
         raise ParseError(f"expected {rows} entry rows, found {len(body)}", 1, 1)
     entries = []
@@ -257,10 +260,8 @@ def parse_ext_matrix(text: str) -> FFMatrix:
                     1,
                 )
             entries.append(field.from_coeffs(scalar))
-    try:
+    with _reraise():  # rows = 0 with cols < 0
         return FFMatrix(field, rows, cols, entries)
-    except ValueError as exc:  # a field whose scalars do not fit int64
-        raise ParseError(str(exc), 1, 1) from None
 
 
 def write_ext_matrix(m: FFMatrix) -> str:
@@ -289,8 +290,6 @@ def parse_tom(text: str) -> TableOfMarks:
     """Table of marks from JSON: n_classes, orders, sparse 1-based marks
     triples [i, j, m] with j <= i, and optional per-class SLP texts."""
     data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", 1, 1)
     n = _require(data, "n_classes", int, "tom")
     orders = _require(data, "orders", list, "tom")
     triples = _require(data, "marks", list, "tom")
@@ -324,10 +323,8 @@ def parse_tom(text: str) -> TableOfMarks:
         parsed = [_parse_slp_lines(s) for s in texts]
         width = max(max_input for _, _, max_input in parsed)
         slps = tuple(_slprogram(width, statements, returns) for statements, returns, _ in parsed)
-    try:
+    with _reraise("tom: "):
         return TableOfMarks(n, tuple(orders), tuple(tuple(r) for r in dense), slps)
-    except ValueError as exc:
-        raise ParseError(f"tom: {exc}", 1, 1) from None
 
 
 def write_tom(tom: TableOfMarks) -> str:
@@ -353,8 +350,6 @@ def write_tom(tom: TableOfMarks) -> str:
 
 def parse_fixed_vector(text: str) -> list:
     data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", 1, 1)
     values = _require(data, "values", list, "fixed vector")
     if not all(isinstance(v, int) for v in values):
         raise ParseError("fixed vector: values must be integers", 1, 1)
@@ -441,10 +436,8 @@ def _parse_slp_lines(text: str):
 
 
 def _slprogram(n_inputs, statements, returns) -> SLProgram:
-    try:
+    with _reraise():
         return SLProgram(n_inputs, statements, returns)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
 
 
 def write_slp(prog: SLProgram) -> str:
@@ -581,8 +574,6 @@ def parse_chartab(text: str) -> CharacterTable:
     """Character table from JSON: name, n_classes, optional class_names,
     irreducibles as rows of E(n)-expression strings, optional prime."""
     data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", 1, 1)
     name = _require(data, "name", str, "character table")
     n = _require(data, "n_classes", int, "character table")
     body = _require(data, "irreducibles", list, "character table")
@@ -609,14 +600,10 @@ def parse_chartab(text: str) -> CharacterTable:
                 values.append(parse_cyclotomic(expr))
             except ParseError as exc:
                 raise ParseError(f"row {i}, entry {j}: {exc}", 1, 1) from None
-        try:
+        with _reraise(f"character table: row {i}: "):
             rows.append(CharacterRow(tuple(values)))
-        except ValueError as exc:
-            raise ParseError(f"character table: row {i}: {exc}", 1, 1) from None
-    try:
+    with _reraise("character table: "):
         return CharacterTable(name, tuple(rows), tuple(class_names), prime)
-    except ValueError as exc:
-        raise ParseError(f"character table: {exc}", 1, 1) from None
 
 
 def write_chartab(table: CharacterTable) -> str:

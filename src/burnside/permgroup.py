@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import is_prime, prime_factors
+from .cyclotomic import is_prime, power, prime_factors
 from .ffield import _check_int64, blow_up
 
 ENUMERATION_BOUND = 10_000
@@ -103,14 +103,7 @@ class Perm:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Perm.identity(len(self.images))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Perm.identity(len(self.images)))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -427,24 +420,6 @@ class SubgroupClass:
     elements: frozenset = field(repr=False, hash=False, compare=False)
 
 
-@dataclass(frozen=True)
-class SubgroupClassList:
-    group: PermGroup
-    classes: tuple
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __getitem__(self, i):
-        return self.classes[i]
-
-    def orders(self):
-        return [c.order for c in self.classes]
-
-
 def _cyclic(table, x):
     """Indices of the powers of x, identity first."""
     powers = [0]
@@ -473,8 +448,8 @@ def _class_minima(table):
     return minima
 
 
-def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupClassList:
-    """One representative per conjugacy class of subgroups.
+def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
+    """A tuple of SubgroupClass, one per conjugacy class of subgroups.
 
     Cyclic extension: seed with the classes of prime-order cyclic subgroups,
     then repeatedly extend each representative U by normalizing elements z
@@ -619,7 +594,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> SubgroupC
         gens = tuple(perms[i] for i in c["gens"]) or (perms[0],)
         els = frozenset(perms[i] for i in c["els"].tolist())
         out.append(SubgroupClass(PermGroup(group.degree, gens), len(els), c["size"], els))
-    return SubgroupClassList(group, tuple(out))
+    return tuple(out)
 
 
 def _subgroup_indices(table, sub):

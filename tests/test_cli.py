@@ -208,6 +208,21 @@ def test_blowup_explicit_matching_modulus(capsys):
     assert out == "1 2 2 2\n01\n11\n"
 
 
+@pytest.mark.parametrize("modulus", [["a", 1, 1], 5], ids=["non-int entry", "int"])
+def test_malformed_stored_modulus_exits_2(capsys, tmp_path, modulus):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"p": 2, "k": 2, "modulus": modulus, "rows": 1, "cols": 1,
+                               "entries": [[[0, 1]]]}))
+    for argv in (
+        ["blowup", "--in", str(src), "--p", "2", "--k", "2"],
+        ["census", "tom", "--tom", p("s3.tom.json"), "--gens", f"{src},{src}", "--q", "4"],
+        ["blowup", "--in", str(src), "--p", "2", "--k", "2", "--modulus", "1,1,1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "modulus must be a list of integers" in err
+
+
 def test_blowup_unrepresentable_field_exits_2(capsys, tmp_path):
     src = tmp_path / "big.json"
     src.write_text('{"p": 4294967311, "k": 2, "rows": 1, "cols": 1, "entries": [[[0, 1]]]}')

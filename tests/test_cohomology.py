@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from burnside import cohomology
+from burnside.census import ModuleAction
 from burnside.cohomology import (
     GroupModulePair,
     delta1_matrix,
@@ -267,6 +268,25 @@ def test_rejects_bad_modules():
     f = PrimeField(2)
     with pytest.raises(ValueError, match="invertible"):
         GroupModulePair(c2, [FFMatrix.zero(f, 1, 1)])
+
+
+_F2, _F3 = PrimeField(2), PrimeField(3)
+
+
+@pytest.mark.parametrize("mats", [
+    [FFMatrix.zero(_F2, 2, 3), FFMatrix.identity(_F2, 2)],
+    [FFMatrix.identity(_F2, 2), FFMatrix.identity(_F2, 3)],
+    [FFMatrix.identity(_F2, 2), FFMatrix.identity(_F3, 2)],
+    [FFMatrix.identity(_F2, 2), FFMatrix.zero(_F2, 2, 2)],
+], ids=["non-square", "unequal sizes", "mixed fields", "singular"])
+@pytest.mark.parametrize("build", [
+    ModuleAction,
+    lambda mats: GroupModulePair(PermGroup(4, [Perm.from_cycles(4, [(0, 1)]),
+                                               Perm.from_cycles(4, [(2, 3)])]), mats),
+], ids=["ModuleAction", "GroupModulePair"])
+def test_generator_matrix_validators(build, mats):
+    with pytest.raises(ValueError, match="square|fields|invertible"):
+        build(mats)
 
 
 def elementary_abelian_2(rank):

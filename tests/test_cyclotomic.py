@@ -6,6 +6,7 @@ exp(2*pi*i/n), a route with no shared code whatsoever.
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -21,9 +22,12 @@ from burnside.cyclotomic import (
     is_rational,
     is_rational_integer,
     multiplicative_order,
+    power,
     prime_factors,
     zeta,
 )
+from burnside.ffield import ExtField, FFMatrix, PrimeField
+from burnside.permgroup import Perm
 
 
 def as_complex(x: Cyclotomic) -> complex:
@@ -224,3 +228,24 @@ def test_string_forms():
     assert str(Cyclotomic.from_rational(Fraction(3, 2))) == "3/2"
     assert str(Fraction(1, 2) * zeta(5, 2)) == "1/2*E(5)^2"
     assert str(1 + zeta(7) - zeta(7, 3)) == "1+E(7)-E(7)^3"
+
+
+def test_power_is_repeated_multiplication():
+    # power behind Perm, FFMatrix and Cyclotomic ** and ExtField.pow, e in -20..20
+    f9 = ExtField(3, 2)
+    perm = Perm.from_cycles(7, [(0, 1, 2), (3, 4, 5, 6)])
+    mat = FFMatrix.from_rows(PrimeField(3), [[1, 1, 0], [0, 1, 2], [2, 0, 1]])
+    cyc = zeta(5) + 2
+    cases = [
+        (perm, perm.inverse(), Perm.identity(7), operator.mul, operator.pow),
+        (mat, mat.inverse(), FFMatrix.identity(mat.field, 3), operator.mul, operator.pow),
+        (cyc, cyc.inverse(), Cyclotomic.from_rational(1), operator.mul, operator.pow),
+        (5, f9.inv(5), 1, f9.mul, f9.pow),
+    ]
+    for x, x_inv, one, mul, pw in cases:
+        for base, sign in ((x, 1), (x_inv, -1)):
+            acc = one
+            for e in range(21):
+                assert power(base, e, one, mul) == acc
+                assert pw(x, sign * e) == acc
+                acc = mul(acc, base)

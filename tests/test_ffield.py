@@ -498,6 +498,21 @@ def test_inverse_round_trip():
         FFMatrix.zero(GF2, 2, 2).inverse()
 
 
+def test_matrix_power_product_count(monkeypatch):
+    # square-and-multiply from m itself: m^(2^j) takes j products
+    calls = []
+    mul = FFMatrix.__mul__
+    monkeypatch.setattr(FFMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    m = FFMatrix.from_rows(GF2, [[0, 1], [1, 1]])
+    for e, products in ((0, 0), (1, 0), (2, 1), (4, 2), (16, 4)):
+        calls.clear()
+        m**e
+        assert len(calls) == products, e
+    calls.clear()
+    ExtField(2, 2, (1, 1, 1))  # Z^4 and Z^2 for Rabin's test, Z^1 for _zpow
+    assert len(calls) == 4
+
+
 def test_matrix_power():
     m = FFMatrix.from_rows(GF2, [[0, 1], [1, 1]])
     assert m**0 == FFMatrix.identity(GF2, 2)

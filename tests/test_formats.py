@@ -166,6 +166,20 @@ def test_ext_matrix_rejects():
         write_ext_matrix(FFMatrix.identity(GF2, 1))
 
 
+def test_ext_matrix_passed_modulus():
+    bare = '{"p": 2, "k": 2, "rows": 1, "cols": 1, "entries": [[[0, 1]]]}'
+    assert parse_ext_matrix(bare, (1, 1, 1)).field.modulus == (1, 1, 1)
+    stored = '{"p": 3, "k": 2, "modulus": [2, 2, 1], "rows": 1, "cols": 1, "entries": [[[1]]]}'
+    assert parse_ext_matrix(stored, (2, 2, 1)).field.modulus == (2, 2, 1)
+    with pytest.raises(ParseError, match="conflicts"):
+        parse_ext_matrix(stored, (2, 1, 1))
+    for bad in ('"x"', "5", '[1, "a", 1]', "[1, 1.0, 1]", '{"c": 1}'):
+        with pytest.raises(ParseError, match="modulus must be a list of integers"):
+            parse_ext_matrix(bare.replace('"rows"', f'"modulus": {bad}, "rows"'))
+    with pytest.raises(ParseError):  # a shape numpy cannot take
+        parse_ext_matrix('{"p": 2, "k": 2, "rows": 0, "cols": -1, "entries": []}')
+
+
 def test_ext_matrix_over_an_unrepresentable_field_is_a_parse_error():
     # GF(p^2) with q >= 2^63: its scalars do not fit int64
     text = '{"p": 4294967311, "k": 2, "rows": 1, "cols": 1, "entries": [[[1, 1]]]}'

@@ -174,19 +174,19 @@ def test_orbit_stabilizer():
 def test_subgroup_classes_c2():
     g = PermGroup(2, [cyc(2, (0, 1))])
     cl = subgroup_classes(g)
-    assert cl.orders() == [1, 2]
+    assert [c.order for c in cl] == [1, 2]
     assert [c.size for c in cl] == [1, 1]
 
 
 def test_subgroup_classes_s3():
     cl = subgroup_classes(s3())
-    assert cl.orders() == [1, 2, 3, 6]
+    assert [c.order for c in cl] == [1, 2, 3, 6]
     assert [c.size for c in cl] == [1, 3, 1, 1]
 
 
 def test_subgroup_classes_a4():
     cl = subgroup_classes(a4())
-    assert cl.orders() == [1, 2, 3, 4, 12]
+    assert [c.order for c in cl] == [1, 2, 3, 4, 12]
 
 
 def test_subgroup_classes_match_lattice_oracle():
@@ -208,8 +208,8 @@ def test_subgroup_classes_include_perfect_subgroup_of_s5():
     cl = subgroup_classes(g)
     sixty = [c for c in cl if c.order == 60]
     assert len(sixty) == 1
-    assert cl.orders()[0] == 1
-    assert cl.orders()[-1] == 120
+    assert cl[0].order == 1
+    assert cl[-1].order == 120
     # every subgroup representative really is a subgroup
     for c in cl:
         assert len(mulclose(c.subgroup.generators, 5)) == c.order
