@@ -246,7 +246,11 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
 
 
 def _classify_stabilizer(group, classes, stab):
-    """Position of the class of the subgroup stab (a frozenset of Perms)."""
+    """Position of the class of the subgroup stab, given by its element indices.
+
+    The indices are those of group.multiplication_table(), as in the classes;
+    a class whose order ties with another is tested by is_conjugate_subgroup.
+    """
     candidates = [i for i, c in enumerate(classes) if c.order == len(stab)]
     for i in candidates:
         if len(candidates) == 1 or is_conjugate_subgroup(group, stab, classes[i].elements)[0]:
@@ -340,8 +344,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
         for column in fixes.T:
             key = column.tobytes()
             if key not in class_of:
-                stab = frozenset(table.perms[i] for i in np.flatnonzero(column))
-                class_of[key] = _classify_stabilizer(group, classes, stab)
+                class_of[key] = _classify_stabilizer(group, classes, np.flatnonzero(column))
             counts[class_of[key]] += 1
 
     # x = (lo, hi) is fixed by g when lo * A_top = -hi * A_bottom for
@@ -355,7 +358,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     fixed = []
     for c in classes:
         ids = np.zeros(len(sides), dtype=np.int64)
-        for g in table.subset(c.subgroup.generators):
+        for g in c.generators:
             if g not in codes:
                 codes[g] = sides @ (duals[g] - ident) % p @ weights
             ids = np.unique(ids * space + codes[g], return_inverse=True)[1]

@@ -40,10 +40,9 @@ class GroupModulePair:
     words.  That extension only makes sense when the generator images
     actually define a homomorphism, so construction checks
     action(x) * action(g) = action(x * g) for every element x and every
-    generator g, which covers all defining relations of the group.
-    images[i] is the d x d integer matrix (mod p) of elements[i], the i-th
-    element in sorted order; elements[0] is the identity; gens[k] is the
-    matrix of generator k.
+    generator g, which covers all defining relations of the group.  The
+    pair keeps what the cohomology reads: order, the group order, and
+    gens[k], the d x d integer matrix (mod p) of generator k.
     """
 
     def __init__(self, group: PermGroup, matrices):
@@ -59,15 +58,14 @@ class GroupModulePair:
         self.field = action.field
         self.p = action.field.p
         self.d = action.d
-        table = group.element_table()
-        self.elements = table.perms
-        self.images = table.images(matrices)
+        group.element_table().images(matrices)  # the homomorphism check
+        self.order = group.order()
         self.gens = np.stack([m.array for m in matrices])
 
 
 def _check_size(pair, blocks, name):
     """Refuse F and the constraint rows of _tree_system above the byte bound."""
-    n, r, d = len(pair.elements), len(pair.gens), pair.d
+    n, r, d = pair.order, len(pair.gens), pair.d
     unknowns = blocks * r * d
     check_allocation(f"the {name} word-tree system on {unknowns} unknowns",
                      8 * blocks * d * unknowns * (n * r + 1))
@@ -82,7 +80,7 @@ def _tree_system(pair, blocks, add_units):
     unknowns' part of that step to out in place.
     """
     table, d, p = pair.group.element_table(), pair.d, pair.p
-    F = np.zeros((blocks, len(pair.elements), d, blocks * len(pair.gens) * d), dtype=np.int64)
+    F = np.zeros((blocks, pair.order, d, blocks * len(pair.gens) * d), dtype=np.int64)
 
     def step(i, k):
         out = np.matmul(pair.gens[k].T, F[:, i])  # (F^x)_t = sum_a F_a x[a, t]
@@ -121,7 +119,7 @@ def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
     i-th nonidentity element, at every nonidentity g and generator x.  Its
     row space is B^2 restricted to the unknowns of delta2_matrix.
     """
-    m, r, d = len(pair.elements) - 1, len(pair.gens), pair.d
+    m, r, d = pair.order - 1, len(pair.gens), pair.d
     # positions among the nonidentity elements; the identity is at -1
     right = np.array(pair.group.element_table().right, dtype=np.intp) - 1
     g, k = (a.ravel() for a in np.indices((m, r)))
@@ -144,7 +142,7 @@ def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
     outside the tree, for each g != 1.
     """
     mul = pair.group.multiplication_table().mul[1:].astype(np.intp) - 1  # as in delta1_matrix
-    m, r, d = len(pair.elements) - 1, len(pair.gens), pair.d
+    m, r, d = pair.order - 1, len(pair.gens), pair.d
     g, t = np.arange(m), np.arange(d)
 
     def add_units(out, i, k):
@@ -159,7 +157,7 @@ def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
 
 def h2_dimension(pair: GroupModulePair) -> int:
     """dim Z^2 - dim B^2 on the word-tree unknowns, by two GF(p) ranks."""
-    unknowns = _check_size(pair, len(pair.elements) - 1, "H^2")
+    unknowns = _check_size(pair, pair.order - 1, "H^2")
     z2 = unknowns - len(row_echelon(delta2_matrix(pair), pair.p)[1])
     return z2 - len(row_echelon(delta1_matrix(pair), pair.p)[1])
 
@@ -167,7 +165,7 @@ def h2_dimension(pair: GroupModulePair) -> int:
 def splits_implies(pair: GroupModulePair, h2dim: int) -> str:
     """Verdict text for a computed H^2 dimension."""
     head = (
-        f"group of order {len(pair.elements)} on a {pair.d}-dimensional "
+        f"group of order {pair.order} on a {pair.d}-dimensional "
         f"GF({pair.p}) module: dim H^2 = {h2dim}"
     )
     if h2dim == 0:

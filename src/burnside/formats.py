@@ -208,10 +208,15 @@ def _load_json(text) -> dict:
     return data
 
 
-def _require(data, key, kinds, what):
+def _is_int(x) -> bool:
+    """A JSON integer; json.loads reads true and false as bool, an int subclass."""
+    return type(x) is int
+
+
+def _require(data, key, kind, what):
     if key not in data:
         raise ParseError(f"{what}: missing field {key!r}", 1, 1)
-    if not isinstance(data[key], kinds):
+    if not (_is_int(data[key]) if kind is int else isinstance(data[key], kind)):
         raise ParseError(f"{what}: field {key!r} has the wrong type", 1, 1)
     return data[key]
 
@@ -237,7 +242,7 @@ def parse_ext_matrix(text: str, modulus=None) -> FFMatrix:
     body = _require(data, "entries", list, "ext matrix")
     stored = data.get("modulus")
     if stored is not None:
-        if not isinstance(stored, list) or not all(isinstance(c, int) for c in stored):
+        if not isinstance(stored, list) or not all(map(_is_int, stored)):
             raise ParseError("ext matrix: modulus must be a list of integers", 1, 1)
         if modulus is not None and tuple(stored) != tuple(modulus):
             raise ParseError(f"ext matrix: modulus {stored} conflicts with {list(modulus)}", 1, 1)
@@ -251,9 +256,7 @@ def parse_ext_matrix(text: str, modulus=None) -> FFMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"entry row {i + 1} must be a list of {cols} scalars", 1, 1)
         for j, scalar in enumerate(row):
-            if not isinstance(scalar, list) or len(scalar) > k or not all(
-                isinstance(c, int) for c in scalar
-            ):
+            if not isinstance(scalar, list) or len(scalar) > k or not all(map(_is_int, scalar)):
                 raise ParseError(
                     f"entry ({i + 1},{j + 1}) must be a coefficient list of length <= {k}",
                     1,
@@ -295,12 +298,12 @@ def parse_tom(text: str) -> TableOfMarks:
     triples = _require(data, "marks", list, "tom")
     if n < 1:
         raise ParseError("tom: n_classes must be positive", 1, 1)
-    if len(orders) != n or not all(isinstance(o, int) for o in orders):
+    if len(orders) != n or not all(map(_is_int, orders)):
         raise ParseError(f"tom: orders must be {n} integers", 1, 1)
     dense = [[0] * n for _ in range(n)]
     seen = set()
     for t in triples:
-        if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t)):
+        if not (isinstance(t, list) and len(t) == 3 and all(map(_is_int, t))):
             raise ParseError(f"tom: marks entry {t!r} is not an [i, j, m] triple", 1, 1)
         i, j, m = t
         if not 1 <= i <= n or not 1 <= j <= n:
@@ -351,7 +354,7 @@ def write_tom(tom: TableOfMarks) -> str:
 def parse_fixed_vector(text: str) -> list:
     data = _load_json(text)
     values = _require(data, "values", list, "fixed vector")
-    if not all(isinstance(v, int) for v in values):
+    if not all(map(_is_int, values)):
         raise ParseError("fixed vector: values must be integers", 1, 1)
     return values
 
@@ -584,7 +587,7 @@ def parse_chartab(text: str) -> CharacterTable:
     ):
         raise ParseError("character table: class_names must be strings", 1, 1)
     prime = data.get("prime")
-    if prime is not None and not isinstance(prime, int):
+    if prime is not None and not _is_int(prime):
         raise ParseError("character table: prime must be an integer", 1, 1)
     rows = []
     for i, row in enumerate(body, 1):

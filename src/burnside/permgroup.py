@@ -16,6 +16,9 @@ words and the index of every product with a generator.  The n x n product
 table with inverses is filled in from those on first use, along the
 breadth-first tree, at two bytes an entry; a table over SYSTEM_BYTES_BOUND
 bytes (order above 11585) is refused before any element is enumerated.
+Subgroup classes and the subgroup-conjugacy test speak the same indices: a
+subgroup is the sorted array of its element indices, and element i is the
+Perm table.perms[i].
 
 Permutations act on 0-based points and compose left to right: (p*q)(x) =
 q(p(x)), matching the convention used for row-vector matrix actions so that
@@ -238,13 +241,6 @@ class ElementTable:
                 return None
         return np.flatnonzero(np.frombuffer(inside, dtype=np.uint8))
 
-    def subset(self, perms):
-        """Indices of a collection of group elements."""
-        try:
-            return [self.index[x] for x in perms]
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} is not an element of the group") from None
-
 
 class PermGroup:
     """Group generated by permutations; caches are lazily built."""
@@ -414,10 +410,17 @@ def minimal_generators(elements):
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    subgroup: PermGroup
+    """One conjugacy class of subgroups, by indices into group.multiplication_table().
+
+    elements holds the sorted element indices of one representative U,
+    generators the element indices that generate U (empty for the trivial
+    class), and size the number of distinct conjugates of U.
+    """
+
     order: int
     size: int
-    elements: frozenset = field(repr=False, hash=False, compare=False)
+    elements: np.ndarray = field(repr=False, compare=False)
+    generators: tuple
 
 
 def _cyclic(table, x):
@@ -519,7 +522,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         return c
 
     def generators_of(h):
-        return table.subset(minimal_generators([table.perms[i] for i in h]))
+        return [table.index[x] for x in minimal_generators([table.perms[i] for i in h])]
 
     add(np.array([0]), ())
     queue = []
@@ -588,34 +591,20 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         add(full, generators_of(full))
 
     classes.sort(key=lambda c: (len(c["els"]), c["key"]))
-    perms = table.perms
-    out = []
-    for c in classes:
-        gens = tuple(perms[i] for i in c["gens"]) or (perms[0],)
-        els = frozenset(perms[i] for i in c["els"].tolist())
-        out.append(SubgroupClass(PermGroup(group.degree, gens), len(els), c["size"], els))
-    return tuple(out)
-
-
-def _subgroup_indices(table, sub):
-    """(element indices, generator indices) of a PermGroup or a subgroup's elements."""
-    gens = table.subset(sub.generators if isinstance(sub, PermGroup) else sub)
-    return table.closure(gens), gens
+    return tuple(SubgroupClass(len(c["els"]), c["size"], c["els"], c["gens"]) for c in classes)
 
 
 def is_conjugate_subgroup(group: PermGroup, u, v):
-    """(found, witness): witness g satisfies g^-1 u g = v when found.
+    """(found, g): g is the least element index with g^-1 u g = v when found.
 
-    u and v may be PermGroups or plain collections of permutations, all
-    inside `group`; exhaustive over the elements of `group`, and the witness
-    is the least one in sorted order.
+    u and v are the elements of two subgroups of `group`, as collections of
+    indices into group.multiplication_table(); exhaustive over the elements
+    of `group`.
     """
     table = group.multiplication_table()
-    u_els, u_gens = _subgroup_indices(table, u)
-    v_els, _ = _subgroup_indices(table, v)
     in_v = np.zeros(len(table.perms), dtype=bool)
-    in_v[v_els] = True
-    hits = np.flatnonzero(in_v[table.conjugates(u_gens)].all(axis=1))
-    if len(u_els) != len(v_els) or not len(hits):
+    in_v[np.asarray(v, dtype=np.intp)] = True
+    hits = np.flatnonzero(in_v[table.conjugates(u)].all(axis=1))
+    if len(u) != len(v) or not len(hits):
         return False, None
-    return True, table.perms[hits[0]]
+    return True, int(hits[0])

@@ -90,9 +90,9 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> 
     check_allocation(f"the membership table of {n} classes in {size} elements", n * size)
     in_u = np.zeros((n, size), dtype=bool)
     for i, ci in enumerate(classes):
-        in_u[i, table.subset(ci.elements)] = True
+        in_u[i, ci.elements] = True
     # conjugates of each class's generators by every element of G
-    conj = [table.conjugates(table.subset(c.subgroup.generators)) for c in classes]
+    conj = [table.conjugates(c.generators) for c in classes]
     rows = [[0] * n for _ in range(n)]
     for j in range(n):
         below = j + np.flatnonzero(orders[j:] % orders[j] == 0)
@@ -103,11 +103,11 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> 
     for i in range(n):  # in place, so the lists and the tuples never all coexist
         rows[i] = tuple(rows[i])
 
-    words = table.words
+    words, perms = table.words, table.perms
     m = max(1, len(group.generators))
     slps = []
     for ci in classes:
-        gen_words = [tuple(idx + 1 for idx in words[g]) for g in ci.subgroup.generators if not g.is_identity()]
+        gen_words = [tuple(idx + 1 for idx in words[perms[g]]) for g in ci.generators]
         slps.append(SLProgram.from_words(m, gen_words))
 
     return TableOfMarks(n, tuple(c.order for c in classes), tuple(rows), tuple(slps))

@@ -153,6 +153,12 @@ def all_small_groups():
     return groups
 
 
+def perms_of(group, indices):
+    """The elements of the group at the given element indices, as Perms."""
+    perms = group.element_table().perms
+    return frozenset(perms[i] for i in indices)
+
+
 def iso_invariant(group):
     """A tuple that distinguishes all isomorphism types of order <= 16."""
     els = group.elements()

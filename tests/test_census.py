@@ -648,13 +648,13 @@ def word_fixed_counts(group, action, classes):
     codes = np.arange(q**d, dtype=np.int64)
     vectors = FFMatrix(action.field, q**d, d, codes[:, None] // weights % q)
     perms = [(vectors * m.transpose().inverse()).array @ weights for m in action.matrices]
-    words = group.element_words()
+    words, elements = group.element_words(), group.element_table().perms
     counts = []
     for c in classes:
         fixed = np.ones(q**d, dtype=bool)
-        for g in c.subgroup.generators:
+        for g in c.generators:
             image = codes
-            for k in words[g]:
+            for k in words[elements[g]]:
                 image = perms[k][image]
             fixed &= image == codes
         counts.append(int(fixed.sum()))

@@ -181,6 +181,14 @@ def test_tom_decompose(capsys, tmp_path):
     assert "inconsistent fixed vector" in err
 
 
+def test_tom_decompose_boolean_values_exit_2(capsys, tmp_path):
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text('{"values": [true, false, false, false]}\n')
+    code, out, err = run(capsys, "tom", "decompose", "--tom", p("s3.tom.json"), "--fixed", str(fixed))
+    assert code == 2 and out == ""
+    assert "values must be integers" in err
+
+
 # ------------------------------------------------------------- blowup ----
 
 
@@ -199,6 +207,14 @@ def test_blowup_validation(capsys):
     code, _, err = run(capsys, "blowup", "--in", p("c2.mod.mtx"), "--p", "2", "--k", "1",
                        "--modulus", "1,1")
     assert code == 1
+
+
+def test_blowup_boolean_shape_exits_2(capsys, tmp_path):
+    src = tmp_path / "m.json"
+    src.write_text(Path(p("gf4gen.json")).read_text().replace('"rows": 1', '"rows": true'))
+    code, out, err = run(capsys, "blowup", "--in", str(src), "--p", "2", "--k", "2")
+    assert code == 2 and out == ""
+    assert "field 'rows' has the wrong type" in err
 
 
 def test_blowup_explicit_matching_modulus(capsys):

@@ -403,6 +403,27 @@ def test_expr_rejects():
     assert info.value.col == 3
 
 
+BOOLEAN_INTEGERS = [
+    (parse_ext_matrix, '{"p": 2, "k": 2, "rows": true, "cols": 1, "entries": [[[0, 1]]]}'),
+    (parse_ext_matrix, '{"p": 2, "k": true, "rows": 1, "cols": 1, "entries": [[[1]]]}'),
+    (parse_ext_matrix, '{"p": 2, "k": 2, "modulus": [1, true, 1], "rows": 1, "cols": 1, "entries": [[[1]]]}'),
+    (parse_ext_matrix, '{"p": 2, "k": 2, "rows": 1, "cols": 1, "entries": [[[false, true]]]}'),
+    (parse_tom, '{"n_classes": true, "orders": [1], "marks": [[1, 1, 1]]}'),
+    (parse_tom, '{"n_classes": 1, "orders": [true], "marks": [[1, 1, 1]]}'),
+    (parse_tom, '{"n_classes": 1, "orders": [1], "marks": [[1, 1, true]]}'),
+    (parse_fixed_vector, '{"values": [true, false, false, false]}'),
+    (parse_chartab, '{"name": "t", "n_classes": true, "irreducibles": [["1"]]}'),
+]
+
+
+@pytest.mark.parametrize("parse,text", BOOLEAN_INTEGERS)
+def test_json_booleans_are_not_integers(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+    # the same file with integers in their place parses
+    parse(text.replace("true", "1").replace("false", "0"))
+
+
 # ---------------------------------------------------------------------------
 # character tables
 

@@ -23,6 +23,7 @@ from burnside.permgroup import (
     mulclose,
     subgroup_classes,
 )
+from smallgroups import all_small_groups, perms_of
 from test_census import psl2_9_sym2, sl2_on_projective_line
 from test_ffield import random_matrix
 
@@ -199,8 +200,9 @@ def test_subgroup_classes_match_lattice_oracle():
         assert len(cl) == len(parts)
         assert sorted(c.order for c in cl) == sorted(len(p[0]) for p in parts)
         for c in cl:
-            assert c.elements in subs
-            assert c.size == next(len(p) for p in parts if c.elements in p)
+            u = perms_of(g, c.elements)
+            assert u in subs
+            assert c.size == next(len(p) for p in parts if u in p)
 
 
 def test_subgroup_classes_include_perfect_subgroup_of_s5():
@@ -212,7 +214,7 @@ def test_subgroup_classes_include_perfect_subgroup_of_s5():
     assert cl[-1].order == 120
     # every subgroup representative really is a subgroup
     for c in cl:
-        assert len(mulclose(c.subgroup.generators, 5)) == c.order
+        assert len(mulclose(perms_of(g, c.generators), 5)) == c.order
 
 
 def test_subgroup_classes_bound():
@@ -231,7 +233,7 @@ def test_oversized_product_table_fails_before_enumeration(monkeypatch):
     with pytest.raises(ValueError, match="812851200 bytes"):
         subgroup_classes(a8, bound=30_000)
     with pytest.raises(ValueError, match="812851200 bytes"):
-        is_conjugate_subgroup(a8, [Perm.identity(8)], [Perm.identity(8)])
+        is_conjugate_subgroup(a8, [0], [0])
     for enumerate_elements in (a8.element_words, a8.elements, a8.element_table):
         with pytest.raises(ValueError, match="20160 exceeds enumeration bound 10000"):
             enumerate_elements()
@@ -320,7 +322,8 @@ def test_class_elements_are_subgroups_and_sizes_divide():
     n = g.order()
     for c in cl:
         assert n % c.order == 0
-        assert frozenset(mulclose(minimal_generators(c.elements), 4)) == c.elements
+        u = perms_of(g, c.elements)
+        assert frozenset(mulclose(minimal_generators(u), 4)) == u
 
 
 def a7():
@@ -346,7 +349,7 @@ def test_closure_of_no_generators_is_the_identity():
 
 def test_closure_cap_is_inclusive():
     table = s4().multiplication_table()
-    gens = table.subset([cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])  # A4
+    gens = [table.index[cyc(4, (0, 1, 2))], table.index[cyc(4, (0, 1), (2, 3))]]  # A4
     a4_els = table.closure(gens)
     assert len(a4_els) == 12
     assert table.closure(gens, cap=12).tolist() == a4_els.tolist()
@@ -357,27 +360,58 @@ def test_closure_cap_is_inclusive():
 # conjugacy of subgroups
 
 
+def indices(group, perms):
+    table = group.multiplication_table()
+    return sorted(table.index[x] for x in perms)
+
+
 def test_conjugate_self_identity_witness():
     g = s3()
-    u = PermGroup(3, [cyc(3, (0, 1))])
-    ok, w = is_conjugate_subgroup(g, u, u)
-    assert ok
-    assert w.is_identity()
+    u = indices(g, [Perm.identity(3), cyc(3, (0, 1))])
+    assert is_conjugate_subgroup(g, u, u) == (True, 0)
 
 
 def test_point_stabilizers_conjugate_in_s3():
     g = s3()
     u = [Perm.identity(3), cyc(3, (1, 2))]  # stabilizer of 0
     v = [Perm.identity(3), cyc(3, (0, 2))]  # stabilizer of 1
-    ok, w = is_conjugate_subgroup(g, u, v)
+    ok, w = is_conjugate_subgroup(g, indices(g, u), indices(g, v))
     assert ok
-    winv = w.inverse()
-    assert {winv * x * w for x in u} == set(v)
+    w = g.multiplication_table().perms[w]
+    assert {w.inverse() * x * w for x in u} == set(v)
 
 
 def test_nonconjugate_order2_subgroups_in_s4():
     g = s4()
     u = [Perm.identity(4), cyc(4, (0, 1), (2, 3))]
     v = [Perm.identity(4), cyc(4, (0, 1))]
-    ok, w = is_conjugate_subgroup(g, u, v)
-    assert not ok and w is None
+    assert is_conjugate_subgroup(g, indices(g, u), indices(g, v)) == (False, None)
+
+
+def test_conjugacy_tells_apart_the_classes_of_s4_by_least_witness():
+    g = s4()
+    table = g.multiplication_table()
+    cl = subgroup_classes(g)
+    assert [c.order for c in cl if c.order in (2, 4)] == [2, 2, 4, 4, 4]
+    for a in cl:
+        u = perms_of(g, a.elements)
+        for b in cl:
+            for v in np.sort(table.conjugates(b.elements), axis=1):  # every conjugate of b
+                found, w = is_conjugate_subgroup(g, a.elements, v)
+                assert found == (a is b)
+                if found:
+                    target = perms_of(g, v)
+                    assert w == min(i for i, x in enumerate(table.perms)
+                                    if frozenset(x.inverse() * y * x for y in u) == target)
+                else:
+                    assert w is None
+
+
+@pytest.mark.parametrize("name,group", all_small_groups(), ids=[name for name, _ in all_small_groups()])
+def test_class_indices_are_consistent(name, group):
+    table = group.multiplication_table()
+    for c in subgroup_classes(group):
+        assert table.closure(c.generators).tolist() == c.elements.tolist()
+        assert len(c.elements) == c.order
+        conjugates = np.sort(table.conjugates(c.elements), axis=1)
+        assert len(np.unique(conjugates, axis=0)) == c.size

@@ -22,7 +22,7 @@ from burnside.tom import (
     decompose_fixed_vector,
     orders_of,
 )
-from smallgroups import all_small_groups
+from smallgroups import all_small_groups, perms_of
 
 
 def cyc(degree, *cycles):
@@ -62,7 +62,8 @@ def marks_oracle(group, classes):
     rows = []
     for ci in classes:
         rows.append(
-            tuple(fixed_cosets_oracle(group, ci.elements, cj.elements) for cj in classes)
+            tuple(fixed_cosets_oracle(group, perms_of(group, ci.elements), perms_of(group, cj.elements))
+                  for cj in classes)
         )
     return rows
 
@@ -109,11 +110,11 @@ def test_marks_match_coset_oracle(make):
 def marks_pairwise(group, classes):
     """Marks by one membership test per pair of classes (i, j), j <= i."""
     table = group.multiplication_table()
-    conj = [table.conjugates(table.subset(c.subgroup.generators)) for c in classes]
+    conj = [table.conjugates(c.generators) for c in classes]
     rows = []
     for i, ci in enumerate(classes):
         in_u = np.zeros(len(table.perms), dtype=bool)
-        in_u[table.subset(ci.elements)] = True
+        in_u[ci.elements] = True
         row = [0] * len(classes)
         for j in range(i + 1):
             if ci.order % classes[j].order == 0:
@@ -136,11 +137,8 @@ def test_diagonal_counts_normalizer_cosets():
     tom = compute_tom(group, classes=classes)
     els = group.elements()
     for i, ci in enumerate(classes):
-        nrm = sum(
-            1
-            for g in els
-            if frozenset(g.inverse() * x * g for x in ci.elements) == ci.elements
-        )
+        u = perms_of(group, ci.elements)
+        nrm = sum(1 for g in els if frozenset(g.inverse() * x * g for x in u) == u)
         assert tom.marks[i][i] == nrm // ci.order
 
 
@@ -292,7 +290,7 @@ def test_slps_replay_subgroup_generators():
     for ci, prog in zip(classes, tom.slps):
         images = evaluate(prog, list(group.generators))
         closure = mulclose(images + [Perm.identity(group.degree)], group.degree)
-        assert frozenset(closure) == ci.elements
+        assert frozenset(closure) == perms_of(group, ci.elements)
 
 
 def test_table_validation():
