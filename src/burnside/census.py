@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FFMatrix
+from .ffield import FFMatrix, matmul_mod
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, subgroup_classes
 from .slp import SLProgram, combine, evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
@@ -304,7 +304,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     # the sum mod p of the rows (lo, 0) * dual k and (0, hi) * dual k.  A sum
     # of two residues fits the smallest unsigned type that holds 2p - 2
     small = np.min_scalar_type(2 * p - 2)
-    tables = (sides @ duals[table.right[0]] % p).astype(small)
+    tables = matmul_mod(sides, duals[table.right[0]], p).astype(small)
     top, bottom = tables[:, :lows], tables[:, lows:]
     weights = p ** np.arange(n, dtype=np.int64)
     perms = np.empty((gens, space), dtype=np.int64)
@@ -360,7 +360,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
         ids = np.zeros(len(sides), dtype=np.int64)
         for g in c.generators:
             if g not in codes:
-                codes[g] = sides @ (duals[g] - ident) % p @ weights
+                codes[g] = matmul_mod(sides, duals[g] - ident, p) @ weights
             ids = np.unique(ids * space + codes[g], return_inverse=True)[1]
         left, right = (np.bincount(i, minlength=len(ids)) for i in np.split(ids, [lows]))
         fixed.append(int(left @ right))

@@ -80,6 +80,14 @@ def _check_prime_power(q: int) -> None:
         raise UsageError(f"q = {q} is not a prime power")
 
 
+def _check_prime(p: int) -> None:
+    # a usage error, before any file is read, as for census --q
+    if p >= 2**63:
+        raise UsageError(f"p = {p} is too large: field scalars must fit int64 (p < 2^63)")
+    if not is_prime(p):
+        raise UsageError(f"p = {p} is not a prime")
+
+
 def _note(args, msg):
     if args.verbose:
         print(msg, file=sys.stderr)
@@ -111,12 +119,12 @@ def _perm_group(path: str) -> PermGroup:
     return PermGroup(obj[0].degree, obj)
 
 
-def _gen_matrices(pathlist: str, q: int):
+def _gen_matrices(pathlist: str, q: int, flag: str = "q"):
     paths = pathlist.split(",")
     mats = [_matrix_file(p) for p in paths]
     for path, m in zip(paths, mats):
         if m.field.q != q:
-            raise DataError(f"{path}: matrix is over GF({m.field.q}), declared q = {q}")
+            raise DataError(f"{path}: matrix is over GF({m.field.q}), declared {flag} = {q}")
         if m.field != mats[0].field:
             raise DataError("generator matrices live over different fields")
     return mats
@@ -179,11 +187,12 @@ def _cmd_blowup(args) -> str:
 
 
 def _cmd_h2(args) -> str:
+    _check_prime(args.p)
     group = _perm_group(args.perm)
-    mats = _gen_matrices(args.mod, args.p)
+    mats = _gen_matrices(args.mod, args.p, "p")
     pair = GroupModulePair(group, mats)
     _note(args, f"group of order {group.order()}, module GF({pair.p})^{pair.d}")
-    dim = h2_dimension(pair)
+    dim = h2_dimension(pair, lambda msg: _note(args, msg))
     return f"{dim}\n{splits_implies(pair, dim)}\n"
 
 

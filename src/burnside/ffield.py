@@ -12,8 +12,9 @@ product and elimination as every other GF(p) matrix.
 Dimensions in this package stay small (module actions top out around 28), so
 matrices are dense: an FFMatrix holds its entries in a read-only int64 numpy
 array, in the same int encoding, so every value here is immutable and safe
-to share.  Every prime field, GF(2) included, has one product (an integer
-matrix product reduced mod p) and one elimination routine: row_echelon, a
+to share.  Every prime field, GF(2) included, has one product, int_matmul
+(an exact integer matrix product, in float64 BLAS while that is exact and
+in int64 past it) reduced mod p, and one elimination routine: row_echelon, a
 one-pass Gauss-Jordan elimination that returns the reduced row echelon
 form.  Ranks, inverses and nullspaces all come from it.  A matrix over
 GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
@@ -242,6 +243,41 @@ def _check_int64(p, n):
         raise ValueError(f"GF({p}) is too large for int64 matrix arithmetic")
 
 
+def int_matmul(a, b, p: int) -> np.ndarray:
+    """The exact integer product a @ b of two int64 arrays, as an int64 array.
+
+    Entries may be negative but must be below p in absolute value, so every
+    sum over the inner axis lies within inner * (p-1)^2 of zero.  While that
+    is below 2^53 each partial sum is an integer that float64 holds exactly,
+    in whatever order BLAS adds, and the product runs in float64; past it
+    the product runs in int64, as far as _check_int64 allows.  Leading axes
+    broadcast as in np.matmul.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    _check_int64(p, inner)
+    return a @ b
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """The product a @ b over GF(p): int_matmul reduced to residues 0..p-1."""
+    return reduce_mod(int_matmul(a, b, p), p)
+
+
+def reduce_mod(a, p: int) -> np.ndarray:
+    """Reduce the int64 array a to residues 0..p-1 in place, and return it.
+
+    Mod 2 this is the lowest bit, which two's complement gets right for
+    negative entries too, at a fraction of the cost of an integer division.
+    """
+    if p == 2:
+        a &= 1
+    else:
+        a %= p
+    return a
+
+
 class FFMatrix:
     """Dense matrix over a field (an ExtField), held in a read-only array.
 
@@ -348,8 +384,7 @@ class FFMatrix:
         f = self.field
         if f.k > 1:
             return _blow_down(f, blow_up(self) * blow_up(other))
-        _check_int64(f.p, self.cols)
-        return FFMatrix(f, self.rows, other.cols, self.array @ other.array % f.p)
+        return FFMatrix(f, self.rows, other.cols, matmul_mod(self.array, other.array, f.p))
 
     def __pow__(self, e):
         if self.rows != self.cols:
@@ -433,30 +468,35 @@ def row_echelon(a, p: int):
     """Gauss-Jordan elimination over GF(p) of a copy of the integer matrix a.
 
     Each pivot clears its column in every other row, so one pass gives the
-    reduced row echelon form.  Returns (e, pivots): e is that form, and
-    pivots lists the pivot column of each of its nonzero rows.
+    reduced row echelon form.  Over GF(2) every pivot is 1 and clearing is
+    an exclusive or.  Returns (e, pivots): e is that form, and pivots lists
+    the pivot column of each of its nonzero rows.
     """
     _check_int64(p, 1)
-    a = np.asarray(a, dtype=np.int64) % p
+    a = reduce_mod(np.array(a, dtype=np.int64), p)
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = r + a[r:, c].nonzero()[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        if nz[0] != r:
-            a[[r, nz[0]]] = a[[nz[0], r]]
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         # left of column c, row r is zero
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = a[r, c:] * inv % p
-        # a row swapped down is zero in column c
-        others = np.concatenate([a[:r, c].nonzero()[0], nz[1:]])
+        if p != 2:
+            inv = pow(int(a[r, c]), p - 2, p)
+            if inv != 1:
+                a[r, c:] = a[r, c:] * inv % p
+        others = a[:, c].nonzero()[0]
+        others = others[others != r]
         if others.size:
-            a[others, c:] = (a[others, c:] - a[others, c, None] * a[r, c:]) % p
+            if p == 2:
+                a[others, c:] ^= a[r, c:]
+            else:
+                a[others, c:] = (a[others, c:] - a[others, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -483,11 +523,9 @@ def blow_up(m: FFMatrix) -> FFMatrix:
     if f.k == 1:
         return m
     if m._blown is None:
-        # the field's own construction multiplied k x k matrices over GF(p),
-        # so these sums of k products fit int64 too
         p, k = f.p, f.k
         digits = m.array[:, :, None] // p ** np.arange(k) % p
-        blocks = (digits @ f._zpow % p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
+        blocks = matmul_mod(digits, f._zpow, p).reshape(m.rows, m.cols, k, k)  # the block of each m[i, j]
         m._blown = FFMatrix(f._base, m.rows * k, m.cols * k, blocks.transpose(0, 2, 1, 3))
     return m._blown
 

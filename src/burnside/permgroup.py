@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import is_prime, power, prime_factors
-from .ffield import _check_int64, blow_up
+from .ffield import _check_int64, blow_up, matmul_mod
 
 ENUMERATION_BOUND = 10_000
 SUBGROUP_BOUND = 1000
@@ -203,22 +203,30 @@ class ElementTable:
         p, size = gen_images[0].field.p, gens.shape[1]
         _check_int64(p, size)
         n = len(self.perms)
-        # the images, one batch of products and its reduction mod p
-        check_allocation(f"the images of {n} elements", 3 * n * size * size * 8)
+        # the images and, in the check, a gathered copy, the float64 product
+        # and its operand (or its int64 residues)
+        check_allocation(f"the images of {n} elements", 4 * n * size * size * 8)
         images = np.empty((n, size, size), dtype=np.int64)
         images[0] = np.eye(size, dtype=np.int64)
-        edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
-        depth = np.array([len(self.words[x]) for x in self.perms])  # word lengths
-        for level in range(1, depth.max() + 1):
-            at = edges[depth[edges[:, 2]] == level]
+        for level in self.tree_levels():
             for k in range(r):
-                i, _, j = at[at[:, 1] == k].T
-                images[j] = images[i] @ gens[k] % p
+                i, _, j = level[:, level[1] == k]
+                images[j] = matmul_mod(images[i], gens[k], p)
         right = np.array(self.right, dtype=np.intp)
         for k in range(r):
-            if not np.array_equal(images[right[:, k]], images @ gens[k] % p):
+            if not np.array_equal(images[right[:, k]], matmul_mod(images, gens[k], p)):
                 raise ValueError("matrices are not aligned with the group generators")
         return images
+
+    def tree_levels(self):
+        """The tree edges by breadth-first level: one (i, k, j) triple of index arrays each.
+
+        The search reaches every element of a level before the next, so each
+        level is a run of the tree list.
+        """
+        edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
+        depth = np.array([len(self.words[self.perms[j]]) for j in edges[:, 2].tolist()])
+        return [level.T for level in np.split(edges, np.flatnonzero(np.diff(depth)) + 1) if level.size]
 
     def conjugates(self, xs):
         """Array c with c[g, t] = index of perms[g]^-1 * perms[xs[t]] * perms[g]."""

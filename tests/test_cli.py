@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import burnside
 from burnside.cli import main
-from burnside.corpus import pair_a4
+from burnside.corpus import _nonzero_vectors, pair_a4, perm_from_matrix
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import parse_tom, write_meataxe
 from burnside.permgroup import ElementTable, Perm, PermGroup
@@ -259,14 +260,19 @@ def test_h2_c2_trivial_module(capsys):
     assert "2 equivalence classes of extensions" in lines[1]
 
 
-def elementary_abelian_h2(capsys, tmp_path, k):
-    """Run h2 on C2^k with the trivial GF(2) module."""
+def elementary_abelian_files(tmp_path, k, d=1):
+    """h2 arguments for C2^k on the trivial GF(2)^d module."""
     gens = [Perm.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]
     perm = tmp_path / f"c2x{k}.perm.mtx"
     perm.write_text(write_meataxe(gens))
-    mod = tmp_path / "triv1.mtx"
-    mod.write_text(write_meataxe(FFMatrix.identity(PrimeField(2), 1)))
-    return run(capsys, "h2", "--perm", str(perm), "--mod", ",".join([str(mod)] * k), "--p", "2")
+    mod = tmp_path / f"triv{d}.mtx"
+    mod.write_text(write_meataxe(FFMatrix.identity(PrimeField(2), d)))
+    return ["h2", "--perm", str(perm), "--mod", ",".join([str(mod)] * k), "--p", "2"]
+
+
+def elementary_abelian_h2(capsys, tmp_path, k, d=1):
+    """Run h2 on C2^k with the trivial GF(2)^d module."""
+    return run(capsys, *elementary_abelian_files(tmp_path, k, d))
 
 
 def test_h2_order_64(capsys, tmp_path):
@@ -275,12 +281,97 @@ def test_h2_order_64(capsys, tmp_path):
     assert out.splitlines()[0] == "21"
 
 
+def test_h2_order_128_in_bounded_time_and_memory(tmp_path):
+    # a child process, so its peak memory is its own.  Linux carries
+    # ru_maxrss across exec, so a child of this large process would report
+    # at least the size of its parent; VmHWM, the peak resident set of the
+    # child's own address space, is the same measure without that
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status for the peak resident set")
+    script = (
+        "import sys\n"
+        "from burnside.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(peak[0].split()[1], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(burnside.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", script, *elementary_abelian_files(tmp_path, 7)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    seconds = time.monotonic() - start
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "28"
+    assert seconds < 30
+    assert int(done.stderr.split()[-1]) < 100 * 1024  # in KiB
+
+
+def gl32_files(tmp_path, dual):
+    """h2 arguments for GL(3,2) on its 7 points and on F_2^3 or its dual."""
+    f = PrimeField(2)
+    mats = [FFMatrix.from_rows(f, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            FFMatrix.from_rows(f, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])]
+    perm = tmp_path / "gl32.perm.mtx"
+    perm.write_text(write_meataxe([perm_from_matrix(m, _nonzero_vectors(f, 3)) for m in mats]))
+    paths = []
+    for i, m in enumerate(mats):
+        path = tmp_path / f"gl32.{i}.mtx"
+        path.write_text(write_meataxe(m.transpose().inverse() if dual else m))
+        paths.append(str(path))
+    return ["h2", "--perm", str(perm), "--mod", ",".join(paths), "--p", "2"]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["natural", "dual"])
+def test_h2_gl32_is_nonsplit(capsys, tmp_path, dual):
+    # H^2(L3(2), F_2^3) = F_2: the nonsplit 2^3.L3(2) of the ATLAS
+    code, out, _ = run(capsys, *gl32_files(tmp_path, dual))
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+    assert "group of order 168 on a 3-dimensional GF(2) module" in out
+
+
 def test_h2_oversized_system_exits_3(capsys, tmp_path):
-    # C2^7, order 128, on the trivial 1-dimensional module needs 810 MB
-    code, out, err = elementary_abelian_h2(capsys, tmp_path, 7)
+    # C2^7 on the trivial GF(2)^7: 6223 unknowns; its basis alone takes
+    # 8 * 6223^2 = 309805832 bytes, and reducing one g holds 2269353856
+    code, out, err = elementary_abelian_h2(capsys, tmp_path, 7, d=7)
     assert code == 3
     assert out == ""
-    assert "810191928 bytes" in err
+    assert "6223 unknowns takes 2269353856 bytes" in err
+
+
+def test_h2_verbose_reports_each_chunk_on_stderr_only(capsys, tmp_path):
+    argv = elementary_abelian_files(tmp_path, 6)
+    _, plain, quiet = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--verbose")
+    assert code == 0 and out == plain and quiet == ""
+    chunks = [line for line in err.splitlines() if line.startswith("chunk ")]
+    assert len(chunks) > 1  # order 64 takes more than one chunk
+    covered = []
+    for i, line in enumerate(chunks, 1):
+        head, first, last, rank, seconds = re.fullmatch(
+            r"chunk (\d+/\d+): g (\d+)-(\d+), rank (\d+), (\d+\.\d\d) s", line).groups()
+        assert head == f"{i}/{len(chunks)}"
+        covered.extend(range(int(first), int(last) + 1))
+    assert covered == list(range(1, 64))
+    assert rank == "300"  # the rank of the whole system
+
+
+@pytest.mark.parametrize("bad", ["4", "6", "1"])
+def test_h2_p_must_be_prime(capsys, bad):
+    # checked before any file is read, as census checks --q
+    for mod in ("gf4gen.json", "c2.mod.mtx", "no-such-file.mtx"):
+        code, out, err = run(capsys, "h2", "--perm", p("c2.perm.mtx"), "--mod", p(mod), "--p", bad)
+        assert (code, out) == (1, "")
+        assert f"p = {bad} is not a prime" in err
+
+
+def test_h2_field_mismatch_names_p(capsys):
+    code, out, err = run(capsys, "h2", "--perm", p("c2.perm.mtx"), "--mod", p("c2.mod.mtx"), "--p", "3")
+    assert (code, out) == (2, "")
+    assert "matrix is over GF(2), declared p = 3" in err
 
 
 def test_h2_misaligned_module_exits_3(capsys, tmp_path):

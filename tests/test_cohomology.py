@@ -16,7 +16,7 @@ from burnside.cohomology import (
     splits_implies,
 )
 from burnside.corpus import pair_a4, pair_c2, pair_d8, pair_s3, pair_v4
-from burnside.ffield import ExtField, FFMatrix, PrimeField
+from burnside.ffield import ExtField, FFMatrix, PrimeField, row_echelon
 from burnside.permgroup import Perm, PermGroup
 from smallgroups import all_small_groups, iso_invariant
 
@@ -296,20 +296,68 @@ def elementary_abelian_2(rank):
 
 
 def test_oversized_systems_fail_before_they_are_built(monkeypatch):
-    def never(pair):
+    def never(*args):
         raise AssertionError("the system was built")
 
     monkeypatch.setattr(cohomology, "delta2_matrix", never)
     monkeypatch.setattr(cohomology, "delta1_matrix", never)
-    monkeypatch.setattr(cohomology, "_tree_system", lambda *args: never(None))
-    # C2^4 on GF(2)^28: 15 * 4 * 28 = 1680 unknowns; 15 * 49 * 28 constraint
-    # rows and a 15 * 16 * 28-row F, 8 bytes an entry: 366912000 bytes
-    with pytest.raises(ValueError, match="366912000 bytes"):
-        h2_dimension(trivial_pair(elementary_abelian_2(4), 2, d=28))
+    monkeypatch.setattr(cohomology, "_tree_system", never)
+    # C2^7 on GF(2)^7: 127 * 7 * 7 = 6223 unknowns and 769 * 7 = 5383
+    # constraint rows per g, one g a chunk.  Reducing one g holds its chunk's
+    # rows, the basis, two unknowns x unknowns temporaries and four more
+    # rows of one g, 8 bytes an entry: 8 * 6223 * (5383 + 3 * 6223 + 4 * 5383)
+    with pytest.raises(ValueError, match="2269353856 bytes"):
+        h2_dimension(trivial_pair(elementary_abelian_2(7), 2, d=7))
     # C2^8 on GF(2)^46: 8 * 46 = 368 unknowns; 1793 * 46 constraint rows
     # and a 256 * 46-row F: 277483776 bytes
     with pytest.raises(ValueError, match="277483776 bytes"):
         h1_dimension(trivial_pair(elementary_abelian_2(8), 2, d=46))
+
+
+# ------------------------------------------------------------- streaming --
+
+STREAM_ZOO = [(name, g) for name, g in ZOO if g.order() in (6, 8, 12, 16)][::3]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_delta2_rows_of_each_g_stack_to_the_whole_matrix(p, d):
+    for name, group in STREAM_ZOO:
+        pair = trivial_pair(group, p, d)
+        whole = delta2_matrix(pair)
+        m = group.order() - 1
+        for cuts in ([m], [1, m], [2, 5, m], list(range(1, m + 1))):
+            parts = [delta2_matrix(pair, range(a, b)) for a, b in zip([0] + cuts, cuts)]
+            stacked = np.vstack(parts)
+            assert stacked.dtype == whole.dtype and stacked.tobytes() == whole.tobytes(), (name, cuts)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("budget", [1, cohomology._CHUNK])
+def test_streamed_rank_is_the_rank_of_the_whole_matrix(monkeypatch, p, d, budget):
+    monkeypatch.setattr(cohomology, "_CHUNK", budget)  # 1: one g a chunk
+    for name, group in STREAM_ZOO:
+        pair = trivial_pair(group, p, d)
+        whole = len(row_echelon(delta2_matrix(pair), p)[1])
+        assert cohomology._delta2_rank(pair, None) == whole, (name, p, d)
+
+
+@pytest.mark.parametrize("label,factory", NATURAL, ids=[n for n, _ in NATURAL])
+def test_streamed_rank_on_natural_modules(monkeypatch, label, factory):
+    monkeypatch.setattr(cohomology, "_CHUNK", 1)
+    group, action = factory()
+    pair = GroupModulePair(group, action.matrices)
+    assert cohomology._delta2_rank(pair, None) == len(row_echelon(delta2_matrix(pair), pair.p)[1])
+
+
+def test_progress_reports_every_chunk(monkeypatch):
+    monkeypatch.setattr(cohomology, "_CHUNK", 1)
+    lines = []
+    pair = trivial_pair(elementary_abelian_2(3), 2)
+    assert h2_dimension(pair, lines.append) == 6
+    assert [line.split(",")[0] for line in lines] == [f"chunk {g}/7: g {g}-{g}" for g in range(1, 8)]
+    assert lines[-1].split(", ")[1] == f"rank {len(row_echelon(delta2_matrix(pair), 2)[1])}"
 
 
 @pytest.mark.parametrize("k", [5, 6])

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from burnside.ffield import (
@@ -18,6 +19,8 @@ from burnside.ffield import (
     _blow_down,
     blow_up,
     default_modulus,
+    int_matmul,
+    matmul_mod,
     norm,
     row_echelon,
 )
@@ -333,6 +336,42 @@ def test_large_primes_are_refused_not_wrapped():
     for op in (lambda: m * m, m.nullspace, m.inverse, m.rank):
         with pytest.raises(ValueError, match="too large"):
             op()
+
+
+def int_product_oracle(a, b):
+    """a @ b by Python-int sums over nested lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# (p, inner) on both sides of inner * (p-1)^2 = 2^53, where int_matmul leaves
+# float64 for int64; 33554393 is the largest prime below 2^25
+@pytest.mark.parametrize("p,inner", [
+    (2, 1), (2, 29), (3, 200), (5, 7), (33554393, 8), (33554393, 9), (33554393, 40),
+    (2**31 - 1, 1), (2**31 - 1, 2),
+])
+def test_exact_product_matches_python_ints(p, inner):
+    rng = random.Random(p * 1000 + inner)
+    # entries run from -(p-1) to p-1, the extremes included, as census
+    # passes a difference of two residue matrices
+    pick = lambda: rng.choice([-(p - 1), p - 1, 0, 1, -1, rng.randrange(-(p - 1), p)])
+    for rows, cols in ((1, 1), (3, 5), (6, 2)):
+        a = [[pick() for _ in range(inner)] for _ in range(rows)]
+        b = [[pick() for _ in range(cols)] for _ in range(inner)]
+        a[0] = [p - 1] * inner  # the largest sum, where float64 would round past 2^53
+        b = [[p - 1] + row[1:] for row in b]
+        want = int_product_oracle(a, b)
+        x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert int_matmul(x, y, p).tolist() == want
+        assert matmul_mod(x, y, p).tolist() == [[v % p for v in row] for row in want]
+
+
+def test_exact_product_broadcasts_and_refuses_int64_overflow():
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(-4, 5, (3, 4, 5)), rng.integers(-4, 5, (5, 2))
+    assert (matmul_mod(a, b, 5) == np.stack([(m @ b) % 5 for m in a])).all()
+    x = np.full((1, 3), 2**31 - 2, dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        int_matmul(x, x.T, 2**31 - 1)  # 3 * (2^31 - 2)^2 >= 2^63
 
 
 def test_product_shape_and_field_errors():
