@@ -29,8 +29,8 @@ against a running basis in reduced row echelon form, which their
 remainder extends.  What is held at once is one chunk and the basis.
 Before anything is built, the byte bound (permgroup.SYSTEM_BYTES_BOUND)
 counts, at 8 bytes an entry, the larger of two peaks: while a chunk is
-built, its F, its rows, two temporaries the size of its rows and the
-basis; while one g is reduced, the chunk's rows, the basis, two
+built, its F, its rows, two temporaries the size of its rows, the basis
+and four index entries per row; while one g is reduced, the chunk's rows, the basis, two
 unknowns x unknowns temporaries and four the size of one g's rows.  H^1
 is a single small system, and the bound counts its F and rows.
 """
@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 from .census import ModuleAction
-from .ffield import int_matmul, reduce_mod, row_echelon
+from .ffield import matmul_mod, reduce_mod, row_echelon
 from .permgroup import PermGroup, check_allocation
 
 # entries of F and constraint rows that h2_dimension builds at once
@@ -92,8 +92,8 @@ def _tree_system(pair, blocks, unknowns, add_units):
     F = np.zeros((blocks, pair.order, d, unknowns), dtype=np.int64)
     acts = pair.gens.transpose(0, 2, 1)  # (F^x)_t = sum_a x[a, t] F_a
 
-    def step(i, k):  # not yet reduced mod p
-        out = int_matmul(acts[k], F[:, i], p)
+    def step(i, k):  # not yet reduced mod p; d (p-1)^2 < 2^63 (ElementTable.images)
+        out = np.matmul(acts[k], F[:, i])
         add_units(out, i, k)
         return out
 
@@ -184,8 +184,7 @@ def _extend(basis, pivots, rows, p):
     rank = len(pivots)
     rows = rows[rows.any(axis=1)]
     if rank and len(rows):
-        rows = rows - int_matmul(rows[:, pivots], basis[:rank], p)
-        reduce_mod(rows, p)
+        rows = reduce_mod(rows - matmul_mod(rows[:, pivots], basis[:rank], p), p)
         rows = rows[rows.any(axis=1)]
     if not len(rows):
         return
@@ -197,7 +196,7 @@ def _extend(basis, pivots, rows, p):
     added[:, free] = reduced[: len(new)]
     new = free[new]
     if rank:
-        basis[:rank] -= int_matmul(basis[:rank, new], added, p)
+        basis[:rank] -= matmul_mod(basis[:rank, new], added, p)
         reduce_mod(basis[:rank], p)
     basis[rank : rank + len(new)] = added
     pivots.extend(new.tolist())
@@ -209,8 +208,9 @@ def _delta2_rank(pair, progress):
     m, rows = n - 1, (n * (r - 1) + 1) * d  # constraint rows per g
     unknowns = m * r * d
     chunk = max(1, min(m, _CHUNK // max(1, (n * d + rows) * unknowns)))
-    # entries held while a chunk is built, and while one g is reduced
-    build = unknowns * (chunk * (n * d + 3 * rows) + unknowns)
+    # entries held while a chunk is built (with the edge index arrays of
+    # add_units, about four entries per row), and while one g is reduced
+    build = unknowns * (chunk * (n * d + 3 * rows) + unknowns) + 4 * chunk * rows
     reduce = unknowns * (chunk * rows + 3 * unknowns + 4 * rows)
     check_allocation(f"the H^2 word-tree system on {unknowns} unknowns", 8 * max(build, reduce))
     basis = np.empty((unknowns, unknowns), dtype=np.int64)

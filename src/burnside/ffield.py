@@ -12,9 +12,9 @@ product and elimination as every other GF(p) matrix.
 Dimensions in this package stay small (module actions top out around 28), so
 matrices are dense: an FFMatrix holds its entries in a read-only int64 numpy
 array, in the same int encoding, so every value here is immutable and safe
-to share.  Every prime field, GF(2) included, has one product, int_matmul
+to share.  Every prime field, GF(2) included, has one product, matmul_mod
 (an exact integer matrix product, in float64 BLAS while that is exact and
-in int64 past it) reduced mod p, and one elimination routine: row_echelon, a
+in int64 past it, reduced mod p), and one elimination routine: row_echelon, a
 one-pass Gauss-Jordan elimination that returns the reduced row echelon
 form.  Ranks, inverses and nullspaces all come from it.  A matrix over
 GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
@@ -243,26 +243,27 @@ def _check_int64(p, n):
         raise ValueError(f"GF({p}) is too large for int64 matrix arithmetic")
 
 
-def int_matmul(a, b, p: int) -> np.ndarray:
-    """The exact integer product a @ b of two int64 arrays, as an int64 array.
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """The product a @ b over GF(p), as an int64 array of residues 0..p-1.
 
-    Entries may be negative but must be below p in absolute value, so every
-    sum over the inner axis lies within inner * (p-1)^2 of zero.  While that
-    is below 2^53 each partial sum is an integer that float64 holds exactly,
-    in whatever order BLAS adds, and the product runs in float64; past it
-    the product runs in int64, as far as _check_int64 allows.  Leading axes
-    broadcast as in np.matmul.
+    Entries of the int64 arrays a and b may be negative but must be below p
+    in absolute value, so a sum of n products lies within n * (p-1)^2 of
+    zero.  While that is below 2^53 for the whole inner axis, each partial
+    sum is an integer that float64 holds exactly, in whatever order BLAS
+    adds, and the product runs in float64.  Past it the product runs in
+    int64, over runs of the inner axis short enough that no run's sum
+    reaches 2^63, and their residues are added.  Leading axes broadcast as
+    in np.matmul.
     """
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    _check_int64(p, inner)
-    return a @ b
-
-
-def matmul_mod(a, b, p: int) -> np.ndarray:
-    """The product a @ b over GF(p): int_matmul reduced to residues 0..p-1."""
-    return reduce_mod(int_matmul(a, b, p), p)
+        return reduce_mod((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64), p)
+    _check_int64(p, 1)
+    run = (2**63 - 1) // (p - 1) ** 2
+    out = reduce_mod(a[..., :run] @ b[..., :run, :], p)
+    for s in range(run, inner, run):
+        out += reduce_mod(a[..., s : s + run] @ b[..., s : s + run, :], p)
+    return reduce_mod(out, p)
 
 
 def reduce_mod(a, p: int) -> np.ndarray:
@@ -468,35 +469,30 @@ def row_echelon(a, p: int):
     """Gauss-Jordan elimination over GF(p) of a copy of the integer matrix a.
 
     Each pivot clears its column in every other row, so one pass gives the
-    reduced row echelon form.  Over GF(2) every pivot is 1 and clearing is
-    an exclusive or.  Returns (e, pivots): e is that form, and pivots lists
-    the pivot column of each of its nonzero rows.
+    reduced row echelon form.  Returns (e, pivots): e is that form, and
+    pivots lists the pivot column of each of its nonzero rows.
     """
     _check_int64(p, 1)
-    a = reduce_mod(np.array(a, dtype=np.int64), p)
+    a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = a[r:, c].nonzero()[0]
+        nz = r + a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        if nz[0] != r:
+            a[[r, nz[0]]] = a[[nz[0], r]]
         # left of column c, row r is zero
-        if p != 2:
-            inv = pow(int(a[r, c]), p - 2, p)
-            if inv != 1:
-                a[r, c:] = a[r, c:] * inv % p
-        others = a[:, c].nonzero()[0]
-        others = others[others != r]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r, c:] = a[r, c:] * inv % p
+        # a row swapped down is zero in column c
+        others = np.concatenate([a[:r, c].nonzero()[0], nz[1:]])
         if others.size:
-            if p == 2:
-                a[others, c:] ^= a[r, c:]
-            else:
-                a[others, c:] = (a[others, c:] - a[others, c, None] * a[r, c:]) % p
+            a[others, c:] = reduce_mod(a[others, c:] - a[others, c, None] * a[r, c:], p)
         pivots.append(c)
         r += 1
     return a, pivots

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -358,6 +359,36 @@ def test_progress_reports_every_chunk(monkeypatch):
     assert h2_dimension(pair, lines.append) == 6
     assert [line.split(",")[0] for line in lines] == [f"chunk {g}/7: g {g}-{g}" for g in range(1, 8)]
     assert lines[-1].split(", ")[1] == f"rank {len(row_echelon(delta2_matrix(pair), 2)[1])}"
+
+
+# the count is of the large arrays only, so the systems here are large
+# enough (0.9 to 4.9 MB counted) that small Python objects do not matter
+@pytest.mark.parametrize("name,p,d", [
+    ("C2^4", 2, 1), ("C2^4", 3, 2), ("SD16", 2, 3), ("A4", 3, 4), ("D12", 5, 3),
+])
+def test_streamed_rank_stays_within_its_byte_count(monkeypatch, name, p, d):
+    group = dict(ZOO)[name]
+    counted = []
+    check = cohomology.check_allocation
+    monkeypatch.setattr(cohomology, "check_allocation",
+                        lambda what, nbytes: (counted.append(nbytes), check(what, nbytes)))
+    pair = trivial_pair(group, p, d)
+    tracemalloc.start()
+    try:
+        cohomology._delta2_rank(pair, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[0], (peak, counted)
+
+
+def test_h2_over_a_prime_near_2_to_31():
+    # (p-1)^2 > 2^53, so the products of the streamed rank run in int64,
+    # and three products already pass 2^63: a rank of 3 needs the runs
+    p = 2**31 - 1
+    pair = trivial_pair(elementary_abelian_2(2), p)
+    assert cohomology._delta2_rank(pair, None) == len(row_echelon(delta2_matrix(pair), p)[1]) == 3
+    assert h2_dimension(pair) == 0
 
 
 @pytest.mark.parametrize("k", [5, 6])

@@ -19,7 +19,6 @@ from burnside.ffield import (
     _blow_down,
     blow_up,
     default_modulus,
-    int_matmul,
     matmul_mod,
     norm,
     row_echelon,
@@ -343,11 +342,14 @@ def int_product_oracle(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-# (p, inner) on both sides of inner * (p-1)^2 = 2^53, where int_matmul leaves
-# float64 for int64; 33554393 is the largest prime below 2^25
+# (p, inner) on both sides of inner * (p-1)^2 = 2^53, where matmul_mod leaves
+# float64 for int64; 33554393 is the largest prime below 2^25.  Past 2^53
+# float64 would round the largest sums, so an exact answer shows the int64
+# side; with p = 2^31 - 1 three products already pass 2^63, so inner 3 and
+# 40 are added over runs of the inner axis.
 @pytest.mark.parametrize("p,inner", [
     (2, 1), (2, 29), (3, 200), (5, 7), (33554393, 8), (33554393, 9), (33554393, 40),
-    (2**31 - 1, 1), (2**31 - 1, 2),
+    (2**31 - 1, 1), (2**31 - 1, 2), (2**31 - 1, 3), (2**31 - 1, 40),
 ])
 def test_exact_product_matches_python_ints(p, inner):
     rng = random.Random(p * 1000 + inner)
@@ -361,7 +363,6 @@ def test_exact_product_matches_python_ints(p, inner):
         b = [[p - 1] + row[1:] for row in b]
         want = int_product_oracle(a, b)
         x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        assert int_matmul(x, y, p).tolist() == want
         assert matmul_mod(x, y, p).tolist() == [[v % p for v in row] for row in want]
 
 
@@ -369,9 +370,14 @@ def test_exact_product_broadcasts_and_refuses_int64_overflow():
     rng = np.random.default_rng(7)
     a, b = rng.integers(-4, 5, (3, 4, 5)), rng.integers(-4, 5, (5, 2))
     assert (matmul_mod(a, b, 5) == np.stack([(m @ b) % 5 for m in a])).all()
-    x = np.full((1, 3), 2**31 - 2, dtype=np.int64)
+    p = 2**31 - 1
+    a, b = rng.integers(-(p - 1), p, (3, 4, 7)), rng.integers(-(p - 1), p, (7, 2))
+    want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in m] for m in a]
+    assert matmul_mod(a, b, p).tolist() == want
+    p = 4294967311  # (p-1)^2 >= 2^63: not even one product fits int64
+    x = np.full((1, 1), p - 1, dtype=np.int64)
     with pytest.raises(ValueError, match="too large"):
-        int_matmul(x, x.T, 2**31 - 1)  # 3 * (2^31 - 2)^2 >= 2^63
+        matmul_mod(x, x, p)
 
 
 def test_product_shape_and_field_errors():
