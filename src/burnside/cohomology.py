@@ -7,32 +7,39 @@ of k on f(g,h); 1-cocycles satisfy f(gh) = f(g)^h + f(h), and normalized
     f(g,h)^k + f(gh,k) = f(h,k) + f(g,hk).
 
 Both are parametrized by their values on the r group generators, along the
-breadth-first word tree of the element table.  For H^2 the unknowns are
-u(g,x) = f(g,x) for g != 1 and x a generator, (|G|-1) * r * d of them.  F is
-extended by F(g,1) = 0 and F(g,h'x) = F(g,h')^x + u(gh',x) - u(h',x) along
-each tree edge h' -> h'x: the identity at (g,h',x).  delta2_matrix demands
-that identity on every Cayley edge outside the tree, one d-row block per
-g != 1 and edge.  Its kernel is Z^2.  Restriction to the u(g,x) is injective
-on Z^2, since a cocycle obeys the tree extension.  Conversely, if F obeys
-the identity for every generator as last argument, it holds for every k by
-induction on the word length of k: expanding each term of the identity at
-(g,h,kx) by the identities at (.,k,x) leaves the one at (g,h,k), acted on
-by x.  B^2 is spanned by the coboundaries of normalized 1-cochains on the
-same columns (delta1_matrix).  H^1 is the same construction with unknowns
-f(x) and F(h'x) = F(h')^x + f(x).
+breadth-first word tree of the element table.  H^1 has the unknowns f(x)
+and F(h'x) = F(h')^x + f(x) along each tree edge h' -> h'x; delta1_matrix
+demands that identity on every Cayley edge outside the tree, and its kernel
+is Z^1.  For H^2 the unknowns are u(g,x) = f(g,x) for g != 1, (|G|-1) r d
+of them, and F(g,1) = 0, F(g,h'x) = F(g,h')^x + u(gh',x) - u(h',x): the
+identity at (g,h',x).  Demanded on every non-tree edge for every g != 1, it
+has kernel Z^2.  Restriction to the u(g,x) is injective on Z^2, since a
+cocycle obeys the tree extension.  Conversely, if F obeys the identity for
+every generator as last argument, it holds for every k by induction on the
+word length of k: expanding each term of the identity at (g,h,kx) by the
+identities at (.,k,x) leaves the one at (g,h,k), acted on by x.
 
-H^2 has (|G|-1)(|G|(r-1)+1)d constraint rows on its (|G|-1)rd unknowns,
-far more rows than its rank.  h2_dimension never holds them all: it builds
-delta2_matrix for a chunk of consecutive g at a time, as many g as fit
-_CHUNK entries of F and rows (at least one), and reduces each g's rows
-against a running basis in reduced row echelon form, which their
-remainder extends.  What is held at once is one chunk and the basis.
+One seed system gives every g.  Give every element w, 1 included, the
+unknowns u(w,x), and let A(1) = 0, A(h'x) = A(h')^x + u(h',x); delta2_matrix
+is c, the identity for A on the non-tree edges.  If pi_g relabels u(w,x) as
+u(gw,x), then F(g,.) = pi_g A - A once u(1,.) = 0, so the rows for g are
+pi_g(c) - c without the identity's columns.  As pi_h(pi_g c - c) =
+(pi_hg c - c) - (pi_h c - c), those rows span the F_pG-submodule spun from
+the seeds pi_x(c) - c, x a generator: the MeatAxe spin-up (R. A. Parker,
+Computational Group Theory, 1984).  _delta2_rank reduces the seeds into a
+running basis in reduced row echelon form, then images the rows each round
+added under every pi_x, until a round adds none.  The u(w,.) blocks of
+every spun row sum to zero, as pi_g permutes the blocks, so no nonzero row
+lies in the identity's block alone, and dropping that block keeps the rank.
+B^2 is the image of the normalized 1-cochains, whose kernel is Z^1, so
+dim B^2 = (|G|-1) d - dim Z^1.
+
 Before anything is built, the byte bound (permgroup.SYSTEM_BYTES_BOUND)
-counts, at 8 bytes an entry, the larger of two peaks: while a chunk is
-built, its F, its rows, two temporaries the size of its rows, the basis
-and four index entries per row; while one g is reduced, the chunk's rows, the basis, two
-unknowns x unknowns temporaries and four the size of one g's rows.  H^1
-is a single small system, and the bound counts its F and rows.
+counts, at 8 bytes an entry, what the spin holds at once: the seed system,
+the N x N basis (N = |G| r d), two N x N temporaries of _extend (the basis
+in float64 and the product that clears new pivots), and six times the
+images of one slice of |G| d rows.  H^1 is a single small system, and the
+bound counts its F and rows.
 """
 
 import time
@@ -42,9 +49,6 @@ import numpy as np
 from .census import ModuleAction
 from .ffield import matmul_mod, reduce_mod, row_echelon
 from .permgroup import PermGroup, check_allocation
-
-# entries of F and constraint rows that h2_dimension builds at once
-_CHUNK = 2**20
 
 
 class GroupModulePair:
@@ -77,100 +81,84 @@ class GroupModulePair:
         self.gens = np.stack([m.array for m in matrices])
 
 
-def _tree_system(pair, blocks, unknowns, add_units):
+def _tree_system(pair, unknowns, block):
     """Extend F along the word tree and return the constraint rows.
 
-    F holds, per block, the d x unknowns coefficients of F(., h) at every
-    element h.  It is extended one breadth-first level at a time, all edges
-    of a level in one batched step, and then all non-tree edges (i, k, j)
-    take one more step, in the order of table.right.  One row per block,
-    non-tree edge and coordinate states that F(j) is the step from F(i)
-    along x_k; add_units(out, i, k) adds the unknowns' part of the steps
-    along the edges (i[e], k[e]) to out[:, e] in place.
+    F holds the d x unknowns coefficients of F(h) at every element h: F(1)
+    is zero, and the step along an edge h' -> h'x_k is F(h')^x_k plus the
+    unknowns of block block(i, k), i the index of h'.  F is extended one
+    breadth-first level at a time, all edges of a level in one batched
+    step, and then all non-tree edges (i, k, j) take one more step, in the
+    order of table.right.  One row per non-tree edge and coordinate states
+    that F(j) is the step from F(i) along x_k.
     """
     table, d, p = pair.group.element_table(), pair.d, pair.p
-    F = np.zeros((blocks, pair.order, d, unknowns), dtype=np.int64)
+    F = np.zeros((pair.order, d, unknowns), dtype=np.int64)
     acts = pair.gens.transpose(0, 2, 1)  # (F^x)_t = sum_a x[a, t] F_a
+    t = np.arange(d)
 
     def step(i, k):  # not yet reduced mod p; d (p-1)^2 < 2^63 (ElementTable.images)
-        out = np.matmul(acts[k], F[:, i])
-        add_units(out, i, k)
+        out = np.matmul(acts[k], F[i])
+        out[np.arange(len(k))[:, None], t, block(i, k)[:, None] * d + t] += 1
         return out
 
     for i, k, j in table.tree_levels():
-        F[:, j] = reduce_mod(step(i, k), p)
+        F[j] = reduce_mod(step(i, k), p)
     right = np.array(table.right, dtype=np.intp)
     outside = np.ones(right.shape, dtype=bool)
     i, k, _ = np.array(table.tree, dtype=np.intp).reshape(-1, 3).T
     outside[i, k] = False
     i, k = np.nonzero(outside)
     out = step(i, k)
-    np.subtract(F[:, right[i, k]], out, out=out)
+    np.subtract(F[right[i, k]], out, out=out)
     reduce_mod(out, p)
-    return out.reshape(blocks * len(i) * d, unknowns)
+    return out.reshape(len(i) * d, unknowns)
+
+
+def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
+    """Word-tree 1-cocycle system: Z^1 is its kernel on the f(x) columns.
+
+    Column k * d + t is coordinate t of f at generator k, and F(h'x) =
+    F(h')^x + f(x) along the tree.
+    """
+    return _tree_system(pair, len(pair.gens) * pair.d, lambda i, k: k)
+
+
+def _z1_dimension(pair):
+    """dim Z^1, from the rank of delta1_matrix."""
+    n, d, unknowns = pair.order, pair.d, len(pair.gens) * pair.d
+    check_allocation(f"the H^1 word-tree system on {unknowns} unknowns",
+                     8 * d * unknowns * (n * len(pair.gens) + 1))
+    return unknowns - len(row_echelon(delta1_matrix(pair), pair.p)[1])
 
 
 def h1_dimension(pair: GroupModulePair) -> int:
     """dim Z^1 - dim B^1 on generator values; B^1 is spanned by x -> m - m^x."""
-    n, d, p = pair.order, pair.d, pair.p
-    unknowns = len(pair.gens) * d
-    check_allocation(f"the H^1 word-tree system on {unknowns} unknowns",
-                     8 * d * unknowns * (n * len(pair.gens) + 1))
-    t = np.arange(d)
-
-    def add_units(out, i, k):
-        out[:, np.arange(len(k))[:, None], t, k[:, None] * d + t] += 1
-
-    z1 = unknowns - len(row_echelon(_tree_system(pair, 1, unknowns, add_units), p)[1])
-    principal = (np.eye(d, dtype=np.int64) - pair.gens).transpose(1, 0, 2).reshape(d, unknowns)
-    return z1 - len(row_echelon(principal, p)[1])
+    principal = (np.eye(pair.d, dtype=np.int64) - pair.gens).transpose(1, 0, 2)
+    return _z1_dimension(pair) - len(row_echelon(principal.reshape(pair.d, -1), pair.p)[1])
 
 
-def delta1_matrix(pair: GroupModulePair) -> np.ndarray:
-    """Coboundaries of normalized 1-cochains on the (g, x, coordinate) columns.
+def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
+    """The word-tree seed system c, on the u(w, x) columns of every element w.
 
-    Row (i, a): delta c(g, x) = c(g)^x + c(x) - c(gx) for c = e_a at the
-    i-th nonidentity element, at every nonidentity g and generator x.  Its
-    row space is B^2 restricted to the unknowns of delta2_matrix.
+    Column (w * r + k) * d + t is coordinate t of u at the w-th nonidentity
+    element and generator k, and the identity's block comes last.  The row
+    of a non-tree edge states A(h'x) = A(h')^x + u(h', x), and the rows of
+    the cocycle system for g != 1 are pi_g(c) - c with the identity's
+    columns dropped.
     """
-    m, r, d = pair.order - 1, len(pair.gens), pair.d
-    # positions among the nonidentity elements; the identity is at -1
-    right = np.array(pair.group.element_table().right, dtype=np.intp) - 1
-    g, k = (a.ravel() for a in np.indices((m, r)))
-    t = np.arange(d)
-
-    # rows (element, coordinate), columns (g, generator, coordinate)
-    out = np.zeros((m, d, m, r, d), dtype=np.int64)
-    out[np.arange(m), :, np.arange(m)] += pair.gens.transpose(1, 0, 2)
-    for at, sign in ((right[0][k], 1), (right[1:].ravel(), -1)):  # c(x), c(gx)
-        keep = at >= 0
-        out[at[keep][:, None], t, g[keep][:, None], k[keep][:, None], t] += sign
-    return out.reshape(m * d, m * r * d) % pair.p
+    n, r = pair.order, len(pair.gens)
+    return _tree_system(pair, n * r * pair.d, lambda i, k: (i - 1) % n * r + k)
 
 
-def delta2_matrix(pair: GroupModulePair, gs=None) -> np.ndarray:
-    """Word-tree cocycle system: Z^2 is its kernel on the u(g, x) columns.
-
-    Column (g * r + k) * d + t is coordinate t of u at the g-th nonidentity
-    element and generator k.  The rows are the identities on the Cayley
-    edges outside the tree, g-major, for each g in gs: positions among the
-    nonidentity elements, all of them by default.
-    """
-    m, r, d = pair.order - 1, len(pair.gens), pair.d
-    gs = np.arange(m) if gs is None else np.asarray(gs, dtype=np.intp)
-    # g h' as a position among the nonidentity elements; the identity is at -1
-    gh = pair.group.multiplication_table().mul[gs + 1].astype(np.intp) - 1
-    t = np.arange(d)
-
-    def add_units(out, i, k):
-        # + u(g h', x) where g h' != 1
-        b, e = np.nonzero(gh[:, i] >= 0)
-        out[b[:, None], e[:, None], t, (gh[b, i[e]][:, None] * r + k[e, None]) * d + t] += 1
-        # - u(h', x) where h' != 1
-        e = np.flatnonzero(i)
-        out[:, e[:, None], t, ((i[e, None] - 1) * r + k[e, None]) * d + t] -= 1
-
-    return _tree_system(pair, len(gs), m * r * d, add_units)
+def _spin_columns(pair):
+    """cols[k], the gather that takes a row of delta2_matrix to its image under pi_{x_k}."""
+    table, n, r, d = pair.group.element_table(), pair.order, len(pair.gens), pair.d
+    # left[k, w]: the index of x_k w; column blocks are at position index - 1 mod n
+    left = np.array([[table.index[x * w] for w in table.perms] for x in pair.group.generators])
+    source = np.empty((r, n), dtype=np.intp)
+    source[np.arange(r)[:, None], (left - 1) % n] = (np.arange(n) - 1) % n
+    return (source[:, :, None] * (r * d) + np.arange(r * d)).reshape(r, n * r * d)
 
 
 def _extend(basis, pivots, rows, p):
@@ -203,39 +191,46 @@ def _extend(basis, pivots, rows, p):
 
 
 def _delta2_rank(pair, progress):
-    """The rank of delta2_matrix, built and reduced a chunk of g at a time."""
+    """The rank of the cocycle system, spun from the seeds pi_x(c) - c."""
     n, r, d, p = pair.order, len(pair.gens), pair.d, pair.p
-    m, rows = n - 1, (n * (r - 1) + 1) * d  # constraint rows per g
-    unknowns = m * r * d
-    chunk = max(1, min(m, _CHUNK // max(1, (n * d + rows) * unknowns)))
-    # entries held while a chunk is built (with the edge index arrays of
-    # add_units, about four entries per row), and while one g is reduced
-    build = unknowns * (chunk * (n * d + 3 * rows) + unknowns) + 4 * chunk * rows
-    reduce = unknowns * (chunk * rows + 3 * unknowns + 4 * rows)
-    check_allocation(f"the H^2 word-tree system on {unknowns} unknowns", 8 * max(build, reduce))
+    unknowns, seed_rows = n * r * d, (n * (r - 1) + 1) * d
+    step = n * d  # rows imaged at once: one generator's images are 1/r of the basis
+    check_allocation(f"the H^2 word-tree system on {unknowns} unknowns",
+                     8 * unknowns * (3 * unknowns + seed_rows + 6 * step))
+    start = time.perf_counter()
+    seed = delta2_matrix(pair)
+    cols = _spin_columns(pair)
     basis = np.empty((unknowns, unknowns), dtype=np.int64)
     pivots = []
-    for a in range(0, m, chunk):
-        start = time.perf_counter()
-        gs = range(a, min(a + chunk, m))
-        system = delta2_matrix(pair, gs)
-        for b in range(0, len(system), rows):
-            _extend(basis, pivots, system[b : b + rows], p)
-        del system  # before the next chunk is built
+    for x in cols:
+        for a in range(0, seed_rows, step):
+            rows = seed[a : a + step]
+            _extend(basis, pivots, reduce_mod(rows[:, x] - rows, p), p)
+    del seed
+    # round 1 reduced the seeds; each later round images the rows the one
+    # before added, until a round adds none
+    done, round_ = 0, 1
+    while True:
         if progress is not None:
-            progress(f"chunk {a // chunk + 1}/{-(-m // chunk)}: g {a + 1}-{gs.stop}, "
-                     f"rank {len(pivots)}, {time.perf_counter() - start:.2f} s")
-    return len(pivots)
+            progress(f"round {round_}: rank {len(pivots)}, {time.perf_counter() - start:.2f} s")
+        if done == len(pivots):
+            return done
+        start, end, round_ = time.perf_counter(), len(pivots), round_ + 1
+        for a in range(done, end, step):
+            for x in cols:
+                _extend(basis, pivots, basis[a : min(a + step, end)][:, x], p)
+        done = end
 
 
 def h2_dimension(pair: GroupModulePair, progress=None) -> int:
-    """dim Z^2 - dim B^2 on the word-tree unknowns, by two GF(p) ranks.
+    """dim Z^2 - dim B^2 on the word-tree unknowns.
 
-    The rank of delta2_matrix is streamed; progress, when given, is called
-    with a line of text after each chunk.
+    dim B^2 = (|G|-1) d - dim Z^1.  progress, when given, is called with a
+    line of text after each spin round.
     """
-    z2 = (pair.order - 1) * len(pair.gens) * pair.d - _delta2_rank(pair, progress)
-    return z2 - len(row_echelon(delta1_matrix(pair), pair.p)[1])
+    m, r, d = pair.order - 1, len(pair.gens), pair.d
+    z2 = m * r * d - _delta2_rank(pair, progress)
+    return z2 - (m * d - _z1_dimension(pair))
 
 
 def splits_implies(pair: GroupModulePair, h2dim: int) -> str:

@@ -334,28 +334,24 @@ def test_h2_gl32_is_nonsplit(capsys, tmp_path, dual):
 
 
 def test_h2_oversized_system_exits_3(capsys, tmp_path):
-    # C2^7 on the trivial GF(2)^7: 6223 unknowns; its basis alone takes
-    # 8 * 6223^2 = 309805832 bytes, and reducing one g holds 2269353856
+    # C2^7 on the trivial GF(2)^7: 6272 unknowns; its basis alone takes
+    # 8 * 6272^2 = 314703872 bytes, and the spin holds 1483955200
     code, out, err = elementary_abelian_h2(capsys, tmp_path, 7, d=7)
     assert code == 3
     assert out == ""
-    assert "6223 unknowns takes 2269353856 bytes" in err
+    assert "6272 unknowns takes 1483955200 bytes" in err
 
 
-def test_h2_verbose_reports_each_chunk_on_stderr_only(capsys, tmp_path):
+def test_h2_verbose_reports_each_round_on_stderr_only(capsys, tmp_path):
     argv = elementary_abelian_files(tmp_path, 6)
     _, plain, quiet = run(capsys, *argv)
     code, out, err = run(capsys, *argv, "--verbose")
     assert code == 0 and out == plain and quiet == ""
-    chunks = [line for line in err.splitlines() if line.startswith("chunk ")]
-    assert len(chunks) > 1  # order 64 takes more than one chunk
-    covered = []
-    for i, line in enumerate(chunks, 1):
-        head, first, last, rank, seconds = re.fullmatch(
-            r"chunk (\d+/\d+): g (\d+)-(\d+), rank (\d+), (\d+\.\d\d) s", line).groups()
-        assert head == f"{i}/{len(chunks)}"
-        covered.extend(range(int(first), int(last) + 1))
-    assert covered == list(range(1, 64))
+    rounds = [line for line in err.splitlines() if line.startswith("round ")]
+    assert len(rounds) > 1  # the seeds, then at least one round of images
+    for i, line in enumerate(rounds, 1):
+        head, rank, seconds = re.fullmatch(r"round (\d+): rank (\d+), (\d+\.\d\d) s", line).groups()
+        assert head == str(i)
     assert rank == "300"  # the rank of the whole system
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -10,14 +11,13 @@ from burnside import cohomology
 from burnside.census import ModuleAction
 from burnside.cohomology import (
     GroupModulePair,
-    delta1_matrix,
     delta2_matrix,
     h1_dimension,
     h2_dimension,
     splits_implies,
 )
 from burnside.corpus import pair_a4, pair_c2, pair_d8, pair_s3, pair_v4
-from burnside.ffield import ExtField, FFMatrix, PrimeField, row_echelon
+from burnside.ffield import ExtField, FFMatrix, PrimeField
 from burnside.permgroup import Perm, PermGroup
 from smallgroups import all_small_groups, iso_invariant
 
@@ -56,24 +56,19 @@ def oracle_images(group, matrices, p):
 
 def oracle_rank(a, p):
     a = np.array(a, dtype=np.int64) % p
-    nrows, ncols = a.shape
+    free = np.ones(len(a), dtype=bool)
     rank = 0
-    free = list(range(nrows))
-    for col in range(ncols - 1, -1, -1):
-        hit = None
-        for r in reversed(free):
-            if a[r, col] % p:
-                hit = r
-                break
-        if hit is None:
+    for col in range(a.shape[1] - 1, -1, -1):
+        hits = np.flatnonzero(free & (a[:, col] != 0))
+        if not hits.size:
             continue
-        free.remove(hit)
+        hit = hits[-1]
+        free[hit] = False
         rank += 1
-        inv = pow(int(a[hit, col]), p - 2, p)
-        a[hit] = (a[hit] * inv) % p
-        for r in range(nrows):
-            if r != hit and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[hit]) % p
+        a[hit] = a[hit] * pow(int(a[hit, col]), p - 2, p) % p
+        others = np.flatnonzero(a[:, col])
+        others = others[others != hit]
+        a[others] = (a[others] - a[others, col, None] * a[hit]) % p
     return rank
 
 
@@ -122,6 +117,49 @@ def oracle_h2(group, matrices, p):
             rows.append(row)
     rank1 = oracle_rank(np.array(rows, dtype=np.int64), p)
     return (n * n * d - rank2) - rank1
+
+
+# ------------------------------------------------- the cocycle system --
+# The rows for each g != 1, pi_g(c) - c, stacked from the seed system c =
+# delta2_matrix, and the coboundaries they must annihilate, both assembled
+# here from Perm products.
+
+
+def left_images(pair, c):
+    """pi_g(c) for every element g: the coefficient of u(w, x) moved to u(gw, x)."""
+    n = pair.order
+    blocks = c.reshape(len(c), n, -1)  # block b holds the element of index (b + 1) % n
+    els = pair.group.elements()
+    pos = {e: i for i, e in enumerate(els)}
+    images = np.empty((n,) + blocks.shape, dtype=blocks.dtype)
+    for g in range(n):
+        images[g][:, [(pos[els[g] * w] - 1) % n for w in els]] = blocks[:, (np.arange(n) - 1) % n]
+    return images.reshape((n,) + c.shape)
+
+
+def stacked_cocycle_rows(pair):
+    """pi_g(c) - c for g = 1..n-1, g-major, without the identity's columns."""
+    c = delta2_matrix(pair)
+    rows = (left_images(pair, c)[1:] - c).reshape(-1, c.shape[1])
+    return rows[:, : c.shape[1] - len(pair.gens) * pair.d] % pair.p
+
+
+def coboundary_rows(pair):
+    """delta e(g, x) = e(g)^x + e(x) - e(gx) on the stacked columns (g, x, t).
+
+    One row per normalized 1-cochain e = e_a at w != 1, row (w, a).
+    """
+    els = pair.group.elements()
+    pos = {e: i for i, e in enumerate(els)}
+    n, r, d = pair.order, len(pair.gens), pair.d
+    t = np.arange(d)
+    out = np.zeros((n, d, n, r, d), dtype=np.int64)  # rows (w, a), columns (g, k, t)
+    for g in range(n):
+        for k, x in enumerate(pair.group.generators):
+            out[g, :, g, k, :] += pair.gens[k]  # (e_a)^x = row a of x
+            out[pos[x], t, g, k, t] += 1
+            out[pos[els[g] * x], t, g, k, t] -= 1
+    return out[1:, :, 1:].reshape((n - 1) * d, (n - 1) * r * d) % pair.p
 
 
 # ------------------------------------------------------------------ zoo --
@@ -217,14 +255,14 @@ def test_h2_matches_oracle_on_natural_modules(label, factory):
 def test_complex_identity(label, factory):
     group, action = factory()
     pair = GroupModulePair(group, action.matrices)
-    comp = (delta2_matrix(pair) @ delta1_matrix(pair).T) % pair.p
+    comp = (stacked_cocycle_rows(pair) @ coboundary_rows(pair).T) % pair.p
     assert not comp.any()
 
 
 def test_complex_identity_trivial_modules():
     for name, group in SMALL_ZOO:
         pair = trivial_pair(group, 2)
-        comp = (delta2_matrix(pair) @ delta1_matrix(pair).T) % 2
+        comp = (stacked_cocycle_rows(pair) @ coboundary_rows(pair).T) % 2
         assert not comp.any(), name
 
 
@@ -303,11 +341,12 @@ def test_oversized_systems_fail_before_they_are_built(monkeypatch):
     monkeypatch.setattr(cohomology, "delta2_matrix", never)
     monkeypatch.setattr(cohomology, "delta1_matrix", never)
     monkeypatch.setattr(cohomology, "_tree_system", never)
-    # C2^7 on GF(2)^7: 127 * 7 * 7 = 6223 unknowns and 769 * 7 = 5383
-    # constraint rows per g, one g a chunk.  Reducing one g holds its chunk's
-    # rows, the basis, two unknowns x unknowns temporaries and four more
-    # rows of one g, 8 bytes an entry: 8 * 6223 * (5383 + 3 * 6223 + 4 * 5383)
-    with pytest.raises(ValueError, match="2269353856 bytes"):
+    # C2^7 on GF(2)^7: 128 * 7 * 7 = 6272 unknowns, whose basis alone takes
+    # 8 * 6272^2 = 314703872 bytes.  The spin also holds 769 * 7 = 5383 seed
+    # rows, two more unknowns x unknowns temporaries and six times the
+    # images of 128 * 7 rows, 8 bytes an entry:
+    # 8 * 6272 * (3 * 6272 + 5383 + 6 * 896)
+    with pytest.raises(ValueError, match="1483955200 bytes"):
         h2_dimension(trivial_pair(elementary_abelian_2(7), 2, d=7))
     # C2^8 on GF(2)^46: 8 * 46 = 368 unknowns; 1793 * 46 constraint rows
     # and a 256 * 46-row F: 277483776 bytes
@@ -315,59 +354,87 @@ def test_oversized_systems_fail_before_they_are_built(monkeypatch):
         h1_dimension(trivial_pair(elementary_abelian_2(8), 2, d=46))
 
 
-# ------------------------------------------------------------- streaming --
+# ------------------------------------------------------------------ spin --
 
 STREAM_ZOO = [(name, g) for name, g in ZOO if g.order() in (6, 8, 12, 16)][::3]
+
+
+# the whole word-tree cocycle system as it was built for each g in turn
+# (g-major, non-tree edges in table.right order, mod p), pinned by the
+# SHA-256 of its int64 bytes over the pairs of each test in zoo order
+STACKED_DIGESTS = {
+    (2, 1): "e06f390d3bd11914cfcaee41f0c1bfe7adaa02f2de613da8d3e7215bccc65e67",
+    (2, 2): "a6c5fc8470a1f849b5d04d815169cbf4f11abe47709e488b0687688ba87328eb",
+    (3, 1): "3e115a88cf465c1be5564f08cae9ccb6696536f7227a4e3f068590d8d2ef0ce6",
+    (3, 2): "d49e16ad4cd11e24c2c9ec69cdee607c53d2ea572a2984aca81682815972a5cd",
+    "natural": "0d6d54f783bc42400950a79e7625f2483d8b096632986fa9fc153beebf714446",
+}
+
+
+def stacked_digest(pairs):
+    digest = hashlib.sha256()
+    for pair in pairs:
+        digest.update(np.ascontiguousarray(stacked_cocycle_rows(pair), dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_delta2_rows_of_each_g_stack_to_the_whole_matrix(p, d):
+    assert stacked_digest(trivial_pair(g, p, d) for _, g in ZOO) == STACKED_DIGESTS[p, d]
+
+
+def test_delta2_rows_of_each_g_stack_to_the_whole_matrix_on_natural_modules():
+    pairs = (GroupModulePair(g, a.matrices) for g, a in (f() for _, f in NATURAL))
+    assert stacked_digest(pairs) == STACKED_DIGESTS["natural"]
+
+
+def test_spin_columns_relabel_by_left_multiplication():
     for name, group in STREAM_ZOO:
-        pair = trivial_pair(group, p, d)
-        whole = delta2_matrix(pair)
-        m = group.order() - 1
-        for cuts in ([m], [1, m], [2, 5, m], list(range(1, m + 1))):
-            parts = [delta2_matrix(pair, range(a, b)) for a, b in zip([0] + cuts, cuts)]
-            stacked = np.vstack(parts)
-            assert stacked.dtype == whole.dtype and stacked.tobytes() == whole.tobytes(), (name, cuts)
+        pair = trivial_pair(group, 3, 2)
+        c = delta2_matrix(pair)
+        images = left_images(pair, c)
+        for x, cols in zip(group.generators, cohomology._spin_columns(pair)):
+            assert np.array_equal(c[:, cols], images[group.elements().index(x)]), name
 
 
+# each seed lists the generators in another order, so the word tree and the
+# spin differ while the rank must not; the seeds 1 and 2**20 keep the case
+# ids of the chunk sizes the streamed rank was once checked at
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("budget", [1, cohomology._CHUNK])
-def test_streamed_rank_is_the_rank_of_the_whole_matrix(monkeypatch, p, d, budget):
-    monkeypatch.setattr(cohomology, "_CHUNK", budget)  # 1: one g a chunk
+@pytest.mark.parametrize("seed", [1, 2**20])
+def test_streamed_rank_is_the_rank_of_the_whole_matrix(seed, p, d):
+    rng = random.Random(seed)
     for name, group in STREAM_ZOO:
+        group = PermGroup(group.degree, rng.sample(group.generators, len(group.generators)))
         pair = trivial_pair(group, p, d)
-        whole = len(row_echelon(delta2_matrix(pair), p)[1])
-        assert cohomology._delta2_rank(pair, None) == whole, (name, p, d)
+        assert cohomology._delta2_rank(pair, None) == oracle_rank(stacked_cocycle_rows(pair), p), name
 
 
 @pytest.mark.parametrize("label,factory", NATURAL, ids=[n for n, _ in NATURAL])
-def test_streamed_rank_on_natural_modules(monkeypatch, label, factory):
-    monkeypatch.setattr(cohomology, "_CHUNK", 1)
+def test_streamed_rank_on_natural_modules(label, factory):
     group, action = factory()
     pair = GroupModulePair(group, action.matrices)
-    assert cohomology._delta2_rank(pair, None) == len(row_echelon(delta2_matrix(pair), pair.p)[1])
+    assert cohomology._delta2_rank(pair, None) == oracle_rank(stacked_cocycle_rows(pair), pair.p)
 
 
-def test_progress_reports_every_chunk(monkeypatch):
-    monkeypatch.setattr(cohomology, "_CHUNK", 1)
+def test_progress_reports_every_round():
     lines = []
     pair = trivial_pair(elementary_abelian_2(3), 2)
     assert h2_dimension(pair, lines.append) == 6
-    assert [line.split(",")[0] for line in lines] == [f"chunk {g}/7: g {g}-{g}" for g in range(1, 8)]
-    assert lines[-1].split(", ")[1] == f"rank {len(row_echelon(delta2_matrix(pair), 2)[1])}"
+    assert len(lines) > 1  # the seeds, then a round that adds nothing
+    assert [line.split(":")[0] for line in lines] == [f"round {i}" for i in range(1, len(lines) + 1)]
+    assert lines[-1].split(", ")[0].endswith(f"rank {oracle_rank(stacked_cocycle_rows(pair), 2)}")
 
 
 # the count is of the large arrays only, so the systems here are large
-# enough (0.9 to 4.9 MB counted) that small Python objects do not matter
+# enough (0.17 to 5.7 MB counted) that small Python objects do not matter
 @pytest.mark.parametrize("name,p,d", [
-    ("C2^4", 2, 1), ("C2^4", 3, 2), ("SD16", 2, 3), ("A4", 3, 4), ("D12", 5, 3),
+    ("C2^4", 2, 1), ("C2^4", 3, 2), ("SD16", 2, 3), ("A4", 3, 4), ("D12", 5, 3), ("C2^6", 2, 1),
 ])
 def test_streamed_rank_stays_within_its_byte_count(monkeypatch, name, p, d):
-    group = dict(ZOO)[name]
+    group = elementary_abelian_2(6) if name == "C2^6" else dict(ZOO)[name]
     counted = []
     check = cohomology.check_allocation
     monkeypatch.setattr(cohomology, "check_allocation",
@@ -383,12 +450,23 @@ def test_streamed_rank_stays_within_its_byte_count(monkeypatch, name, p, d):
 
 
 def test_h2_over_a_prime_near_2_to_31():
-    # (p-1)^2 > 2^53, so the products of the streamed rank run in int64,
-    # and three products already pass 2^63: a rank of 3 needs the runs
+    # (p-1)^2 > 2^53, so the products of the spin run in int64, and three
+    # products already pass 2^63: a rank of 3 needs the runs
     p = 2**31 - 1
     pair = trivial_pair(elementary_abelian_2(2), p)
-    assert cohomology._delta2_rank(pair, None) == len(row_echelon(delta2_matrix(pair), p)[1]) == 3
+    assert cohomology._delta2_rank(pair, None) == oracle_rank(stacked_cocycle_rows(pair), p) == 3
     assert h2_dimension(pair) == 0
+
+
+# H^2(G, F_p) = Hom(M(G), F_p) + Ext(G_ab, F_p) by the universal coefficient
+# theorem: the Schur multipliers are C6 for A6 and C2 for S6, and S6_ab = C2
+@pytest.mark.parametrize("name,p,want", [("A6", 2, 1), ("A6", 3, 1), ("S6", 2, 2)])
+def test_h2_of_a6_and_s6_on_trivial_modules(name, p, want):
+    a6 = [Perm.from_cycles(6, [(0, 1, 2, 3, 4)]), Perm.from_cycles(6, [(3, 4, 5)])]
+    s6 = [Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)]), Perm.from_cycles(6, [(0, 1)])]
+    group = PermGroup(6, a6 if name == "A6" else s6)
+    assert group.order() == (360 if name == "A6" else 720)
+    assert h2_dimension(trivial_pair(group, p)) == want
 
 
 @pytest.mark.parametrize("k", [5, 6])
