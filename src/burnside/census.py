@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffield import FFMatrix, matmul_mod
-from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, subgroup_classes
+from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, orbit_minima, subgroup_classes
 from .slp import SLProgram, combine, evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
 
@@ -268,7 +268,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     from two split tables: with x = lo + p^h * hi and h = n // 2, they hold
     lo * M_top and hi * M_bottom for every generator M, so a block of codes
     is a broadcast sum of the two, reduced mod p and weighted back to codes.
-    Orbit minima come from min-label propagation along the permutations; a
+    Orbit minima come from orbit_minima along the permutations; a
     representative's stabilizer from its images along the element table's
     tree, classified by order and, when orders tie, by an explicit
     conjugacy search.  The fixed count of a class is the number of x with
@@ -313,16 +313,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
         block -= small.type(p) * (block >= p)
         perms[:, a * lows : (a + per_block) * lows] = (block @ weights).reshape(gens, -1)
 
-    # orbit minima: pull the least label back along every generator, then
-    # jump pointers, until nothing moves
-    label = np.arange(space, dtype=np.int64)
-    while True:
-        before = label
-        for perm in perms:
-            label = np.minimum(label, label[perm])
-        label = label[label]
-        if np.array_equal(label, before):
-            break
+    label = orbit_minima(space, perms)
     sizes = np.bincount(label)
     reps = np.flatnonzero(sizes)
 

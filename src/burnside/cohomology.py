@@ -26,11 +26,16 @@ u(gw,x), then F(g,.) = pi_g A - A once u(1,.) = 0, so the rows for g are
 pi_g(c) - c without the identity's columns.  As pi_h(pi_g c - c) =
 (pi_hg c - c) - (pi_h c - c), those rows span the F_pG-submodule spun from
 the seeds pi_x(c) - c, x a generator: the MeatAxe spin-up (R. A. Parker,
-Computational Group Theory, 1984).  _delta2_rank reduces the seeds into a
-running basis in reduced row echelon form, then images the rows each round
-added under every pi_x, until a round adds none.  The u(w,.) blocks of
-every spun row sum to zero, as pi_g permutes the blocks, so no nonzero row
-lies in the identity's block alone, and dropping that block keeps the rank.
+Computational Group Theory, 1984).  The seeds already span that module.
+The row space R of c is pi_g-invariant: pi_g of the identity around a
+fundamental loop at 1 is the identity around the translated loop, the
+module image of a loop at 1 and so a sum of fundamental ones.  Then
+(pi_hx - 1) R is inside (pi_h - 1) R + (pi_x - 1) R, so by induction on
+word length every pi_g(c) - c lies in the span of the seeds.  _delta2_rank
+reduces the seeds into a running basis in reduced row echelon form and
+takes its rank.  The u(w,.) blocks of every spun row sum to zero, as pi_g
+permutes the blocks, so no nonzero row lies in the identity's block alone,
+and dropping that block keeps the rank.
 B^2 is the image of the normalized 1-cochains, whose kernel is Z^1, so
 dim B^2 = (|G|-1) d - dim Z^1.
 
@@ -191,7 +196,7 @@ def _extend(basis, pivots, rows, p):
 
 
 def _delta2_rank(pair, progress):
-    """The rank of the cocycle system, spun from the seeds pi_x(c) - c."""
+    """The rank of the cocycle system: the rank of its seeds pi_x(c) - c."""
     n, r, d, p = pair.order, len(pair.gens), pair.d, pair.p
     unknowns, seed_rows = n * r * d, (n * (r - 1) + 1) * d
     step = n * d  # rows imaged at once: one generator's images are 1/r of the basis
@@ -199,34 +204,22 @@ def _delta2_rank(pair, progress):
                      8 * unknowns * (3 * unknowns + seed_rows + 6 * step))
     start = time.perf_counter()
     seed = delta2_matrix(pair)
-    cols = _spin_columns(pair)
     basis = np.empty((unknowns, unknowns), dtype=np.int64)
     pivots = []
-    for x in cols:
+    for x in _spin_columns(pair):
         for a in range(0, seed_rows, step):
             rows = seed[a : a + step]
             _extend(basis, pivots, reduce_mod(rows[:, x] - rows, p), p)
-    del seed
-    # round 1 reduced the seeds; each later round images the rows the one
-    # before added, until a round adds none
-    done, round_ = 0, 1
-    while True:
-        if progress is not None:
-            progress(f"round {round_}: rank {len(pivots)}, {time.perf_counter() - start:.2f} s")
-        if done == len(pivots):
-            return done
-        start, end, round_ = time.perf_counter(), len(pivots), round_ + 1
-        for a in range(done, end, step):
-            for x in cols:
-                _extend(basis, pivots, basis[a : min(a + step, end)][:, x], p)
-        done = end
+    if progress is not None:
+        progress(f"round 1: rank {len(pivots)}, {time.perf_counter() - start:.2f} s")
+    return len(pivots)
 
 
 def h2_dimension(pair: GroupModulePair, progress=None) -> int:
     """dim Z^2 - dim B^2 on the word-tree unknowns.
 
     dim B^2 = (|G|-1) d - dim Z^1.  progress, when given, is called with a
-    line of text after each spin round.
+    line of text once the seeds are reduced.
     """
     m, r, d = pair.order - 1, len(pair.gens), pair.d
     z2 = m * r * d - _delta2_rank(pair, progress)

@@ -367,8 +367,9 @@ def write_fixed_vector(values) -> str:
 # straight-line programs
 
 
-_SLP_MUL = re.compile(r"r(\d+)\s*=\s*r(\d+)\s*\*\s*r(\d+)\Z")
-_SLP_POW = re.compile(r"r(\d+)\s*=\s*r(\d+)\s*\^\s*([+-]?\d+)\Z")
+# rK = rI * rJ (groups 1, 2, 3) or rK = rI^E (groups 1, 2, 4)
+_SLP_STATEMENT = re.compile(r"r(\d+)\s*=\s*r(\d+)\s*(?:\*\s*r(\d+)|\^\s*([+-]?\d+))\Z")
+_SLP_SLOT = re.compile(r"r(\d+)")
 
 
 def parse_slp(text: str, n_inputs: int | None = None) -> SLProgram:
@@ -389,50 +390,42 @@ def _parse_slp_lines(text: str):
     returns = None
     defined = set()
     max_input = 1
-
-    def operand(slot):
-        nonlocal max_input
-        if slot not in defined:
-            max_input = max(max_input, slot)
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if returns is not None:
             raise ParseError("statement after return", lineno, 1)
-        if line == "return" or line.startswith("return "):
+        m = _SLP_STATEMENT.match(line)
+        if m:
+            tgt, a, b, e = m.groups()
+            tgt, a = int(tgt), int(a)
+            if a > max_input and a not in defined:
+                max_input = a
+            if b is not None:
+                b = int(b)
+                if b > max_input and b not in defined:
+                    max_input = b
+                statements.append((tgt, MUL, a, b))
+            else:
+                e = int(e)
+                statements.append((tgt, INV, a) if e == -1 else (tgt, POW, a, e))
+            defined.add(tgt)
+        elif line == "return" or line.startswith("return "):
             rest = line[len("return") :].strip()
-            if not rest:
-                returns = ()
-                continue
             slots = []
-            for part in rest.split(","):
+            for part in rest.split(",") if rest else ():  # a bare return: no slots
                 part = part.strip()
-                m = re.fullmatch(r"r(\d+)", part)
+                m = _SLP_SLOT.fullmatch(part)
                 if not m:
                     raise ParseError(f"bad return slot {part!r}", lineno, 1)
                 slot = int(m.group(1))
-                operand(slot)
+                if slot > max_input and slot not in defined:
+                    max_input = slot
                 slots.append(slot)
             returns = tuple(slots)
-            continue
-        m = _SLP_MUL.match(line)
-        if m:
-            tgt, a, b = (int(g) for g in m.groups())
-            operand(a)
-            operand(b)
-            statements.append((tgt, MUL, a, b))
-            defined.add(tgt)
-            continue
-        m = _SLP_POW.match(line)
-        if m:
-            tgt, a, e = (int(g) for g in m.groups())
-            operand(a)
-            statements.append((tgt, INV, a) if e == -1 else (tgt, POW, a, e))
-            defined.add(tgt)
-            continue
-        raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
+        else:
+            raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
     if returns is None:
         raise ParseError("missing return line", max(1, len(text.splitlines())), 1)
     return tuple(statements), returns, max_input

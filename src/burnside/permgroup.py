@@ -28,7 +28,7 @@ generator words transfer verbatim to matrix generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -422,13 +422,15 @@ class SubgroupClass:
 
     elements holds the sorted element indices of one representative U,
     generators the element indices that generate U (empty for the trivial
-    class), and size the number of distinct conjugates of U.
+    class), size the number of distinct conjugates of U and conjugates
+    their sorted element indices, a (size x order) array with one row each.
     """
 
     order: int
     size: int
     elements: np.ndarray = field(repr=False, compare=False)
     generators: tuple
+    conjugates: np.ndarray = field(repr=False, compare=False)
 
 
 def _cyclic(table, x):
@@ -441,12 +443,6 @@ def _cyclic(table, x):
     return powers
 
 
-def _cyclic_generators(powers):
-    """The generators of a cyclic group from _cyclic: x^k with k prime to the order."""
-    order = len(powers)
-    return [powers[k % order] for k in range(1, order + 1) if gcd(k, order) == 1]
-
-
 def _class_minima(table):
     """The least element of each conjugacy class of elements, ascending."""
     n = len(table.perms)
@@ -457,6 +453,64 @@ def _class_minima(table):
             minima.append(x)
             covered[table.conjugates([x])[:, 0]] = True
     return minima
+
+
+def orbit_minima(n, maps):
+    """label[x] = the least point of the orbit of x in 0..n-1 under bijections x -> map[x].
+
+    Min-label propagation: pull the least label back along every map, then
+    jump pointers (a label lies in its point's orbit), until nothing moves.
+    A fixed label is constant along each cycle of each map, so on orbits.
+    """
+    label = np.arange(n)
+    while True:
+        before = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
+def _power_maps(table, minima):
+    """Index arrays x -> x^k for unit residues k that generate the units mod the exponent.
+
+    The exponent e is the lcm of the orders of the class minima; the k are
+    picked greedily, each one not yet in the group the earlier ones generate.
+    """
+    e = lcm(*(len(_cyclic(table, x)) for x in minima))
+    ks, reached = [], {1}
+    for k in range(2, e):
+        if gcd(k, e) == 1 and k not in reached:
+            ks.append(k)
+            cyclic = [1]
+            while cyclic[-1] * k % e != 1:
+                cyclic.append(cyclic[-1] * k % e)
+            reached = {r * y % e for r in reached for y in cyclic}  # the units commute
+    maps = []
+    for k in ks:  # square and multiply
+        out, base = np.zeros(len(table.perms), dtype=np.intp), np.arange(len(table.perms))
+        while k:
+            if k & 1:
+                out = table.mul[out, base]
+            base, k = table.mul[base, base], k >> 1
+        maps.append(out)
+    return maps
+
+
+def _generators_within(table, subgroup):
+    """Greedy generators of a subgroup, given as its sorted element indices."""
+    gens = []
+    inside = np.zeros(len(table.perms), dtype=bool)
+    inside[0] = True
+    for c in subgroup.tolist():
+        if not inside[c]:
+            gens.append(c)
+            reached = table.closure(gens)
+            if len(reached) == len(subgroup):
+                break
+            inside[reached] = True
+    return gens
 
 
 def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
@@ -474,7 +528,9 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     of those arrays.  Elements are indexed in sorted order, so the least key
     among the conjugates is the same tie-break as the least sorted tuple of
     permutations.  A class's conjugates are g^-1 U g for one g per right
-    coset N(U)g of its normalizer, which are exactly the distinct ones.
+    coset N(U)g of its normalizer, which are exactly the distinct ones; they
+    are kept on the class, and counted against the byte bound, for the
+    marks in compute_tom.
 
     Each class is found by the first candidate, in a fixed scan order, that
     generates one of its subgroups, and keeps that candidate's generators.
@@ -483,10 +539,15 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     already known or already refused.  So the classes, their order and their
     generators do not depend on the skips:
     - a cyclic seed x is skipped when <x> = <y> for an earlier y, that is
-      when x = y^k with k prime to the order of y;
-    - a perfect seed <a, b> is skipped when b = (x c^k y)^g for an earlier
-      c, with x, y in <a>, k prime to the order of c and g centralizing a,
-      since then <a, b> = <a, c>^g;
+      when x = y^k with k prime to the order of y: x is not least in its
+      orbit under the power maps;
+    - a perfect seed <a, b> is closed only for b least in its orbit under
+      four families of bijections of G: b -> ab, b -> ba, b -> b^k for k
+      prime to the exponent of G (the k from _power_maps), and b -> c^-1 b c
+      for c in a generating set of the centralizer C(a).  Each keeps <a, b>
+      the same up to conjugacy by C(a), so every b in an orbit gives a
+      conjugate group, and the first b that gives a group of some class is
+      the least of its orbit;
     - an extension U<z> is skipped when z lies in an extension U<y> tried
       before: z then has the same prime order modulo U, and U<z> = U<y>.
 
@@ -504,7 +565,8 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     table = group.multiplication_table()
     mul, inv = table.mul, table.inv
 
-    classes = []  # dicts: els (sorted index array), gens (indices), normalizer, size, key
+    classes = []  # dicts: els (sorted index array), gens (indices), normalizer, conj, key
+    held = 0  # bytes of the conjugates kept for every class
     seen = {}  # key of every conjugate of a class -> that class
 
     def key(h):
@@ -512,6 +574,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         return h.astype(">u2").tobytes()
 
     def add(h, gens):
+        nonlocal held
         in_h = np.zeros(n, dtype=bool)
         in_h[h] = True
         normalizer = np.flatnonzero(in_h[table.conjugates(gens)].all(axis=1))
@@ -522,9 +585,11 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
             if not covered[g]:
                 reps.append(g)
                 covered[mul[normalizer, g]] = True
+        held += len(reps) * len(h) * 2
+        check_allocation(f"the conjugates of {len(classes) + 1} subgroup classes", held)
         conj = np.sort(mul[inv[reps][:, None], mul[h[:, None], reps].T], axis=1).astype(">u2", order="C")
         keys = conj.view(np.dtype((np.void, conj.shape[1] * 2))).ravel().tolist()
-        c = {"els": h, "gens": tuple(gens), "normalizer": normalizer, "size": len(keys), "key": min(keys)}
+        c = {"els": h, "gens": tuple(gens), "normalizer": normalizer, "conj": conj, "key": min(keys)}
         seen.update(dict.fromkeys(keys, c))
         classes.append(c)
         return c
@@ -534,13 +599,11 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
 
     add(np.array([0]), ())
     queue = []
-    generated = np.zeros(n, dtype=bool)  # x with <x> already tried
-    for x in range(1, n):
-        if generated[x]:
-            continue
-        cyclic = _cyclic(table, x)
-        generated[_cyclic_generators(cyclic)] = True
-        h = np.sort(cyclic)
+    minima = _class_minima(table)
+    powers = _power_maps(table, minima)
+    # x is the least generator of <x> when it is least in its orbit under the powers
+    for x in np.flatnonzero(orbit_minima(n, powers) == np.arange(n))[1:].tolist():
+        h = np.sort(_cyclic(table, x))
         if is_prime(len(h)) and key(h) not in seen:
             queue.append(add(h, (x,)))
 
@@ -548,18 +611,12 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     # nonabelian simple order; all perfect groups that fit below |G| <= 1000
     # are generated by two elements
     if any(s * 2 <= n and n % s == 0 for s in _SIMPLE_ORDERS):
-        for a in _class_minima(table)[1:]:  # one a per conjugacy class of elements
-            cyclic = np.array(_cyclic(table, a))
+        for a in minima[1:]:  # one a per conjugacy class of elements
             centralizer = np.flatnonzero(table.conjugates([a])[:, 0] == a)
-            done = np.zeros(n, dtype=bool)
-            for b in range(n):
-                if done[b]:
-                    continue
-                # <a, b> is the same group for every b' in <a> b^k <a>, k prime
-                # to |b|, and a conjugate one for b'^c, c centralizing a
-                bk = _cyclic_generators(_cyclic(table, b))
-                same = mul[mul[cyclic[:, None], bk][:, :, None], cyclic].ravel()
-                done[mul[inv[centralizer][:, None], mul[same[:, None], centralizer].T]] = True
+            maps = [mul[a], mul[:, a], *powers]
+            maps += [mul[mul[inv[c]], c] for c in _generators_within(table, centralizer)]
+            label = orbit_minima(n, maps)
+            for b in np.flatnonzero(label == np.arange(n)).tolist():
                 h = table.closure((a, b), cap=n // 2)
                 if h is None or all(len(h) % s for s in _SIMPLE_ORDERS):
                     continue
@@ -599,7 +656,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         add(full, generators_of(full))
 
     classes.sort(key=lambda c: (len(c["els"]), c["key"]))
-    return tuple(SubgroupClass(len(c["els"]), c["size"], c["els"], c["gens"]) for c in classes)
+    return tuple(SubgroupClass(len(c["els"]), len(c["conj"]), c["els"], c["gens"], c["conj"]) for c in classes)
 
 
 def is_conjugate_subgroup(group: PermGroup, u, v):

@@ -70,19 +70,24 @@ class TableOfMarks:
 
 
 def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> TableOfMarks:
-    """Marks by explicit coset counting over the subgroup classes.
+    """Marks by counting the conjugates of each class inside the others.
 
-    m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i.  Whether g
-    qualifies depends only on its coset, so the count is the number of such
-    g in G over |U_i|; it is read off the group's product table, one column
-    j at a time for every class i whose order |U_j| divides.  Each class
-    also gets a program expressing its generators as words in the group
-    generators (breadth-first words), so the table can replay subgroup
-    generators on matrix representations.
+    m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i, that is the
+    number of such g over |U_i|.  The g with g^-1 U_j g = V, for one
+    conjugate V of U_j, form a coset of the normalizer N(U_j), so
+
+        m[i][j] = |N(U_j)| * #{conjugates of U_j inside U_i} / |U_i|,
+
+    with |N(U_j)| = |G| / size_j.  The conjugates come with the classes;
+    they are tested against the membership rows of every class i whose
+    order |U_j| divides, one class j at a time.  Each class also gets a
+    program expressing its generators as words in the group generators
+    (breadth-first words), so the table can replay subgroup generators on
+    matrix representations.
     """
     if classes is None:
         classes = subgroup_classes(group, bound)
-    table = group.multiplication_table()
+    table = group.element_table()
     n = len(classes)
     size = len(table.perms)
     orders = np.array([c.order for c in classes], dtype=np.int64)
@@ -91,14 +96,13 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> 
     in_u = np.zeros((n, size), dtype=bool)
     for i, ci in enumerate(classes):
         in_u[i, ci.elements] = True
-    # conjugates of each class's generators by every element of G
-    conj = [table.conjugates(c.generators) for c in classes]
     rows = [[0] * n for _ in range(n)]
-    for j in range(n):
+    for j, cj in enumerate(classes):
         below = j + np.flatnonzero(orders[j:] % orders[j] == 0)
-        check_allocation(f"the marks of class {j + 1}", len(below) * conj[j].size)
-        counts = in_u[below][:, conj[j]].all(axis=-1).sum(axis=-1) // orders[below]
-        for i, mark in zip(below.tolist(), counts.tolist()):
+        # the membership table, its rows for below and their gather at the conjugates
+        check_allocation(f"the marks of class {j + 1}", (n + len(below)) * size + len(below) * cj.conjugates.size)
+        inside = in_u[below][:, cj.conjugates].all(axis=-1).sum(axis=-1)
+        for i, mark in zip(below.tolist(), (inside * (size // cj.size) // orders[below]).tolist()):
             rows[i][j] = mark
     for i in range(n):  # in place, so the lists and the tuples never all coexist
         rows[i] = tuple(rows[i])

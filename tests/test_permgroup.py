@@ -21,6 +21,7 @@ from burnside.permgroup import (
     is_conjugate_subgroup,
     minimal_generators,
     mulclose,
+    orbit_minima,
     subgroup_classes,
 )
 from smallgroups import all_small_groups, perms_of
@@ -415,3 +416,40 @@ def test_class_indices_are_consistent(name, group):
         assert len(c.elements) == c.order
         conjugates = np.sort(table.conjugates(c.elements), axis=1)
         assert len(np.unique(conjugates, axis=0)) == c.size
+        # the kept conjugates are the distinct ones, each once, sorted
+        assert c.conjugates.shape == (c.size, c.order)
+        kept = c.conjugates.astype(np.int64)
+        assert np.array_equal(np.unique(kept, axis=0), np.unique(conjugates, axis=0))
+        assert np.array_equal(np.sort(kept, axis=1), kept)
+
+
+def orbits_by_search(n, maps):
+    """The least point of each point's orbit, by a breadth-first search from every point."""
+    least = [None] * n
+    for x in range(n):
+        if least[x] is None:
+            orbit = [x]
+            for y in orbit:  # the loop extends the list it walks
+                for m in maps:
+                    if int(m[y]) not in orbit:
+                        orbit.append(int(m[y]))
+            for y in orbit:
+                least[y] = min(orbit)
+    return least
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_minima_match_a_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    # bijections that keep a hidden partition into blocks, so that there
+    # are several orbits, some of them unions of cycles of different maps
+    blocks = rng.integers(0, int(rng.integers(1, 12)), n)
+    maps = []
+    for _ in range(int(rng.integers(1, 5))):
+        m = np.arange(n)
+        for b in np.unique(blocks):
+            inside = np.flatnonzero(blocks == b)
+            m[inside] = inside[rng.permutation(len(inside))] if rng.random() < 0.7 else inside
+        maps.append(m)
+    assert orbit_minima(n, maps).tolist() == orbits_by_search(n, maps)

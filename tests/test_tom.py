@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from burnside.formats import write_tom
-from burnside.permgroup import Perm, PermGroup, mulclose, subgroup_classes
+from burnside import permgroup
+from burnside.permgroup import ElementTable, Perm, PermGroup, mulclose, subgroup_classes
 from burnside.slp import evaluate
 from burnside.tom import (
     DecompositionError,
@@ -172,12 +173,18 @@ def test_written_table_is_byte_identical(name, make, digest):
 
 # Digests recorded before subgroup_classes skipped any candidate.  A7 needs
 # perfect seeds of orders 60 and 168; in S5 x S3 the perfect seeds meet
-# elements with large centralizers.
+# elements with large centralizers.  S7 and M11 were recorded before the
+# perfect seeds were cut to orbit minima.  The class counts of A7, S7 and
+# M11 (40, 96, 39) are those of the GAP table-of-marks library.
 SEARCH_TOMS = [
     ("A7", lambda: PermGroup(7, [cyc(7, (0, 1, 2)), cyc(7, (2, 3, 4, 5, 6))]), 3000, 40,
      "8994632b1abaebd8f25f8b5357f73643fd8be88e2ff963e75e9ad30165706767"),
     ("S5xS3", lambda: PermGroup(8, [cyc(8, (0, 1)), cyc(8, (0, 1, 2, 3, 4)), cyc(8, (5, 6)), cyc(8, (5, 6, 7))]),
      1000, 121, "0a5c58273700c39e9fbcf4531dfdd3f226c81a5d5a2e692d0d4eb9e16cb2dcfb"),
+    ("S7", lambda: PermGroup(7, [cyc(7, (0, 1)), cyc(7, (0, 1, 2, 3, 4, 5, 6))]), 5040, 96,
+     "1f149698aad4da66bd29532ed9cffd7287f02df96e535ef5622140fd7f44be94"),
+    ("M11", lambda: PermGroup(11, [cyc(11, tuple(range(11))), cyc(11, (2, 6, 10, 7), (3, 9, 4, 5))]), 7920, 39,
+     "4c6103e5d0ef7c51f93a92bab3cac1d4475d6bb35ef35776025a471c11241ed9"),
 ]
 
 
@@ -186,6 +193,47 @@ def test_search_skips_keep_the_table(name, make, bound, n, digest):
     tom = compute_tom(make(), bound=bound)
     assert tom.n == n
     assert hashlib.sha256(write_tom(tom).encode()).hexdigest() == digest
+
+
+# closures of the search at the last version that marked each skipped b
+# one at a time
+@pytest.mark.parametrize("name,make,bound,most", [
+    ("S6", GOLDEN_TOMS[3][1], 1000, 226), ("A7", SEARCH_TOMS[0][1], 3000, 355),
+], ids=["S6", "A7"])
+def test_perfect_seed_search_closes_no_more_subgroups(monkeypatch, name, make, bound, most):
+    calls = []
+    closure = ElementTable.closure
+    monkeypatch.setattr(ElementTable, "closure", lambda self, *args, **kw: calls.append(1) or closure(self, *args, **kw))
+    subgroup_classes(make(), bound)
+    assert len(calls) <= most
+
+
+def test_marks_are_refused_before_they_are_gathered(monkeypatch):
+    group = GOLDEN_TOMS[2][1]()
+    classes = subgroup_classes(group)
+    n, size = len(classes), 120
+    # the membership table, its rows for the classes i >= j whose order
+    # |U_j| divides, and those rows at every element of every conjugate of U_j
+    need = []
+    for j, cj in enumerate(classes):
+        below = sum(1 for ci in classes[j:] if ci.order % cj.order == 0)
+        need.append((n + below) * size + below * cj.size * cj.order)
+    j = int(np.argmax(need))  # the first class that needs the most
+    monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", need[j] - 1)
+    with pytest.raises(ValueError, match=f"the marks of class {j + 1} takes {need[j]} bytes"):
+        compute_tom(group, classes=classes)
+
+
+def test_kept_conjugates_count_against_the_byte_bound(monkeypatch):
+    group = GOLDEN_TOMS[2][1]()
+    classes = subgroup_classes(group)
+    # the product table is held now: asking for it again counts nothing
+    table = group.multiplication_table()
+    monkeypatch.setattr(group, "multiplication_table", lambda: table)
+    held = sum(2 * c.size * c.order for c in classes)
+    monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", held - 1)
+    with pytest.raises(ValueError, match=f"the conjugates of {len(classes)} subgroup classes takes {held} bytes"):
+        subgroup_classes(group)
 
 
 def test_decompose_rows_give_unit_vectors():
