@@ -164,22 +164,28 @@ class ElementTable:
     """
 
     def __init__(self, degree, generators):
-        ident = Perm.identity(degree)
+        # a search on image tuples, x * g = (g(x(0)), ...); one Perm each at the end
+        steps = [g.images.__getitem__ for g in generators]
+        ident = tuple(range(degree))
         words = {ident: ()}
         found = [ident]  # breadth-first order; the loop below extends it
         products = {}
         tree = []
-        for el in found:
-            products[el] = [el * g for g in generators]
-            for k, y in enumerate(products[el]):
+        for x in found:
+            products[x] = ys = [tuple(map(step, x)) for step in steps]
+            for k, y in enumerate(ys):
                 if y not in words:
-                    words[y] = words[el] + (k,)
+                    words[y] = words[x] + (k,)
                     found.append(y)
-                    tree.append((el, k, y))
-        self.words = words
-        self.perms = tuple(sorted(found))
-        self.index = index = {x: i for i, x in enumerate(self.perms)}
-        self.right = [[index[y] for y in products[x]] for x in self.perms]
+                    tree.append((x, k, y))
+        found.sort()
+        index = {x: i for i, x in enumerate(found)}
+        self.perms = perms = tuple(object.__new__(Perm) for _ in found)  # no check in __init__
+        for p, x in zip(perms, found):
+            p.images = x
+        self.index = {x: i for i, x in enumerate(perms)}
+        self.words = {perms[index[x]]: w for x, w in words.items()}
+        self.right = [[index[y] for y in products[x]] for x in found]
         self.tree = [(index[x], k, index[y]) for x, k, y in tree]
         self.mul = self.inv = None
 
@@ -333,7 +339,10 @@ class PermGroup:
             for i, k, j in table.tree:
                 cols[j] = right[cols[i], k]
             table.mul = cols.T
-            table.inv = cols.argmin(axis=0).astype(_INDEX)
+            # the one identity in each column i is at row inv[i]
+            flat = np.flatnonzero(cols == 0)
+            table.inv = np.empty(n, dtype=_INDEX)
+            table.inv[flat % n] = flat // n
         return table
 
     # -- orbits -----------------------------------------------------------
@@ -444,15 +453,12 @@ def _cyclic(table, x):
 
 
 def _class_minima(table):
-    """The least element of each conjugacy class of elements, ascending."""
+    """The least element of each conjugacy class of elements, ascending, and
+    least[x], the least conjugate of x (orbits under conjugation by the generators)."""
     n = len(table.perms)
-    covered = np.zeros(n, dtype=bool)
-    minima = []
-    for x in range(n):
-        if not covered[x]:
-            minima.append(x)
-            covered[table.conjugates([x])[:, 0]] = True
-    return minima
+    mul, inv = table.mul, table.inv
+    least = orbit_minima(n, [mul[mul[inv[c]], c] for c in table.right[0]])
+    return np.flatnonzero(least == np.arange(n)).tolist(), least
 
 
 def orbit_minima(n, maps):
@@ -548,6 +554,9 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
       the same up to conjugacy by C(a), so every b in an orbit gives a
       conjugate group, and the first b that gives a group of some class is
       the least of its orbit;
+    - nor when a member b' of that orbit is conjugate to an earlier class
+      minimum a' (not 1): if c^-1 b' c = a', then <a, b'>^c = <a', a^c>,
+      a closure at a' already made or skipped the same way;
     - an extension U<z> is skipped when z lies in an extension U<y> tried
       before: z then has the same prime order modulo U, and U<z> = U<y>.
 
@@ -578,13 +587,16 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         in_h = np.zeros(n, dtype=bool)
         in_h[h] = True
         normalizer = np.flatnonzero(in_h[table.conjugates(gens)].all(axis=1))
-        # g^-1 U g depends only on the right coset N(U)g
+        # g^-1 U g depends only on the right coset N(U)g: one least g each, by
+        # jumping to the next g not yet covered (mul.T[g] is the row x -> x g)
         reps = []
-        covered = np.zeros(n, dtype=bool)
-        for g in range(n):
-            if not covered[g]:
-                reps.append(g)
-                covered[mul[normalizer, g]] = True
+        covered = bytearray(n)
+        in_cover = np.frombuffer(covered, dtype=np.uint8)
+        g = 0
+        while g >= 0:
+            reps.append(g)
+            in_cover[mul.T[g].take(normalizer)] = 1
+            g = covered.find(0, g + 1)
         held += len(reps) * len(h) * 2
         check_allocation(f"the conjugates of {len(classes) + 1} subgroup classes", held)
         conj = np.sort(mul[inv[reps][:, None], mul[h[:, None], reps].T], axis=1).astype(">u2", order="C")
@@ -599,7 +611,7 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
 
     add(np.array([0]), ())
     queue = []
-    minima = _class_minima(table)
+    minima, least = _class_minima(table)
     powers = _power_maps(table, minima)
     # x is the least generator of <x> when it is least in its orbit under the powers
     for x in np.flatnonzero(orbit_minima(n, powers) == np.arange(n))[1:].tolist():
@@ -611,12 +623,16 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     # nonabelian simple order; all perfect groups that fit below |G| <= 1000
     # are generated by two elements
     if any(s * 2 <= n and n % s == 0 for s in _SIMPLE_ORDERS):
+        least_a = np.where(least > 0, least, n)  # the identity is never an a
         for a in minima[1:]:  # one a per conjugacy class of elements
             centralizer = np.flatnonzero(table.conjugates([a])[:, 0] == a)
             maps = [mul[a], mul[:, a], *powers]
             maps += [mul[mul[inv[c]], c] for c in _generators_within(table, centralizer)]
             label = orbit_minima(n, maps)
-            for b in np.flatnonzero(label == np.arange(n)).tolist():
+            # earliest[b]: the least class minimum a' conjugate to a member of b's orbit
+            earliest = np.full(n, n)
+            np.minimum.at(earliest, label, least_a)
+            for b in np.flatnonzero((label == np.arange(n)) & (earliest >= a)).tolist():
                 h = table.closure((a, b), cap=n // 2)
                 if h is None or all(len(h) % s for s in _SIMPLE_ORDERS):
                     continue

@@ -17,6 +17,7 @@ from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.permgroup import (
     ElementTable,
     Perm,
+    _class_minima,
     PermGroup,
     is_conjugate_subgroup,
     minimal_generators,
@@ -355,6 +356,65 @@ def test_closure_cap_is_inclusive():
     assert len(a4_els) == 12
     assert table.closure(gens, cap=12).tolist() == a4_els.tolist()
     assert table.closure(gens, cap=11) is None
+
+
+def s6():
+    return PermGroup(6, [cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))])
+
+
+def element_table_by_search(degree, generators):
+    """perms, words, right and tree of an ElementTable, by a breadth-first search on Perm products."""
+    ident = Perm.identity(degree)
+    words, found, tree = {ident: ()}, [ident], []
+    for x in found:  # the loop extends the list it walks
+        for k, g in enumerate(generators):
+            y = x * g
+            if y not in words:
+                words[y] = words[x] + (k,)
+                found.append(y)
+                tree.append((x, k, y))
+    perms = sorted(found)
+    index = {x: i for i, x in enumerate(perms)}
+    right = [[index[x * g] for g in generators] for x in perms]
+    return perms, words, right, [(index[x], k, index[y]) for x, k, y in tree]
+
+
+@pytest.mark.parametrize("degree,generators", [
+    (1, [Perm.identity(1)]),
+    (1, []),
+    (4, [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))]),
+    (5, [Perm.identity(5), cyc(5, (0, 1, 2)), cyc(5, (2, 3, 4))]),
+    (6, list(s6().generators)),
+], ids=["C1", "no generators", "repeated generator", "identity generator", "S6"])
+def test_element_table_matches_a_perm_search(degree, generators):
+    table = ElementTable(degree, generators)
+    perms, words, right, tree = element_table_by_search(degree, generators)
+    assert list(table.perms) == perms
+    assert all(type(x.images) is tuple for x in table.perms)
+    assert table.index == {x: i for i, x in enumerate(perms)}
+    assert list(table.words.items()) == list(words.items())  # insertion order too
+    assert table.right == right
+    assert table.tree == tree
+
+
+@pytest.mark.parametrize("name,group", all_small_groups() + [("S6", s6())],
+                         ids=[name for name, _ in all_small_groups()] + ["S6"])
+def test_product_table_and_inverses_match_perm_products(name, group):
+    table = group.multiplication_table()
+    perms, index = table.perms, table.index
+    assert table.mul.tolist() == [[index[x * y] for y in perms] for x in perms]
+    assert table.inv.tolist() == [index[x.inverse()] for x in perms]
+    assert table.inv[table.inv].tolist() == list(range(len(perms)))
+
+
+@pytest.mark.parametrize("make", [s4, s6], ids=["S4", "S6"])
+def test_least_conjugates_match_a_search(make):
+    table = make().multiplication_table()
+    minima, least = _class_minima(table)
+    expected = [min(table.index[g.inverse() * x * g] for g in table.perms) for x in table.perms]
+    assert least.tolist() == expected
+    # the least element of each class, ascending
+    assert minima == sorted(set(expected))
 
 
 # ---------------------------------------------------------------------------
