@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 usage (bad flags, inconsistent parameters),
 2 data-format errors (unreadable or malformed files, declared q not
 matching the data, an ext-matrix modulus that is not a list of integers
-or conflicts with blowup --modulus), 3 computation errors (bounds
-exceeded, non-integral decompositions, misaligned generators).  All
-stdout output is assembled into one string and written at the end, so
-identical inputs give byte-identical output.  Evaluation is serial;
---threads is accepted for compatibility and changes nothing.
+or conflicts with blowup --modulus), 3 computation errors (byte bounds
+exceeded, as by a group of order past 11585, non-integral decompositions,
+misaligned generators).  All stdout output is assembled into one string
+and written at the end, so identical inputs give byte-identical output.
+Evaluation is serial; --threads is accepted for compatibility and changes
+nothing.
 """
 
 import argparse
@@ -36,7 +37,7 @@ from .formats import (
     write_meataxe,
     write_tom,
 )
-from .permgroup import SUBGROUP_BOUND, Perm, PermGroup
+from .permgroup import Perm, PermGroup
 from .slp import evaluate
 from .tom import compute_tom, decompose_fixed_vector
 
@@ -158,7 +159,7 @@ def _cmd_tom(args) -> str:
     if args.mode == "compute":
         group = _perm_group(args.perm)
         _note(args, f"group of order {group.order()} on {group.degree} points")
-        tom = compute_tom(group, bound=args.max_order)
+        tom = compute_tom(group)
         Path(args.out).write_text(write_tom(tom))
         return f"{tom.n} classes\n"
     tom = parse_tom(_read(args.tom))
@@ -261,8 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tc = tsub.add_parser("compute", help="table of marks of a permutation group")
     tc.add_argument("--perm", required=True, help="mode 12 permutation generator file")
     tc.add_argument("--out", required=True, help="output tom file")
-    tc.add_argument("--max-order", type=_positive_int, default=SUBGROUP_BOUND,
-                    help="largest group order to accept")
     common(tc)
     td = tsub.add_parser("decompose", help="decompose a fixed-point vector")
     td.add_argument("--tom", required=True, help="tom file")

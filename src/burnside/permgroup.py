@@ -4,8 +4,7 @@ Provides exactly what the table-of-marks pipeline needs: orbits with
 transversals, group order and membership through a deterministic
 Schreier-Sims chain, full element enumeration with generator words, conjugacy
 classes of subgroups, and subgroup-conjugacy tests.  Everything is exhaustive
-and deterministic.  The product table below caps the order at 11,585, and
-subgroup_classes refuses orders above 1000 unless its bound is raised.
+and deterministic; the product table below is the one limit on the order.
 Tables for the sporadic-group censuses of the paper are ingested from
 files, never computed.
 
@@ -35,19 +34,17 @@ import numpy as np
 from .cyclotomic import is_prime, power, prime_factors
 from .ffield import _check_int64, blow_up, matmul_mod
 
-ENUMERATION_BOUND = 10_000
-SUBGROUP_BOUND = 1000
 # largest dense array (product table, cohomology system) built anywhere
 SYSTEM_BYTES_BOUND = 2**28
 
 # element indices; the byte bound keeps every order below 2^15
 _INDEX = np.int16
 
-# nonabelian simple orders that can divide the order of a proper subgroup of
-# a group with a product table (order <= 11585, so proper subgroups <= 5792):
-# every such order is a multiple of 60 or 168 or one of 1092 (PSL(2,13)),
-# 2448 (PSL(2,17)) and 5616 (PSL(3,3)); subgroup_classes seeds perfect
-# subgroups only when one of these can divide a proper subgroup's order
+# nonabelian simple orders that can divide the order of a proper subgroup of a
+# group with a product table (order <= 11585, so proper subgroups <= 5792; a
+# larger cap needs a longer list): every such order is a multiple of 60 or 168 or
+# one of 1092 (PSL(2,13)), 2448 (PSL(2,17)) and 5616 (PSL(3,3)); subgroup_classes
+# seeds perfect subgroups only when one of these can divide a proper subgroup's order
 _SIMPLE_ORDERS = (60, 168, 1092, 2448, 5616)
 
 
@@ -303,11 +300,11 @@ class PermGroup:
 
         A word (i1, i2, ...) means generators[i1] * generators[i2] * ...;
         the empty word is the identity.  The first call builds the group's
-        ElementTable, and refuses a group of order past ENUMERATION_BOUND.
+        ElementTable, unless its product table would exceed SYSTEM_BYTES_BOUND.
         """
         if self._table is None:
-            if self.order() > ENUMERATION_BOUND:
-                raise ValueError(f"group order {self.order()} exceeds enumeration bound {ENUMERATION_BOUND}")
+            n = self.order()
+            check_allocation(f"the {n} x {n} product table", n * n * np.dtype(_INDEX).itemsize)
             self._table = ElementTable(self.degree, self.generators)
         return self._table.words
 
@@ -315,23 +312,15 @@ class PermGroup:
         return list(self.element_table().perms)
 
     def element_table(self) -> ElementTable:
-        """The group's ElementTable, without its products."""
+        """The group's ElementTable, without its products; refused past the product-table cap."""
         self.element_words()
         return self._table
 
     def multiplication_table(self) -> ElementTable:
-        """The element table with its products filled in.
-
-        Refuses a group whose product table exceeds SYSTEM_BYTES_BOUND
-        before enumerating a single element; that bound alone limits it.
-        """
-        n = self.order()
-        check_allocation(f"the {n} x {n} product table", n * n * np.dtype(_INDEX).itemsize)
-        if self._table is None and n > ENUMERATION_BOUND:
-            # the allocation check above bounds this enumeration
-            self._table = ElementTable(self.degree, self.generators)
+        """The element table with its products filled in (its bytes were checked with the elements)."""
         table = self.element_table()
         if table.mul is None:
+            n = len(table.perms)
             # along the tree: x * (y g_k) = (x y) g_k
             right = np.array(table.right, dtype=_INDEX).reshape(n, -1)
             cols = np.empty((n, n), dtype=_INDEX)  # cols[j, i] = index of perms[i] * perms[j]
@@ -519,7 +508,7 @@ def _generators_within(table, subgroup):
     return gens
 
 
-def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
+def subgroup_classes(group: PermGroup) -> tuple:
     """A tuple of SubgroupClass, one per conjugacy class of subgroups.
 
     Cyclic extension: seed with the classes of prime-order cyclic subgroups,
@@ -535,8 +524,8 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
     among the conjugates is the same tie-break as the least sorted tuple of
     permutations.  A class's conjugates are g^-1 U g for one g per right
     coset N(U)g of its normalizer, which are exactly the distinct ones; they
-    are kept on the class, and counted against the byte bound, for the
-    marks in compute_tom.
+    are kept on the class, and counted against the byte bound with it, for
+    the marks in compute_tom.
 
     Each class is found by the first candidate, in a fixed scan order, that
     generates one of its subgroups, and keeps that candidate's generators.
@@ -562,20 +551,29 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
 
     Perfect subgroups are sought among the two-generator closures whose
     order is a multiple of a nonabelian simple order in _SIMPLE_ORDERS,
-    which covers every simple group that fits in a proper subgroup, among
-    them PSL(2,13), PSL(2,17) and PSL(3,3) (orders 1092, 2448 and 5616;
-    PSL(2,13) first fits in PGL(2,13), of order 2184, past the default
-    bound).  Every perfect subgroup of a group of order <= 1000 has two
-    generators; in a larger group one that needs three would be missed.
+    which covers every simple group that fits in a proper subgroup.
+
+    Two generators suffice below the product-table cap (|G| <= 11585): a proper
+    subgroup has order <= 5792, and every perfect group P of order <= 5792 is
+    2-generated.  For a least counterexample P, each proper quotient is perfect
+    and smaller, so it needs fewer generators than P; by F. Dalla Volta and A.
+    Lucchini (J. Austral. Math. Soc. A 64, 1998) P is then a crown-based power
+    L_k of a monolithic primitive group L with socle N.  If k = 1, P = L has a
+    unique minimal normal subgroup and d(P) = max(2, d(P/N)) = 2 by A. Lucchini
+    and F. Menegazzo (Rend. Sem. Mat. Univ. Padova 98, 1997).  If k >= 2 and
+    N = V is abelian, V is a faithful irreducible module for the perfect group
+    H = L/V != 1, and |P| >= |V|^2 |H| with |H| >= 60 needs |V| <= 9, where
+    only GL(3,2) has a nontrivial perfect subgroup, and 8^2 * 168 = 10752 is
+    over 5792.  If k >= 2 and N is nonabelian, |P| >= |N|^2 forces P = A5 x A5,
+    2-generated (P. Hall, 1936).  A larger cap reopens the question.
     """
-    n = group.order()
-    if n > bound:
-        raise ValueError(f"group order {n} exceeds subgroup enumeration bound {bound}")
     table = group.multiplication_table()
+    n = len(table.perms)
     mul, inv = table.mul, table.inv
 
     classes = []  # dicts: els (sorted index array), gens (indices), normalizer, conj, key
-    held = 0  # bytes of the conjugates kept for every class
+    # bytes held: the largest working set (generators_of's closure of n Perms), then each class
+    held = n * (160 + 8 * group.degree)
     seen = {}  # key of every conjugate of a class -> that class
 
     def key(h):
@@ -597,8 +595,9 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
             reps.append(g)
             in_cover[mul.T[g].take(normalizer)] = 1
             g = covered.find(0, g + 1)
-        held += len(reps) * len(h) * 2
-        check_allocation(f"the conjugates of {len(classes) + 1} subgroup classes", held)
+        # int64 elements and normalizer; per conjugate a row, its key and seen entry; the objects
+        held += 8 * (len(h) + len(normalizer)) + len(reps) * (4 * len(h) + 160) + 1280
+        check_allocation(f"{len(classes) + 1} subgroup classes with their conjugates", held)
         conj = np.sort(mul[inv[reps][:, None], mul[h[:, None], reps].T], axis=1).astype(">u2", order="C")
         keys = conj.view(np.dtype((np.void, conj.shape[1] * 2))).ravel().tolist()
         c = {"els": h, "gens": tuple(gens), "normalizer": normalizer, "conj": conj, "key": min(keys)}
@@ -619,9 +618,8 @@ def subgroup_classes(group: PermGroup, bound: int = SUBGROUP_BOUND) -> tuple:
         if is_prime(len(h)) and key(h) not in seen:
             queue.append(add(h, (x,)))
 
-    # perfect seeds: any insoluble proper subgroup has order divisible by a
-    # nonabelian simple order; all perfect groups that fit below |G| <= 1000
-    # are generated by two elements
+    # perfect seeds: two-generator closures whose order is divisible by a
+    # nonabelian simple order (the docstring says why they find all)
     if any(s * 2 <= n and n % s == 0 for s in _SIMPLE_ORDERS):
         least_a = np.where(least > 0, least, n)  # the identity is never an a
         for a in minima[1:]:  # one a per conjugacy class of elements

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .permgroup import SUBGROUP_BOUND, PermGroup, check_allocation, subgroup_classes
+from .permgroup import PermGroup, check_allocation, subgroup_classes
 from .slp import SLProgram
 
 
@@ -69,7 +69,7 @@ class TableOfMarks:
         return self.marks[i]
 
 
-def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> TableOfMarks:
+def compute_tom(group: PermGroup, classes=None) -> TableOfMarks:
     """Marks by counting the conjugates of each class inside the others.
 
     m[i][j] = number of cosets gU_i with g^-1 U_j g inside U_i, that is the
@@ -80,27 +80,29 @@ def compute_tom(group: PermGroup, bound: int = SUBGROUP_BOUND, classes=None) -> 
 
     with |N(U_j)| = |G| / size_j.  The conjugates come with the classes;
     they are tested against the membership rows of every class i whose
-    order |U_j| divides, one class j at a time.  Each class also gets a
-    program expressing its generators as words in the group generators
+    order |U_j| divides, one class j at a time.  The n x n marks, at 8
+    bytes a list slot, and the membership table count against the byte
+    bound before either is built.  Each class also gets a program
+    expressing its generators as words in the group generators
     (breadth-first words), so the table can replay subgroup generators on
     matrix representations.
     """
     if classes is None:
-        classes = subgroup_classes(group, bound)
+        classes = subgroup_classes(group)
     table = group.element_table()
     n = len(classes)
     size = len(table.perms)
     orders = np.array([c.order for c in classes], dtype=np.int64)
+    check_allocation(f"the marks and membership table of {n} classes", held := 8 * n * n + n * size)
     # in_u[i, g]: element g lies in U_i
-    check_allocation(f"the membership table of {n} classes in {size} elements", n * size)
     in_u = np.zeros((n, size), dtype=bool)
     for i, ci in enumerate(classes):
         in_u[i, ci.elements] = True
     rows = [[0] * n for _ in range(n)]
     for j, cj in enumerate(classes):
         below = j + np.flatnonzero(orders[j:] % orders[j] == 0)
-        # the membership table, its rows for below and their gather at the conjugates
-        check_allocation(f"the marks of class {j + 1}", (n + len(below)) * size + len(below) * cj.conjugates.size)
+        # with what is held, the rows of in_u for below and their gather at the conjugates
+        check_allocation(f"the marks of class {j + 1}", held + len(below) * (size + cj.conjugates.size))
         inside = in_u[below][:, cj.conjugates].all(axis=-1).sum(axis=-1)
         for i, mark in zip(below.tolist(), (inside * (size // cj.size) // orders[below]).tolist()):
             rows[i][j] = mark

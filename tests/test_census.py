@@ -193,9 +193,9 @@ def test_census_of_a_group_with_a_perfect_subgroup_of_order_1092():
     # PSL(2,13) has order 1092, a multiple of neither 60 nor 168; its class is
     # the stabilizer of the nonzero dual vectors
     group, action = pgl2_13_sign()
-    classes = subgroup_classes(group, bound=3000)
+    classes = subgroup_classes(group)
     assert group.order() == 2184 and len(classes) == 30
-    tom = compute_tom(group, bound=3000, classes=classes)
+    tom = compute_tom(group, classes=classes)
     report = census_from_tom(tom, action)
     assert report == census_brute_force(group, action, classes=classes)
     assert report.staborders == (1092, 2184)

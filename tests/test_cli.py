@@ -17,6 +17,7 @@ from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import parse_tom, write_meataxe
 from burnside.permgroup import ElementTable, Perm, PermGroup
 from burnside.tom import compute_tom
+from test_census import _direct_sum, _perm_matrix
 
 DATA = files("burnside") / "data"
 
@@ -66,7 +67,7 @@ def test_census_deterministic_and_thread_neutral(capsys):
     assert first == second == threaded
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--max-order"])
+@pytest.mark.parametrize("flag", ["--threads"])
 def test_nonpositive_counts_exit_1(capsys, tmp_path, flag):
     code, out, err = run(capsys, "tom", "compute", "--perm", p("a4.perm.mtx"),
                          "--out", str(tmp_path / "x.json"), flag, "0")
@@ -145,13 +146,6 @@ def test_tom_compute_trivial_group(capsys, tmp_path):
     assert parse_tom(out_file.read_text()).marks == ((1,),)
 
 
-def test_tom_compute_bound(capsys, tmp_path):
-    code, _, err = run(capsys, "tom", "compute", "--perm", p("a4.perm.mtx"),
-                       "--out", str(tmp_path / "x.json"), "--max-order", "5")
-    assert code == 3
-    assert "bound" in err
-
-
 def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError("the elements were enumerated")
@@ -163,7 +157,7 @@ def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypat
                                    Perm.from_cycles(8, [(1, 2, 3, 4, 5, 6, 7)])]))
     out_file = tmp_path / "a8.tom.json"
     code, out, err = run(capsys, "tom", "compute", "--perm", str(perm),
-                         "--out", str(out_file), "--max-order", "30000")
+                         "--out", str(out_file))
     assert code == 3
     assert out == ""
     assert "812851200 bytes" in err
@@ -171,13 +165,14 @@ def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypat
 
 
 def test_tom_compute_oversized_marks_exit_3(capsys, tmp_path, monkeypatch):
-    # the classes are found at the default bound; then the bound drops to
-    # the membership table's bytes, and counting the marks is refused
+    # the classes are found under the byte bound; then the bound drops to
+    # the bytes of the marks (8 a list slot) and the membership table, and
+    # gathering the marks of the first class is refused
     find = tom.subgroup_classes
 
-    def classes_then_small_bound(group, bound):
-        classes = find(group, bound)
-        monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", len(classes) * group.order())
+    def classes_then_small_bound(group):
+        classes = find(group)
+        monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", 8 * len(classes) ** 2 + len(classes) * group.order())
         return classes
 
     monkeypatch.setattr(tom, "subgroup_classes", classes_then_small_bound)
@@ -187,8 +182,41 @@ def test_tom_compute_oversized_marks_exit_3(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "tom", "compute", "--perm", str(perm), "--out", str(out_file))
     assert code == 3
     assert out == ""
-    assert re.search(r"the marks of class 1 takes \d+ bytes, over the bound of 2280 bytes", err)
+    assert re.search(r"the marks of class 1 takes \d+ bytes, over the bound of 5168 bytes", err)
     assert not out_file.exists()
+
+
+def test_tom_compute_refuses_marks_of_too_many_classes(capsys, tmp_path):
+    # C2^7 has order 128 but 29212 subgroup classes: the classes fit the byte
+    # bound, the 29212 x 29212 marks do not, and nothing is written
+    gens = [Perm.from_cycles(14, [(2 * i, 2 * i + 1)]) for i in range(7)]
+    perm = tmp_path / "c2x7.mtx"
+    perm.write_text(write_meataxe(gens))
+    out_file = tmp_path / "c2x7.tom.json"
+    code, out, err = run(capsys, "tom", "compute", "--perm", str(perm), "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert "the marks and membership table of 29212 classes takes 6830466688 bytes" in err
+    assert not out_file.exists()
+
+
+def test_census_oracle_reaches_m11(capsys, tmp_path):
+    # M11 on two copies of its 11-point permutation module over GF(2)
+    gens = [Perm.from_cycles(11, [tuple(range(11))]), Perm.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+    perm = tmp_path / "m11.perm.mtx"
+    perm.write_text(write_meataxe(gens))
+    mats = [tmp_path / f"m11.gen{k}.mtx" for k in range(2)]
+    for path, g in zip(mats, gens):
+        path.write_text(write_meataxe(_direct_sum([_perm_matrix(PrimeField(2), g)] * 2, 0)))
+    tom_file = tmp_path / "m11.tom.json"
+    code, out, _ = run(capsys, "tom", "compute", "--perm", str(perm), "--out", str(tom_file))
+    assert (code, out) == (0, "39 classes\n")
+    args = ["--gens", ",".join(map(str, mats)), "--q", "2"]
+    code1, out1, _ = run(capsys, "census", "tom", "--tom", str(tom_file), *args)
+    code2, out2, _ = run(capsys, "census", "brute", "--perm", str(perm), *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.startswith("regular_orbits 288\n")
 
 
 def test_tom_decompose(capsys, tmp_path):

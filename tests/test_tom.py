@@ -7,6 +7,7 @@ the counting is actually right.
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from burnside.tom import (
     orders_of,
 )
 from smallgroups import all_small_groups, perms_of
+from test_cohomology import elementary_abelian_2
 
 
 def cyc(degree, *cycles):
@@ -177,35 +179,34 @@ def test_written_table_is_byte_identical(name, make, digest):
 # perfect seeds were cut to orbit minima.  The class counts of A7, S7 and
 # M11 (40, 96, 39) are those of the GAP table-of-marks library.
 SEARCH_TOMS = [
-    ("A7", lambda: PermGroup(7, [cyc(7, (0, 1, 2)), cyc(7, (2, 3, 4, 5, 6))]), 3000, 40,
+    ("A7", lambda: PermGroup(7, [cyc(7, (0, 1, 2)), cyc(7, (2, 3, 4, 5, 6))]), 40,
      "8994632b1abaebd8f25f8b5357f73643fd8be88e2ff963e75e9ad30165706767"),
     ("S5xS3", lambda: PermGroup(8, [cyc(8, (0, 1)), cyc(8, (0, 1, 2, 3, 4)), cyc(8, (5, 6)), cyc(8, (5, 6, 7))]),
-     1000, 121, "0a5c58273700c39e9fbcf4531dfdd3f226c81a5d5a2e692d0d4eb9e16cb2dcfb"),
-    ("S7", lambda: PermGroup(7, [cyc(7, (0, 1)), cyc(7, (0, 1, 2, 3, 4, 5, 6))]), 5040, 96,
+     121, "0a5c58273700c39e9fbcf4531dfdd3f226c81a5d5a2e692d0d4eb9e16cb2dcfb"),
+    ("S7", lambda: PermGroup(7, [cyc(7, (0, 1)), cyc(7, (0, 1, 2, 3, 4, 5, 6))]), 96,
      "1f149698aad4da66bd29532ed9cffd7287f02df96e535ef5622140fd7f44be94"),
-    ("M11", lambda: PermGroup(11, [cyc(11, tuple(range(11))), cyc(11, (2, 6, 10, 7), (3, 9, 4, 5))]), 7920, 39,
+    ("M11", lambda: PermGroup(11, [cyc(11, tuple(range(11))), cyc(11, (2, 6, 10, 7), (3, 9, 4, 5))]), 39,
      "4c6103e5d0ef7c51f93a92bab3cac1d4475d6bb35ef35776025a471c11241ed9"),
 ]
 
 
-@pytest.mark.parametrize("name,make,bound,n,digest", SEARCH_TOMS, ids=[g[0] for g in SEARCH_TOMS])
-def test_search_skips_keep_the_table(name, make, bound, n, digest):
-    tom = compute_tom(make(), bound=bound)
+@pytest.mark.parametrize("name,make,n,digest", SEARCH_TOMS, ids=[g[0] for g in SEARCH_TOMS])
+def test_search_skips_keep_the_table(name, make, n, digest):
+    tom = compute_tom(make())
     assert tom.n == n
     assert hashlib.sha256(write_tom(tom).encode()).hexdigest() == digest
 
 
 # closures of the search once it skips the b orbits that hold a conjugate
 # of an earlier class minimum a' (without that skip: 219, 168 and 482)
-@pytest.mark.parametrize("name,make,bound,most", [
-    ("S6", GOLDEN_TOMS[3][1], 1000, 105), ("A7", SEARCH_TOMS[0][1], 3000, 76),
-    ("S5xS3", SEARCH_TOMS[1][1], 1000, 232),
+@pytest.mark.parametrize("name,make,most", [
+    ("S6", GOLDEN_TOMS[3][1], 105), ("A7", SEARCH_TOMS[0][1], 76), ("S5xS3", SEARCH_TOMS[1][1], 232),
 ], ids=["S6", "A7", "S5xS3"])
-def test_perfect_seed_search_closes_no_more_subgroups(monkeypatch, name, make, bound, most):
+def test_perfect_seed_search_closes_no_more_subgroups(monkeypatch, name, make, most):
     calls = []
     closure = ElementTable.closure
     monkeypatch.setattr(ElementTable, "closure", lambda self, *args, **kw: calls.append(1) or closure(self, *args, **kw))
-    subgroup_classes(make(), bound)
+    subgroup_classes(make())
     assert len(calls) <= most
 
 
@@ -213,12 +214,13 @@ def test_marks_are_refused_before_they_are_gathered(monkeypatch):
     group = GOLDEN_TOMS[2][1]()
     classes = subgroup_classes(group)
     n, size = len(classes), 120
-    # the membership table, its rows for the classes i >= j whose order
-    # |U_j| divides, and those rows at every element of every conjugate of U_j
+    # the marks (8 bytes a list slot), the membership table, its rows for the
+    # classes i >= j whose order |U_j| divides, and those rows at every
+    # element of every conjugate of U_j
     need = []
     for j, cj in enumerate(classes):
         below = sum(1 for ci in classes[j:] if ci.order % cj.order == 0)
-        need.append((n + below) * size + below * cj.size * cj.order)
+        need.append(8 * n * n + (n + below) * size + below * cj.size * cj.order)
     j = int(np.argmax(need))  # the first class that needs the most
     monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", need[j] - 1)
     with pytest.raises(ValueError, match=f"the marks of class {j + 1} takes {need[j]} bytes"):
@@ -231,10 +233,41 @@ def test_kept_conjugates_count_against_the_byte_bound(monkeypatch):
     # the product table is held now: asking for it again counts nothing
     table = group.multiplication_table()
     monkeypatch.setattr(group, "multiplication_table", lambda: table)
-    held = sum(2 * c.size * c.order for c in classes)
+    # the working set, then per class its elements, its normalizer (of order
+    # 120 / size) and per conjugate a row, a key and its entry in seen
+    held = 120 * (160 + 8 * 5) + sum(
+        8 * (c.order + 120 // c.size) + c.size * (4 * c.order + 160) + 1280 for c in classes
+    )
     monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", held - 1)
-    with pytest.raises(ValueError, match=f"the conjugates of {len(classes)} subgroup classes takes {held} bytes"):
+    with pytest.raises(ValueError, match=f"{len(classes)} subgroup classes with their conjugates takes {held} bytes"):
         subgroup_classes(group)
+
+
+# the traced peak includes every Python object the search makes, the
+# transient arrays and generators_of's closure of Perms (A7 is perfect)
+@pytest.mark.parametrize("name,make", [
+    ("C2^5", lambda: elementary_abelian_2(5)), ("S6", GOLDEN_TOMS[3][1]), ("A7", SEARCH_TOMS[0][1]),
+], ids=["C2^5", "S6", "A7"])
+def test_class_search_stays_within_its_byte_count(monkeypatch, name, make):
+    group = make()
+    group.multiplication_table()
+    counted = []
+    check = permgroup.check_allocation
+    monkeypatch.setattr(permgroup, "check_allocation",
+                        lambda what, nbytes: (counted.append(nbytes), check(what, nbytes)))
+    tracemalloc.start()
+    try:
+        subgroup_classes(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1], (peak, counted[-1])
+
+
+def test_many_classes_are_refused_while_they_are_found():
+    # C2^9, of order 512, has 8283458 subgroups, each its own class
+    with pytest.raises(ValueError, match=r"^\d+ subgroup classes with their conjugates takes \d+ bytes"):
+        subgroup_classes(elementary_abelian_2(9))
 
 
 def test_decompose_rows_give_unit_vectors():
