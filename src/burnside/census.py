@@ -13,9 +13,12 @@ into one and evaluated once, so a product that several classes share is
 computed once.  Tables built by cyclic extension give a class the
 generators of a smaller class plus one more, so the fixed spaces are
 reduced one generator at a time and shared by generator prefix: each
-prefix that several classes share is reduced once.  Before decomposing,
-the fixed dimensions are checked against the marks, so generators that do
-not match the table fail with both classes named.
+prefix that several classes share is reduced once.  Only a prefix that a
+longer class extends keeps its basis; a class whose generators no other
+class extends needs one rank, not a basis.  Before decomposing, the
+fixed dimensions are checked against the marks, and after it every
+replayed generator of a class of prime order p against M^p = 1, so
+generators that do not match the table fail with the classes named.
 
 census_brute_force is the independent oracle, with no table of marks,
 nullspace or straight-line program.  It works over GF(p) on the n = k*d
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclotomic import is_prime, power
 from .ffield import FFMatrix, matmul_mod
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, orbit_minima, subgroup_classes
 from .slp import SLProgram, combine, evaluate
@@ -127,12 +131,17 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     the rows of X * B, where X is the left nullspace of the k x d matrix
     B * (g_r^T - 1).
 
-    bases, when given, is filled in and read back: it maps each generator
-    tuple (g_1..g_r) reduced so far to its basis, each generator g to its
-    block g^T - 1, and (field, d) to the identity those blocks subtract.
-    Calls that share one dict reduce a shared prefix of their generators
-    once, form each generator's block once, and over GF(p^k) blow one
-    identity up.
+    bases, when given, is filled in and read back.  A generator tuple
+    (g_1..g_r) maps to the basis of its fixed space, or to None while it is
+    only announced: a caller that knows which tuples other calls will
+    extend enters them as keys beforehand.  The basis is kept for every
+    proper prefix, and for the whole tuple only when it is a key; otherwise
+    the last step needs no basis, only the rank of B * (g_r^T - 1), and the
+    dimension is k minus that rank.  bases also maps each generator g to
+    its block g^T - 1, and (field, d) to the identity those blocks
+    subtract.  Calls that share one dict reduce a shared prefix of their
+    generators once, form each generator's block once, and over GF(p^k)
+    blow one identity up.
     """
     mats = tuple(mats)
     if not mats:
@@ -146,9 +155,9 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
         return 0
     if bases is None:
         bases = {}
-    # start from the longest prefix reduced before, if any
+    # start from the longest prefix with a basis, if any
     r = len(mats)
-    while r and mats[:r] not in bases:
+    while r and bases.get(mats[:r]) is None:
         r -= 1
     basis = bases[mats[:r]] if r else None
     for r in range(r + 1, len(mats) + 1):
@@ -160,8 +169,9 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
             block = bases[g] = g.transpose() - bases[field, d]
         # for one generator B is the identity, and is left out
         m = block if basis is None else basis * block
+        if r == len(mats) and mats not in bases:
+            return m.rows - m.rank()
         x = m.nullspace()
-        x = FFMatrix(field, len(x), m.rows, x)
         basis = bases[mats[:r]] = x if basis is None else x * basis
     return basis.rows
 
@@ -196,7 +206,10 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
     """Census via the table of marks; needs the table's straight-line programs.
 
     A class without generators is the trivial class, which fixes the whole
-    dual space.
+    dual space.  Generators that do not match the table raise ValueError
+    when a fixed dimension grows along the marks, when the decomposition
+    is not integral, or when a replayed generator of a class of prime
+    order p has M^p != 1.
     """
     if tom.slps is None:
         raise ValueError("table of marks carries no straight-line programs")
@@ -207,14 +220,17 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
         prog if prog.n_inputs == len(mats) else SLProgram(len(mats), prog.statements, prog.returns)
         for prog in tom.slps
     ]
-    bases = {}  # fixed-space bases by generator prefix, shared by all classes
-    dims = [
-        fixed_space_dim_dual(gens, bases) if gens else action.d
-        for gens in _class_generators(programs, mats)
-    ]
+    class_gens = _class_generators(programs, mats)
+    # fixed-space bases by generator prefix, shared by all classes: the
+    # proper prefixes are announced, so a class that extends no other's
+    # generators takes a rank and keeps no basis
+    bases = dict.fromkeys(tuple(gens[:r]) for gens in class_gens for r in range(1, len(gens)))
+    dims = [fixed_space_dim_dual(gens, bases) if gens else action.d for gens in class_gens]
     _check_fixed_dims(tom, dims)
     fixed = [action.q**dim for dim in dims]
     decomp = decompose_fixed_vector(tom, fixed)
+    # last, as the only check that costs products
+    _check_prime_order_generators(tom, class_gens, FFMatrix.identity(action.field, action.d))
     return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
 
 
@@ -233,6 +249,25 @@ def _check_fixed_dims(tom: TableOfMarks, dims) -> None:
             f"class {i + 1} contains a conjugate of class {j + 1} but fixes dimension "
             f"{dims[i]} > {dims[j]}: the generators do not match the table of marks"
         )
+
+
+def _check_prime_order_generators(tom: TableOfMarks, class_gens, ident) -> None:
+    """Raise ValueError unless every generator M of a class of prime order p has M^p = 1.
+
+    ident is the identity matrix of the action.  The image of an element of
+    order p has order 1 or p, whatever the action, so a generator that
+    fails this was replayed from matrices that do not stand for the table's
+    group generators.  Each generator costs about log2(p) products.  The
+    check does not catch two group generators of equal order swapped, and
+    it reads no class of composite order.
+    """
+    primes = {order for order in set(tom.orders) if is_prime(order)}
+    for i, (order, gens) in enumerate(zip(tom.orders, class_gens)):
+        if order in primes and any(power(m, order, ident) != ident for m in gens):
+            raise ValueError(
+                f"class {i + 1} has prime order {order} but a generator M with "
+                f"M^{order} != 1: the generators do not match the table of marks"
+            )
 
 
 def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None:

@@ -410,41 +410,43 @@ class FFMatrix:
     # -- elimination-based operations
 
     def nullspace(self):
-        """Row-reduced basis of the left nullspace {v : v*m = 0}.
+        """Row-reduced basis of the left nullspace {v : v*m = 0}, as a matrix.
 
-        Over GF(p), v*m = 0 says that v is in the right nullspace of the
-        transpose.  That transpose is row-reduced with its columns in
-        reverse order, so each free column gives a basis vector whose last
-        nonzero entry, a 1, is at that column.  Reversed back, these
-        vectors form the RREF basis.  Over GF(p^k) the nullspace of the
-        blow-up is the GF(q) nullspace written in digits, and the rows of
-        its RREF with a pivot on digit 0 of an entry are the GF(q) RREF rows.
+        The rows of the result are the RREF basis; an invertible or 0-row
+        matrix gives 0 rows.  Over GF(p), v*m = 0 says that v is in the
+        right nullspace of the transpose.  That transpose is row-reduced
+        with its columns in reverse order, so each free column gives a
+        basis vector whose last nonzero entry, a 1, is at that column.
+        Reversed back, these vectors form the RREF basis.  Over GF(p^k) the
+        nullspace of the blow-up is the GF(q) nullspace written in digits,
+        and the rows of its RREF with a pivot on digit 0 of an entry are the
+        GF(q) RREF rows.
         """
         f = self.field
         n = self.rows
         if f.k > 1:
             k = f.k
-            blown = blow_up(self).nullspace()
-            if not blown:
-                return []
-            digits = np.array(blown, dtype=np.int64)
-            keep = digits[(digits != 0).argmax(axis=1) % k == 0]
-            basis = keep.reshape(len(keep), n, k) @ f.p ** np.arange(k)
-            return [tuple(v) for v in basis.tolist()]
+            digits = blow_up(self).nullspace().array
+            if len(digits):
+                digits = digits[(digits != 0).argmax(axis=1) % k == 0]
+            return FFMatrix(f, len(digits), n, digits.reshape(len(digits), n, k) @ f.p ** np.arange(k))
         a, pivots = row_echelon(self.array.T[:, ::-1], f.p)
         is_free = np.ones(n, dtype=bool)
         is_free[pivots] = False
         free = is_free.nonzero()[0][::-1]
+        # column c of the reversed transpose is entry n - 1 - c of v
         basis = np.zeros((free.size, n), dtype=np.int64)
-        basis[np.arange(free.size), free] = 1
-        basis[:, pivots] = -a[: len(pivots), free].T % f.p
-        return [tuple(v) for v in basis[:, ::-1].tolist()]
+        basis[np.arange(free.size), n - 1 - free] = 1
+        basis[:, n - 1 - np.array(pivots, dtype=np.intp)] = -a[: len(pivots), free].T % f.p
+        return FFMatrix(f, free.size, n, basis)
 
     def rank(self):
+        """The rank, eliminating whichever of the matrix and its transpose has fewer columns."""
         f = self.field
         if f.k > 1:
             return blow_up(self).rank() // f.k
-        return len(row_echelon(self.array, f.p)[1])
+        a = self.array if self.cols <= self.rows else self.array.T
+        return len(row_echelon(a, f.p)[1])
 
     def inverse(self):
         if self.rows != self.cols:
@@ -480,19 +482,22 @@ def row_echelon(a, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = r + a[r:, c].nonzero()[0]
+        col = a[:, c]  # a view, so it follows the row swap
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
-        if nz[0] != r:
-            a[[r, nz[0]]] = a[[nz[0], r]]
+        if nz[0]:
+            s = r + nz[0]
+            a[[r, s]] = a[[s, r]]
         # left of column c, row r is zero
-        inv = pow(int(a[r, c]), p - 2, p)
+        inv = pow(int(col[r]), p - 2, p)
         if inv != 1:
             a[r, c:] = a[r, c:] * inv % p
-        # a row swapped down is zero in column c
-        others = np.concatenate([a[:r, c].nonzero()[0], nz[1:]])
-        if others.size:
-            a[others, c:] = reduce_mod(a[others, c:] - a[others, c, None] * a[r, c:], p)
+        # the rows other than r that are nonzero in column c, from one scan
+        others = col.nonzero()[0]
+        if others.size > 1:
+            others = others[others != r]
+            a[others, c:] = reduce_mod(a[others, c:] - col[others, None] * a[r, c:], p)
         pivots.append(c)
         r += 1
     return a, pivots

@@ -321,17 +321,21 @@ class PermGroup:
         table = self.element_table()
         if table.mul is None:
             n = len(table.perms)
-            # along the tree: x * (y g_k) = (x y) g_k
+            # along the tree: x * (y g_k) = (x y) g_k, a gather from a
+            # contiguous copy of column k of right straight into row j
             right = np.array(table.right, dtype=_INDEX).reshape(n, -1)
+            steps = [np.ascontiguousarray(column) for column in right.T]
             cols = np.empty((n, n), dtype=_INDEX)  # cols[j, i] = index of perms[i] * perms[j]
             cols[0] = np.arange(n)
             for i, k, j in table.tree:
-                cols[j] = right[cols[i], k]
+                steps[k].take(cols[i], out=cols[j], mode="clip")
             table.mul = cols.T
-            # the one identity in each column i is at row inv[i]
-            flat = np.flatnonzero(cols == 0)
-            table.inv = np.empty(n, dtype=_INDEX)
-            table.inv[flat % n] = flat // n
+            # along the tree too: (y g_k)^-1 = g_k^-1 y^-1
+            ginv = [table.index[g.inverse()] for g in self.generators]
+            inv = [0] * n
+            for i, k, j in table.tree:
+                inv[j] = cols[inv[i], ginv[k]]
+            table.inv = np.array(inv, dtype=_INDEX)
         return table
 
     # -- orbits -----------------------------------------------------------

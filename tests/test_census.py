@@ -343,7 +343,7 @@ def stacked_fixed_dim(mats):
     field, d = mats[0].field, mats[0].rows
     ident = FFMatrix.identity(field, d)
     blocks = [(m.transpose() - ident).array for m in mats]
-    return len(FFMatrix(field, d, d * len(mats), np.hstack(blocks)).nullspace())
+    return FFMatrix(field, d, d * len(mats), np.hstack(blocks)).nullspace().rows
 
 
 def near_identity(a, rng):
@@ -390,14 +390,19 @@ def test_shared_bases_match_unshared_fixed_dims(field):
 def test_census_reduces_each_generator_prefix_once(monkeypatch):
     group, action = s5_on_gf3_8()
     tom = compute_tom(group)
-    gens = [evaluate(prog, action.matrices) for prog in tom.slps]
-    prefixes = [tuple(g[:r]) for g in gens for r in range(1, len(g) + 1)]
+    gens = [tuple(evaluate(prog, action.matrices)) for prog in tom.slps]
+    prefixes = [g[:r] for g in gens for r in range(1, len(g))]
     assert len(set(prefixes)) < len(prefixes)
+    # a class that no other class extends takes one rank and keeps no basis
+    leaves = [g for g in gens if g and g not in set(prefixes)]
+    assert leaves
     expected = per_class_report(tom, action)
     nullspaces = counting(monkeypatch, FFMatrix, "nullspace")
+    ranks = counting(monkeypatch, FFMatrix, "rank")
     blocks = counting(monkeypatch, FFMatrix, "__sub__")
     assert census_from_tom(tom, action) == expected
     assert len(nullspaces) == len(set(prefixes))
+    assert len(ranks) == len(leaves)
     assert len(blocks) == len({m for g in gens for m in g})
 
 
@@ -630,6 +635,31 @@ def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "class 7 contains a conjugate of class 2" in captured.err
+
+
+def test_swapped_generators_fail_the_prime_order_check(tmp_path, capsys):
+    # S4 on its GF(3) permutation module: with the generator files swapped
+    # every fixed dimension still shrinks along the marks, and the census
+    # would read (2, 0, 0, 3, 0, 1, 0, 0, 0, 0, 3) instead of the one below;
+    # the replayed generator of class 2 (order 2) has order 4
+    group = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 1)])])
+    tom = compute_tom(group)
+    mats = [_perm_matrix(PrimeField(3), g) for g in group.generators]
+    assert census_from_tom(tom, ModuleAction(mats)).decomp == (0, 3, 0, 0, 3, 0, 0, 6, 0, 0, 3)
+    with pytest.raises(ValueError, match=r"^class 2 has prime order 2 but a generator M with M\^2 != 1"):
+        census_from_tom(tom, ModuleAction(mats[::-1]))
+    tom_file = tmp_path / "s4.tom.json"
+    tom_file.write_text(write_tom(tom))
+    files = []
+    for i, m in enumerate(mats, 1):
+        files.append(tmp_path / f"g{i}.mtx")
+        files[-1].write_text(write_meataxe(m))
+    gens = ",".join(str(x) for x in files[::-1])
+    code = main(["census", "tom", "--tom", str(tom_file), "--gens", gens, "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "class 2 has prime order 2" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -393,21 +393,33 @@ def test_product_shape_and_field_errors():
 # nullspace / rank / inverse
 
 
+def basis_rows(basis):
+    """The rows of a nullspace matrix as tuples of ints."""
+    return [basis.row(i) for i in range(basis.rows)]
+
+
 def test_nullspace_zero_matrix():
-    for f in (GF2, GF3, GF4):
-        basis = FFMatrix.zero(f, 3, 2).nullspace()
-        assert len(basis) == 3
+    for f in (GF2, GF3, GF4, GF9):
+        assert FFMatrix.zero(f, 3, 2).nullspace() == FFMatrix.identity(f, 3)
 
 
 def test_nullspace_invertible_matrix_empty():
-    m = FFMatrix.from_rows(GF3, [[1, 2], [0, 1]])
-    assert m.nullspace() == []
+    z4, z9 = GF4.gen, GF9.gen
+    cases = [
+        FFMatrix.from_rows(GF3, [[1, 2], [0, 1]]),
+        FFMatrix.from_rows(GF4, [[z4, 1], [0, z4]]),
+        FFMatrix.from_rows(GF9, [[z9, 1, 0], [0, z9, 2], [1, 0, 1]]),
+    ]
+    assert all(m.is_invertible() for m in cases)
+    cases += [FFMatrix.zero(f, 0, c) for f in (GF2, GF4, GF9) for c in (0, 3)]
+    for m in cases:
+        assert m.nullspace() == FFMatrix.zero(m.field, 0, m.rows)
 
 
 def test_nullspace_gf2_ones_matrix():
     # frozen from enumerating all 4 row vectors v with v*m = 0
     m = FFMatrix.from_rows(GF2, [[1, 1], [1, 1]])
-    assert m.nullspace() == [(1, 1)]
+    assert m.nullspace() == FFMatrix.from_rows(GF2, [[1, 1]])
 
 
 def nullspace_oracle(m):
@@ -436,9 +448,8 @@ def test_nullspace_members_and_dimension_match_enumeration():
             m = random_matrix(f, 3, 3, rng)
             basis = m.nullspace()
             all_null = set(nullspace_oracle(m))
-            assert f.q ** len(basis) == len(all_null)
-            for v in basis:
-                assert v in all_null
+            assert f.q**basis.rows == len(all_null)
+            assert set(basis_rows(basis)) <= all_null
 
 
 def is_rref(basis, field):
@@ -466,10 +477,9 @@ def test_nullspace_basis_is_rref():
     cases.append((gf2_stack(rng), 9))
     for m, t in cases:
         basis = m.nullspace()
-        assert len(basis) >= m.rows - t
-        assert is_rref(basis, m.field)
-        for v in basis:
-            assert mul_oracle(FFMatrix(m.field, 1, m.rows, v), m) == FFMatrix.zero(m.field, 1, m.cols)
+        assert basis.rows >= m.rows - t
+        assert is_rref(basis_rows(basis), m.field)
+        assert mul_oracle(basis, m) == FFMatrix.zero(m.field, basis.rows, m.cols)
 
 
 def test_nullspace_tall_and_very_wide_match_enumeration():
@@ -483,7 +493,7 @@ def test_nullspace_tall_and_very_wide_match_enumeration():
                     m = mul_oracle(random_matrix(f, r, 1, rng), random_matrix(f, 1, c, rng))
                 else:
                     m = random_matrix(f, r, c, rng)
-                basis = m.nullspace()
+                basis = basis_rows(m.nullspace())
                 all_null = set(nullspace_oracle(m))
                 assert f.q ** len(basis) == len(all_null)
                 assert set(basis) <= all_null
@@ -525,7 +535,35 @@ def test_rank_nullity():
             cases.append(random_matrix(f, r, c, rng))
     cases.append(gf2_stack(rng))
     for m in cases:
-        assert m.rank() + len(m.nullspace()) == m.rows
+        assert m.rank() + m.nullspace().rows == m.rows
+
+
+def test_rank_equals_rank_of_the_transpose():
+    rng = random.Random(19)
+    for f in (GF2, GF3, GF4, GF9):
+        for r, c in ((9, 3), (3, 9), (6, 6), (1, 5), (5, 1)):
+            # tall, wide and square; products of thin factors have low rank
+            cases = [random_matrix(f, r, c, rng)]
+            cases += [random_matrix(f, r, t, rng) * random_matrix(f, t, c, rng) for t in (1, 2)]
+            for m in cases:
+                assert m.rank() == m.transpose().rank() == m.rows - m.nullspace().rows
+
+
+def test_rank_eliminates_the_side_with_fewer_columns(monkeypatch):
+    shapes = []
+
+    def spy(a, p):
+        shapes.append(np.shape(a))
+        return row_echelon(a, p)
+
+    monkeypatch.setattr("burnside.ffield.row_echelon", spy)
+    rng = random.Random(29)
+    for f in (GF2, GF3, GF4):
+        for r, c in ((8, 3), (3, 8), (4, 4)):
+            shapes.clear()
+            m = random_matrix(f, r, c, rng)
+            m.rank()
+            assert shapes == [(f.k * max(r, c), f.k * min(r, c))]
 
 
 def test_inverse_round_trip():
@@ -697,11 +735,11 @@ def nullspace_per_row(m):
     """The GF(p^k) nullspace by converting each blown basis row with from_coeffs."""
     f, n, k = m.field, m.rows, m.field.k
     out = []
-    for v in blow_up(m).nullspace():
+    for v in blow_up(m).nullspace().to_rows():
         lead = next(j for j, x in enumerate(v) if x)
         if lead % k == 0:
-            out.append(tuple(f.from_coeffs(v[j : j + k]) for j in range(0, n * k, k)))
-    return out
+            out.extend(f.from_coeffs(v[j : j + k]) for j in range(0, n * k, k))
+    return FFMatrix(f, len(out) // n if n else 0, n, out)
 
 
 @pytest.mark.parametrize("f", CACHE_FIELDS, ids=[repr(f) for f in CACHE_FIELDS])
@@ -716,4 +754,4 @@ def test_ext_nullspace_matches_per_row_conversion(f):
     for m in cases:
         basis = m.nullspace()
         assert basis == nullspace_per_row(m)
-        assert all(type(x) is int for v in basis for x in v)
+        assert basis.cols == m.rows and basis.array.dtype == np.int64

@@ -6,6 +6,7 @@ independent of the cyclic-extension code under test.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,22 @@ def test_product_table_and_inverses_match_perm_products(name, group):
     assert table.mul.tolist() == [[index[x * y] for y in perms] for x in perms]
     assert table.inv.tolist() == [index[x.inverse()] for x in perms]
     assert table.inv[table.inv].tolist() == list(range(len(perms)))
+
+
+def test_product_table_builds_no_square_temporary():
+    # the table's 2 n^2 bytes are charged with the elements; filling it and
+    # finding the inverses must not add an n x n array beside it
+    group = a7()
+    group.element_table()
+    n = group.order()
+    tracemalloc.start()
+    try:
+        table = group.multiplication_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.mul.nbytes == 2 * n * n
+    assert table.mul.nbytes <= peak < table.mul.nbytes + n * n // 4
 
 
 @pytest.mark.parametrize("make", [s4, s6], ids=["S4", "S6"])
