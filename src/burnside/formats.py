@@ -6,6 +6,11 @@ matrices, table-of-marks and character-table JSON, straight-line program
 text, and the E(n) expression language for cyclotomic values.  Permutation
 images are 1-based on disk and 0-based in memory.  Every parser reports a
 line and column on failure.
+
+Digits are ASCII: the characters 0-9 only, in headers, entries, program
+slots and expressions; other Unicode digits are unexpected characters.
+The program lines of a table of marks are parsed once each per table, since
+its class programs repeat the same statements.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ import json
 import re
 from contextlib import contextmanager
 
+import numpy as np
+
 from .chartab import CharacterRow, CharacterTable
 from .cyclotomic import Cyclotomic
 from .ffield import ExtField, FFMatrix, PrimeField
 from .permgroup import Perm
 from .slp import INV, MUL, POW, SLProgram
-from .tom import TableOfMarks
+from .tom import TableOfMarks, marks_from_triples
 
 __all__ = [
     "ParseError",
@@ -63,7 +70,7 @@ def _reraise(prefix=""):
         raise ParseError(f"{prefix}{exc}", 1, 1) from None
 
 
-_INT = re.compile(r"[+-]?\d+\Z")
+_INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def _integers(lines):
@@ -112,24 +119,37 @@ def parse_meataxe(text: str):
     return _parse_mode5(lines, field, rows, cols)
 
 
+# a mode-1 digit character to its value, as a byte
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def _parse_mode1(lines, field, rows, cols):
     need = rows * cols
-    entries = []
+    digits = "".join("".join(lines[1:]).split())
+    # every character that is not ASCII sorts above "9"
+    if digits and not (digits.isdigit() and len(digits) <= need and max(digits) < str(field.q)):
+        _mode1_fault(lines, field.q, need)
+    if len(digits) != need:
+        raise ParseError(f"expected {need} digits, found {len(digits)}", len(lines), 1)
+    entries = np.frombuffer(digits.encode().translate(_DIGIT_VALUES), dtype=np.uint8)
+    return FFMatrix(field, rows, cols, entries)
+
+
+def _mode1_fault(lines, q, need):
+    """Raise the error of the first character of a mode-1 body that is not
+    whitespace or an ASCII digit below q, or that is one digit too many."""
+    count = 0
     for lineno, line in enumerate(lines[1:], 2):
         for col, ch in enumerate(line, 1):
             if ch.isspace():
                 continue
-            if not ch.isdigit():
+            if ch not in "0123456789":
                 raise ParseError(f"unexpected character {ch!r}", lineno, col)
-            if len(entries) == need:
+            if count == need:
                 raise ParseError("more digits than rows*cols", lineno, col)
-            v = int(ch)
-            if v >= field.q:
-                raise ParseError(f"digit {v} not below field size {field.q}", lineno, col)
-            entries.append(v)
-    if len(entries) != need:
-        raise ParseError(f"expected {need} digits, found {len(entries)}", len(lines), 1)
-    return FFMatrix(field, rows, cols, entries)
+            if int(ch) >= q:
+                raise ParseError(f"digit {ch} not below field size {q}", lineno, col)
+            count += 1
 
 
 def _parse_mode5(lines, field, rows, cols):
@@ -300,20 +320,8 @@ def parse_tom(text: str) -> TableOfMarks:
         raise ParseError("tom: n_classes must be positive", 1, 1)
     if len(orders) != n or not all(map(_is_int, orders)):
         raise ParseError(f"tom: orders must be {n} integers", 1, 1)
-    dense = [[0] * n for _ in range(n)]
-    seen = set()
-    for t in triples:
-        if not (isinstance(t, list) and len(t) == 3 and all(map(_is_int, t))):
-            raise ParseError(f"tom: marks entry {t!r} is not an [i, j, m] triple", 1, 1)
-        i, j, m = t
-        if not 1 <= i <= n or not 1 <= j <= n:
-            raise ParseError(f"tom: marks position ({i},{j}) outside 1..{n}", 1, 1)
-        if j > i:
-            raise ParseError(f"tom: mark ({i},{j}) above the diagonal", 1, 1)
-        if (i, j) in seen:
-            raise ParseError(f"tom: duplicate mark for ({i},{j})", 1, 1)
-        seen.add((i, j))
-        dense[i - 1][j - 1] = m
+    with _reraise("tom: "):
+        rows = marks_from_triples(n, triples)
     slps = None
     if data.get("slps") is not None:
         texts = data["slps"]
@@ -323,11 +331,13 @@ def parse_tom(text: str) -> TableOfMarks:
             raise ParseError(f"tom: expected {n} programs, found {len(texts)}", 1, 1)
         # every class program reads the same generator list, so build all
         # programs with the widest inferred input count
-        parsed = [_parse_slp_lines(s) for s in texts]
+        memo = {}
+        parsed = [_parse_slp_lines(s, memo) for s in texts]
         width = max(max_input for _, _, max_input in parsed)
-        slps = tuple(_slprogram(width, statements, returns) for statements, returns, _ in parsed)
+        with _reraise():
+            slps = tuple(SLProgram(width, statements, returns) for statements, returns, _ in parsed)
     with _reraise("tom: "):
-        return TableOfMarks(n, tuple(orders), tuple(tuple(r) for r in dense), slps)
+        return TableOfMarks(n, tuple(orders), rows, slps)
 
 
 def write_tom(tom: TableOfMarks) -> str:
@@ -368,8 +378,8 @@ def write_fixed_vector(values) -> str:
 
 
 # rK = rI * rJ (groups 1, 2, 3) or rK = rI^E (groups 1, 2, 4)
-_SLP_STATEMENT = re.compile(r"r(\d+)\s*=\s*r(\d+)\s*(?:\*\s*r(\d+)|\^\s*([+-]?\d+))\Z")
-_SLP_SLOT = re.compile(r"r(\d+)")
+_SLP_STATEMENT = re.compile(r"r([0-9]+)\s*=\s*r([0-9]+)\s*(?:\*\s*r([0-9]+)|\^\s*([+-]?[0-9]+))\Z")
+_SLP_SLOT = re.compile(r"r([0-9]+)")
 
 
 def parse_slp(text: str, n_inputs: int | None = None) -> SLProgram:
@@ -380,12 +390,17 @@ def parse_slp(text: str, n_inputs: int | None = None) -> SLProgram:
     inferred as the largest such slot (at least 1).  A bare `return` encodes
     the empty result list.
     """
-    statements, returns, max_input = _parse_slp_lines(text)
+    statements, returns, max_input = _parse_slp_lines(text, {})
     return _slprogram(max_input if n_inputs is None else n_inputs, statements, returns)
 
 
-def _parse_slp_lines(text: str):
-    """(statements, returns, largest slot read before assignment, at least 1)."""
+def _parse_slp_lines(text: str, memo: dict):
+    """(statements, returns, largest slot read before assignment, at least 1).
+
+    `memo` maps each statement line already parsed, stripped, to its
+    statement; the programs of one table share it.  Return lines are never
+    in it.
+    """
     statements = []
     returns = None
     defined = set()
@@ -396,36 +411,41 @@ def _parse_slp_lines(text: str):
             continue
         if returns is not None:
             raise ParseError("statement after return", lineno, 1)
-        m = _SLP_STATEMENT.match(line)
-        if m:
+        stmt = memo.get(line)
+        if stmt is None:
+            if line == "return" or line.startswith("return "):
+                rest = line[len("return") :].strip()
+                slots = []
+                for part in rest.split(",") if rest else ():  # a bare return: no slots
+                    part = part.strip()
+                    m = _SLP_SLOT.fullmatch(part)
+                    if not m:
+                        raise ParseError(f"bad return slot {part!r}", lineno, 1)
+                    slot = int(m.group(1))
+                    if slot > max_input and slot not in defined:
+                        max_input = slot
+                    slots.append(slot)
+                returns = tuple(slots)
+                continue
+            m = _SLP_STATEMENT.match(line)
+            if not m:
+                raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
             tgt, a, b, e = m.groups()
-            tgt, a = int(tgt), int(a)
-            if a > max_input and a not in defined:
-                max_input = a
             if b is not None:
-                b = int(b)
-                if b > max_input and b not in defined:
-                    max_input = b
-                statements.append((tgt, MUL, a, b))
+                stmt = (int(tgt), MUL, int(a), int(b))
             else:
                 e = int(e)
-                statements.append((tgt, INV, a) if e == -1 else (tgt, POW, a, e))
-            defined.add(tgt)
-        elif line == "return" or line.startswith("return "):
-            rest = line[len("return") :].strip()
-            slots = []
-            for part in rest.split(",") if rest else ():  # a bare return: no slots
-                part = part.strip()
-                m = _SLP_SLOT.fullmatch(part)
-                if not m:
-                    raise ParseError(f"bad return slot {part!r}", lineno, 1)
-                slot = int(m.group(1))
-                if slot > max_input and slot not in defined:
-                    max_input = slot
-                slots.append(slot)
-            returns = tuple(slots)
-        else:
-            raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
+                stmt = (int(tgt), INV, int(a)) if e == -1 else (int(tgt), POW, int(a), e)
+            memo[line] = stmt
+        a = stmt[2]
+        if a > max_input and a not in defined:
+            max_input = a
+        if stmt[1] == MUL:
+            b = stmt[3]
+            if b > max_input and b not in defined:
+                max_input = b
+        statements.append(stmt)
+        defined.add(stmt[0])
     if returns is None:
         raise ParseError("missing return line", max(1, len(text.splitlines())), 1)
     return tuple(statements), returns, max_input
@@ -490,7 +510,7 @@ class _ExprParser:
         start = self.pos
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             self.error("expected an integer")
@@ -540,7 +560,7 @@ class _ExprParser:
                 self.pos += 1
                 e = self.integer(signed=True)
             return Cyclotomic.zeta(n, e)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self.integer()
             if self.peek() == "/":
                 self.pos += 1

@@ -43,14 +43,12 @@ class SLProgram:
                 raise ValueError(f"slot r{target} outside 1..{MAX_SLOTS}")
             if op == MUL:
                 _, _, i, j = stmt
-                operands = (i, j)
-            elif op in (INV, POW):
-                operands = (stmt[2],)
+            elif op == INV or op == POW:
+                i = j = stmt[2]
             else:
                 raise ValueError(f"unknown opcode {op!r}")
-            for s in operands:
-                if s not in defined:
-                    raise ValueError(f"slot r{s} used before definition")
+            if i not in defined or j not in defined:
+                raise ValueError(f"slot r{j if i in defined else i} used before definition")
             defined.add(target)
         for s in self.returns:
             if s not in defined:
@@ -99,14 +97,21 @@ def combine(programs):
     slices = []
     for prog in programs:
         slot = {i: i for i in range(1, n + 1)}  # program slot -> combined slot
-        for target, op, *args in prog.statements:
-            key = (op, slot[args[0]], slot[args[1]]) if op == MUL else (op, slot[args[0]], *args[1:])
-            if key not in made:
-                made[key] = n + len(statements) + 1
-                if made[key] > MAX_SLOTS:
+        for stmt in prog.statements:
+            op = stmt[1]
+            if op == MUL:
+                key = (op, slot[stmt[2]], slot[stmt[3]])
+            elif op == POW:
+                key = (op, slot[stmt[2]], stmt[3])
+            else:
+                key = (op, slot[stmt[2]])
+            target = made.get(key)
+            if target is None:
+                target = made[key] = n + len(statements) + 1
+                if target > MAX_SLOTS:
                     raise ValueError(f"the combined program needs more than {MAX_SLOTS} slots")
-                statements.append((made[key], *key))
-            slot[target] = made[key]
+                statements.append((target, *key))
+            slot[stmt[0]] = target
         slices.append((len(returns), len(returns) + len(prog.returns)))
         returns.extend(slot[s] for s in prog.returns)
     return SLProgram(n, tuple(statements), tuple(returns)), slices

@@ -91,6 +91,31 @@ def test_census_mismatched_tom_and_gens_exits_3(capsys, tmp_path):
     assert "inconsistent fixed vector" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-2", "arabic-indic-1"])
+def test_non_ascii_mode1_digit_exits_2(capsys, tmp_path, digit):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(f"1 2 1 2\n1{digit}\n", encoding="utf-8")
+    for argv in (
+        ["blowup", "--in", str(bad), "--p", "2", "--k", "1"],
+        ["census", "tom", "--tom", p("s3.tom.json"), "--gens", f"{bad},{p('s3.gen2.mtx')}", "--q", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unexpected character {digit!r} at line 2, column 2" in err
+
+
+def test_census_tom_with_a_negative_mark_exits_2(capsys, tmp_path):
+    # orders 1, 2, 6, 6 pass every older check with the mark -5 at (3, 2)
+    bad = tmp_path / "bad.tom.json"
+    rows = [[6, 0, 0, 0], [3, 1, 0, 0], [1, -5, 1, 0], [1, 1, 1, 1]]
+    triples = [[i + 1, j + 1, m] for i, row in enumerate(rows) for j, m in enumerate(row) if m]
+    bad.write_text(json.dumps({"n_classes": 4, "orders": [1, 2, 6, 6], "marks": triples}))
+    code, out, err = run(capsys, "census", "tom", "--tom", str(bad),
+                         "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}", "--q", "2")
+    assert (code, out) == (2, "")
+    assert "tom: row 3: mark -5 in column 2 is outside 0..1, the index" in err
+
+
 def test_census_q_validation(capsys):
     gens = f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}"
     code, _, err = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),

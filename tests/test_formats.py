@@ -1,9 +1,12 @@
 """Format round trips and parse errors with line/column reporting."""
 
+import json
 import random
+import re
 
 import pytest
 
+from burnside import formats
 from burnside.chartab import (
     CharacterRow,
     CharacterTable,
@@ -30,7 +33,7 @@ from burnside.formats import (
 )
 from burnside.permgroup import Perm, PermGroup
 from burnside.slp import INV, MUL, POW, SLProgram, evaluate
-from burnside.tom import compute_tom
+from burnside.tom import TableOfMarks, compute_tom
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -113,6 +116,39 @@ def test_meataxe_error_locations():
         parse_meataxe("12 1 3 1\n1\n1\n2\n")
     assert info.value.line == 3
     assert "line 3" in str(info.value)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661", "\uff15"], ids=["superscript-2", "arabic-indic-1", "fullwidth-5"])
+def test_mode1_digits_are_ascii(digit):
+    # a superscript two once reached int() and an Arabic-Indic one was read as 1
+    with pytest.raises(ParseError) as info:
+        parse_meataxe(f"1 2 1 2\n1{digit}\n")
+    assert str(info.value) == f"unexpected character {digit!r} at line 2, column 2"
+    with pytest.raises(ParseError) as info:
+        parse_meataxe(f"1 3 2 2\n 12\n0 {digit}\n")
+    assert (info.value.line, info.value.col) == (3, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 1 \u0662\n10\n",  # header
+    "5 5 1 2\n3 \u0664\n",  # mode 5
+    "12 1 2 1\n\u0662\n1\n",  # mode 12
+])
+def test_integer_tokens_are_ascii(text):
+    with pytest.raises(ParseError):
+        parse_meataxe(text)
+    parse_meataxe(text.replace("\u0662", "2").replace("\u0664", "4"))
+
+
+def test_slp_and_expression_digits_are_ascii():
+    for text in ["r3 = r1 * r\u0662\nreturn r3\n", "r3 = r1^\u0662\nreturn r3\n", "return r\u0661\n"]:
+        with pytest.raises(ParseError):
+            parse_slp(text)
+    for text in ["\u0662", "E(\u0663)", "1/\u0662", "2\u00b2"]:
+        with pytest.raises(ParseError):
+            parse_cyclotomic(text)
+    # whitespace other than ASCII still separates SLP tokens
+    assert parse_slp("r3 =\u00a0r1 * r2\nreturn r3\n") == parse_slp("r3 = r1 * r2\nreturn r3\n")
 
 
 def test_write_meataxe_rejects_unwritable():
@@ -217,6 +253,91 @@ def test_tom_builds_each_program_once(monkeypatch):
     progs = [parse_slp(write_slp(p)) for p in tom.slps]
     width = max(p.n_inputs for p in progs)
     assert back.slps == tuple(SLProgram(width, p.statements, p.returns) for p in progs)
+
+
+def test_tom_parses_each_distinct_statement_line_once(monkeypatch):
+    from test_reader_parity import S6_TEXT, reference_parse_tom
+
+    statement = formats._SLP_STATEMENT
+    matched = []
+
+    class Spy:
+        def match(self, line):
+            matched.append(line)
+            return statement.match(line)
+
+    monkeypatch.setattr(formats, "_SLP_STATEMENT", Spy())
+    tom = parse_tom(S6_TEXT)
+    lines = {
+        line.strip()
+        for text in json.loads(S6_TEXT)["slps"]
+        for line in text.splitlines()
+        if line.strip() and not line.startswith("return")
+    }
+    assert len(lines) == 101
+    assert sorted(matched) == sorted(lines)
+    # and another table is parsed afresh: the memo lives for one call
+    parse_tom(S6_TEXT)
+    assert len(matched) == 2 * len(lines)
+    monkeypatch.setattr(formats, "_SLP_STATEMENT", statement)
+    assert tom == reference_parse_tom(S6_TEXT)
+
+
+def s3_shaped_table(row):
+    """Orders 1, 2, 6, 6 and the marks of S3 on its first two classes, with
+    `row` as the third; every check before the coset bounds passes."""
+    return (4, (1, 2, 6, 6), ((6, 0, 0, 0), (3, 1, 0, 0), row, (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("marks,message", [
+    # a mark counts cosets of U_3, so it is not negative ...
+    (s3_shaped_table((1, -5, 1, 0)), "row 3: mark -5 in column 2 is outside 0..1, the index"),
+    # ... nor above their number
+    ((4, (1, 2, 3, 6), ((6, 0, 0, 0), (3, 7, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))),
+     "row 2: mark 7 in column 2 is outside 0..3, the index"),
+    # and m[i][i] = |N(U_i):U_i| divides m[i][0] = |G:U_i|
+    ((4, (1, 2, 3, 6), ((6, 0, 0, 0), (3, 2, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))),
+     "row 2: diagonal mark 2 does not divide the index 3"),
+])
+def test_tom_coset_bounds(marks, message):
+    n, orders, rows = marks
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TableOfMarks(n, orders, rows)
+    triples = [[i + 1, j + 1, m] for i, row in enumerate(rows) for j, m in enumerate(row) if m]
+    text = json.dumps({"n_classes": n, "orders": list(orders), "marks": triples})
+    with pytest.raises(ParseError, match=f"^tom: {re.escape(message)} at line 1, column 1$"):
+        parse_tom(text)
+
+
+@pytest.mark.parametrize("orders,marks,message", [
+    # 4 does not divide 6, although the first column holds 6 // 4
+    ((1, 4, 6), ((6, 0, 0), (1, 1, 0), (1, 1, 1)), "row 2: first column must be the index of U_2"),
+    # a wrong index comes before a zero diagonal mark in the same row
+    ((1, 2, 3, 6), ((6, 0, 0, 0), (2, 0, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1)),
+     "row 2: first column must be the index of U_2"),
+    ((1, 2, 3, 6), ((6, 0, 0, 0), (3, 0, 0, 0), (2, 1, 2, 0), (1, 1, 1, 1)),
+     "diagonal mark of class 2 must be positive"),
+    ((1, 2, 3, 6), ((6, 0, 0, 0), (3, 1, 0, 0), (2, 1, 2, 0), (1, 1, 1, 1)),
+     "mark (3,2) nonzero but order does not divide"),
+    ((1, 2, 3, 6), ((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 0, 1)),
+     "last row (the one-point G-set) must be all ones"),
+    ((1, 2, 3, 6), ((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1)), "marks rows must have length n"),
+])
+def test_tom_check_messages(orders, marks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TableOfMarks(len(orders), orders, marks)
+
+
+def test_tom_checks_values_beyond_64_bits():
+    # C_p for a p above 2^64: the checks run on Python ints
+    p = 2**64 + 13
+    tom = TableOfMarks(2, (1, p), ((p, 0), (1, 1)))
+    text = write_tom(tom)
+    assert parse_tom(text) == tom
+    with pytest.raises(ParseError, match="row 1: first column must be the index of U_1"):
+        parse_tom(text.replace(str(p), str(p + 1), 1))
+    with pytest.raises(ValueError, match=f"row 3: mark {p} in column 2 is outside 0..1"):
+        TableOfMarks(*s3_shaped_table((1, p, 1, 0)))
 
 
 def test_tom_minimal_file():

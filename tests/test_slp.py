@@ -93,6 +93,16 @@ def test_validation_errors():
         SLProgram(0, (), ())
     with pytest.raises(ValueError):
         SLProgram(1, ((2, "NOP", 1),), (1,))
+    with pytest.raises(ValueError):  # a product needs two operands
+        SLProgram(2, ((3, MUL, 1),), (3,))
+
+
+@pytest.mark.parametrize("statement,slot", [
+    ((3, MUL, 4, 1), 4), ((3, MUL, 1, 4), 4), ((3, MUL, 5, 4), 5), ((3, INV, 4), 4), ((3, POW, 4, 2), 4),
+])
+def test_validation_names_the_first_undefined_operand(statement, slot):
+    with pytest.raises(ValueError, match=f"^slot r{slot} used before definition$"):
+        SLProgram(2, (statement,), (3,))
 
 
 def test_overwriting_slots_is_allowed():
