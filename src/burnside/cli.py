@@ -1,14 +1,15 @@
 """Command line front end: census, tom, blowup, h2, chartab, slp.
 
 Exit codes: 0 success, 1 usage (bad flags, inconsistent parameters),
-2 data-format errors (unreadable or malformed files, declared q not
-matching the data, an ext-matrix modulus that is not a list of integers
-or conflicts with blowup --modulus), 3 computation errors (byte bounds
-exceeded, as by a group of order past 11585, non-integral decompositions,
-misaligned generators).  All stdout output is assembled into one string
-and written at the end, so identical inputs give byte-identical output.
-Evaluation is serial; --threads is accepted for compatibility and changes
-nothing.
+2 data-format errors (unreadable, non-UTF-8 or malformed files, a program
+of more than MAX_SLOTS inputs, declared q not matching the data, an
+ext-matrix modulus that is not a list of integers or conflicts with blowup
+--modulus), 3 computation errors (byte bounds exceeded, as by a group of
+order past 11585 or a table of marks of more than 5792 classes,
+non-integral decompositions, misaligned generators).  All stdout output is
+assembled into one string and written at the end, so identical inputs give
+byte-identical output.  Evaluation is serial; --threads is accepted for
+compatibility and changes nothing.
 """
 
 import argparse
@@ -52,7 +53,8 @@ class UsageError(Exception):
 
 
 class DataError(Exception):
-    """Well-formed files whose content contradicts the declared parameters."""
+    """Files that are not UTF-8 text, or well-formed files whose content
+    contradicts the declared parameters."""
 
 
 def _positive_int(text: str) -> int:
@@ -95,7 +97,10 @@ def _note(args, msg):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load(path: str, modulus=None):

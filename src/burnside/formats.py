@@ -24,7 +24,7 @@ import numpy as np
 from .chartab import CharacterRow, CharacterTable
 from .cyclotomic import Cyclotomic
 from .ffield import ExtField, FFMatrix, PrimeField
-from .permgroup import Perm
+from .permgroup import Perm, check_allocation
 from .slp import INV, MUL, POW, SLProgram
 from .tom import TableOfMarks, marks_from_triples
 
@@ -320,6 +320,8 @@ def parse_tom(text: str) -> TableOfMarks:
         raise ParseError("tom: n_classes must be positive", 1, 1)
     if len(orders) != n or not all(map(_is_int, orders)):
         raise ParseError(f"tom: orders must be {n} integers", 1, 1)
+    # the dense rows at 8 bytes a slot, as compute_tom charges them; a bound, not a format error
+    check_allocation(f"the marks of {n} classes", 8 * n * n)
     with _reraise("tom: "):
         rows = marks_from_triples(n, triples)
     slps = None

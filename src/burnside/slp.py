@@ -36,6 +36,8 @@ class SLProgram:
     def __post_init__(self):
         if self.n_inputs < 1:
             raise ValueError("programs need at least one input")
+        if self.n_inputs > MAX_SLOTS:  # inputs occupy r1..rM; refused before the slot set is built
+            raise ValueError(f"input slot r{self.n_inputs} outside 1..{MAX_SLOTS}")
         defined = set(range(1, self.n_inputs + 1))
         for stmt in self.statements:
             target, op = stmt[0], stmt[1]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import compress, repeat
+from operator import mod
 
 import numpy as np
 
@@ -75,123 +76,59 @@ class TableOfMarks:
 def marks_from_triples(n, triples):
     """The n dense marks rows of sparse [i, j, m] triples, 1-based, j <= i.
 
-    Well-formed triples are placed in bulk.  Otherwise, or if a value does
-    not fit in 64 bits, they are walked in order, which raises a ValueError
-    at the first bad one.
+    One walk in order: a ValueError at the first triple that is not three
+    ints, lies outside 1..n or above the diagonal, or repeats a position.
     """
-    t = _triples_array(n, triples)
-    if t is not None:
-        dense = np.zeros((n, n), dtype=np.int64)
-        dense[t[:, 0] - 1, t[:, 1] - 1] = t[:, 2]
-        return tuple(tuple(row.tolist()) for row in dense)
     dense = [[0] * n for _ in range(n)]
-    seen = set()
+    seen = set()  # i * n + j of each placed triple
     for t in triples:
-        if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
+        if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is int):
             raise ValueError(f"marks entry {t!r} is not an [i, j, m] triple")
         i, j, m = t
         if not 1 <= i <= n or not 1 <= j <= n:
             raise ValueError(f"marks position ({i},{j}) outside 1..{n}")
         if j > i:
             raise ValueError(f"mark ({i},{j}) above the diagonal")
-        if (i, j) in seen:
+        key = i * n + j
+        if key in seen:
             raise ValueError(f"duplicate mark for ({i},{j})")
-        seen.add((i, j))
+        seen.add(key)
         dense[i - 1][j - 1] = m
-    return tuple(tuple(r) for r in dense)
-
-
-def _triples_array(n, triples):
-    """The triples as a k x 3 int64 array if they are lists of three ints
-    (not bools) at distinct positions 1 <= j <= i <= n; else None."""
-    if set(map(type, triples)) - {list} or set(map(len, triples)) - {3}:
-        return None
-    flat = list(chain.from_iterable(triples))
-    if set(map(type, flat)) - {int}:
-        return None
-    try:
-        t = np.array(flat, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        return None
-    i, j = t[:, 0], t[:, 1]
-    if ((j < 1) | (j > i) | (i > n)).any() or len(set((i * n + j).tolist())) != len(t):
-        return None
-    return t
-
-
-# marks checked per block of rows: a few temporaries of this many entries
-_CHECK_ENTRIES = 1 << 16
-
-
-def _array(rows):
-    """int64, or Python ints in an object array for values beyond 64 bits."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    for i in range(n):  # in place, so the lists and the tuples never all coexist
+        dense[i] = tuple(dense[i])
+    return tuple(dense)
 
 
 def _check_rows(orders, marks):
-    """Raise at the first row that fails a row check of TableOfMarks; return
-    the message of the first row outside the coset bounds, or None.
-
-    The checks read each block of rows through its nonzero entries, in row
-    order, so that no temporary is larger than the block.
-    """
+    """Raise at the first row that fails a row check of TableOfMarks, the
+    earlier check first; return the message of the first row outside the
+    coset bounds, or None."""
     n = len(orders)
     total = orders[-1]
-    o = _array(orders)
-    index = _array([total // x for x in orders])  # index * o == total where o divides total
-    # rows up to the first of the wrong length are checked before it
-    width = next((i for i, row in enumerate(marks) if len(row) != n), n)
-    step = max(1, _CHECK_ENTRIES // n)
     coset_fault = None
-    for lo in range(0, width, step):
-        m = _array(marks[lo : min(width, lo + step)])
-        b = np.arange(len(m))
-        g = lo + b  # the class of each row, and the column of its diagonal
-        r, c = np.nonzero(m)
-        i = lo + r  # the class of each nonzero entry's row
-        idx, diag = index[g], m[b, g]
-        fault = _first_fault([
-            (r, c, c > i),
-            (b, g, (idx * o[g] != total) | (m[:, 0] != idx)),
-            (b, g, diag < 1),
-            (r, c, o[i] % o[c] != 0),
-        ])
-        if fault:
-            kind, row, col = fault
-            raise ValueError((
-                "marks entry above the diagonal in row {k}",
-                "row {k}: first column must be the index of U_{k}",
-                "diagonal mark of class {k} must be positive",
-                "mark ({k},{j}) nonzero but order does not divide",
-            )[kind].format(k=lo + row + 1, j=col + 1))
-        if coset_fault is None:
-            v = m[r, c]
-            fault = _first_fault([(r, c, (v < 0) | (v > idx[r])), (b, g, idx % diag != 0)])
-            if fault:
-                kind, row, col = fault
-                coset_fault = (
-                    "row {k}: mark {v} in column {j} is outside 0..{index}, the index",
-                    "row {k}: diagonal mark {v} does not divide the index {index}",
-                )[kind].format(k=lo + row + 1, j=col + 1, v=m[row, col], index=idx[row])
-    if width < n:
-        raise ValueError("marks rows must have length n")
+    for i, row in enumerate(marks):
+        k = i + 1
+        if len(row) != n:
+            raise ValueError("marks rows must have length n")
+        if any(row[k:]):
+            raise ValueError(f"marks entry above the diagonal in row {k}")
+        o, index = orders[i], row[0]
+        if total % o or index != total // o:
+            raise ValueError(f"row {k}: first column must be the index of U_{k}")
+        if row[i] < 1:
+            raise ValueError(f"diagonal mark of class {k} must be positive")
+        head = row[:k]
+        # o modulo the order of each column with a nonzero mark
+        if any(map(mod, repeat(o), compress(orders, head))):
+            j = next(j for j in range(k) if head[j] and o % orders[j])
+            raise ValueError(f"mark ({k},{j + 1}) nonzero but order does not divide")
+        if coset_fault is None and (min(head) < 0 or max(head) > index or index % row[i]):
+            j = next((j for j, v in enumerate(head) if not 0 <= v <= index), None)
+            if j is None:
+                coset_fault = f"row {k}: diagonal mark {row[i]} does not divide the index {index}"
+            else:
+                coset_fault = f"row {k}: mark {head[j]} in column {j + 1} is outside 0..{index}, the index"
     return coset_fault
-
-
-def _first_fault(checks):
-    """(check, row, column) of the first failing entry of the first row that
-    fails a check, taking the earlier check in that row; or None.  Each
-    check is (rows, columns, failed) over entries in row order."""
-    first = None
-    for kind, (rows, cols, failed) in enumerate(checks):
-        if failed.any():
-            at = int(failed.argmax())
-            if first is None or rows[at] < first[1]:
-                first = (kind, int(rows[at]), int(cols[at]))
-    return first
 
 
 def compute_tom(group: PermGroup, classes=None) -> TableOfMarks:

@@ -4,17 +4,18 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import burnside
-from burnside import permgroup, tom
+from burnside import formats, permgroup, tom
 from burnside.cli import main
 from burnside.corpus import _nonzero_vectors, pair_a4, perm_from_matrix
 from burnside.ffield import FFMatrix, PrimeField
-from burnside.formats import parse_tom, write_meataxe
+from burnside.formats import parse_slp, parse_tom, write_meataxe
 from burnside.permgroup import ElementTable, Perm, PermGroup
 from burnside.tom import compute_tom
 from test_census import _direct_sum, _perm_matrix
@@ -114,6 +115,44 @@ def test_census_tom_with_a_negative_mark_exits_2(capsys, tmp_path):
                          "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}", "--q", "2")
     assert (code, out) == (2, "")
     assert "tom: row 3: mark -5 in column 2 is outside 0..1, the index" in err
+
+
+def test_census_tom_refuses_the_marks_of_5793_classes_before_building_them(capsys, tmp_path):
+    # 8 * 5793^2 bytes of dense rows pass 2^28; the refusal is a byte bound
+    # (exit 3), not a format error, and comes before any row is built
+    big = tmp_path / "big.tom.json"
+    big.write_text(json.dumps({"n_classes": 5793, "orders": [1] * 5793, "marks": []}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "census", "tom", "--tom", str(big),
+                             "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}", "--q", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "the marks of 5793 classes takes 268470792 bytes, over the bound of 268435456 bytes" in err
+    assert peak < 1 << 20
+
+
+def test_parse_tom_charges_8_bytes_a_mark(monkeypatch):
+    # the spy stops the read after the charge, so no table of that size is built
+    class Charged(Exception):
+        pass
+
+    charged = []
+
+    def spy(what, nbytes):
+        charged.append(nbytes)
+        raise Charged
+
+    monkeypatch.setattr(formats, "check_allocation", spy)
+    for n in (5792, 5793):
+        with pytest.raises(Charged):
+            parse_tom(json.dumps({"n_classes": n, "orders": [1] * n, "marks": []}))
+    assert charged == [8 * 5792**2, 8 * 5793**2]
+    permgroup.check_allocation("the marks of 5792 classes", charged[0])
+    with pytest.raises(ValueError, match="over the bound"):
+        permgroup.check_allocation("the marks of 5793 classes", charged[1])
 
 
 def test_census_q_validation(capsys):
@@ -504,6 +543,15 @@ def test_slp_eval_empty_return(capsys, tmp_path):
     assert out == ""
 
 
+def test_slp_eval_reads_at_most_max_slots_inputs(capsys, tmp_path):
+    prog = tmp_path / "prog.slp"
+    prog.write_text("return r10001\n")
+    code, out, err = run(capsys, "slp", "eval", "--slp", str(prog), "--inputs", p("s3.gen1.mtx"))
+    assert (code, out) == (2, "")
+    assert "input slot r10001 outside 1..10000 at line 1, column 1" in err
+    assert parse_slp("return r10000\n").n_inputs == 10_000
+
+
 def test_slp_eval_missing_input_exits_3(capsys, tmp_path):
     prog = tmp_path / "prog.slp"
     prog.write_text("r3 = r1 * r2\nreturn r3\n")
@@ -551,6 +599,22 @@ def test_malformed_file_exits_2(capsys, tmp_path):
                        "--out", str(tmp_path / "x"))
     assert code == 2
     assert "header" in err
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"1 2 1 1\n\xff\n")
+    gens = f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}"
+    for argv in (
+        ["blowup", "--in", str(bad), "--p", "2", "--k", "1"],
+        ["census", "tom", "--tom", str(bad), "--gens", gens, "--q", "2"],
+        ["tom", "decompose", "--tom", str(bad), "--fixed", p("s3.fixed.json")],
+        ["chartab", "report", "--table", str(bad)],
+        ["slp", "eval", "--slp", str(bad), "--inputs", p("s3.gen1.mtx")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"{bad}: not UTF-8 text at byte 8" in err
 
 
 def test_perm_file_where_matrix_expected(capsys):

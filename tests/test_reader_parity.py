@@ -1,11 +1,13 @@
-"""The bulk readers against per-token reference readers.
+"""The readers against per-token reference readers.
 
 The references below read a table of marks and a mode-1 matrix one token at
-a time, as the readers did before they checked in bulk.  They differ from
-that older code only by the rules added with the bulk readers: digits are
-ASCII, and a mark lies in 0..|G:U_i| with a diagonal mark dividing
-|G:U_i|.  Corrupted inputs must give the same ParseError (message, line
-and column) or an equal object from both.
+a time.  The mode-1 digits are checked in bulk and the program lines of a
+table are parsed once per distinct line; the marks triples and the table
+checks are one walk in order, as in the references.  The references differ
+from the older readers only by the rules added since: digits are ASCII, and
+a mark lies in 0..|G:U_i| with a diagonal mark dividing |G:U_i|.  Corrupted
+inputs must give the same ParseError (message, line and column), the same
+ValueError, or an equal object from both.
 """
 
 import json
@@ -14,7 +16,7 @@ import re
 
 import pytest
 
-from burnside import formats, tom
+from burnside import formats
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import ParseError, parse_meataxe, parse_tom, write_meataxe, write_tom
 from burnside.permgroup import Perm, PermGroup
@@ -261,37 +263,35 @@ def test_mode1_reader_matches_the_per_token_reference(q):
     assert messages == {"ok", "unexpected", "expected", "more", "digit"}
 
 
-def test_table_checks_match_the_per_entry_reference(monkeypatch):
+def test_table_checks_match_the_per_entry_reference():
     base = parse_tom(S6_TEXT)
     n = base.n
     rng = random.Random(5)
     values = [-3, -1, 0, 1, 2, 3, 4, 5, 7, 720, 2**70]
-    for block in (1 << 16, n, 1):  # one block, then blocks of one row
-        monkeypatch.setattr(tom, "_CHECK_ENTRIES", block)
-        for _ in range(300):
-            orders = list(base.orders)
-            marks = [list(r) for r in base.marks]
-            for _ in range(rng.choice([1, 1, 2])):
-                kind = rng.randrange(12)
-                i = rng.randrange(n)
-                if kind >= 10:  # faults in one row: the earlier check must win
-                    for j in (0, i, rng.randrange(n)):
-                        marks[i][j] = rng.choice(values)
-                elif kind == 0:
-                    marks[i] = marks[i][: rng.randrange(n)] if rng.random() < 0.5 else marks[i] + [0]
-                elif kind == 1:
-                    orders[i] = rng.choice([1, 2, 3, 5, 7, 720, 1440, 2**70])
-                else:
-                    marks[i][rng.randrange(n)] = rng.choice(values)
-            marks = tuple(map(tuple, marks))
-            try:
-                reference_table_checks(n, tuple(orders), marks, base.slps)
-                want = None
-            except ValueError as exc:
-                want = str(exc)
-            try:
-                TableOfMarks(n, tuple(orders), marks, base.slps)
-                got = None
-            except ValueError as exc:
-                got = str(exc)
-            assert got == want, (orders, marks)
+    for _ in range(900):
+        orders = list(base.orders)
+        marks = [list(r) for r in base.marks]
+        for _ in range(rng.choice([1, 1, 2])):
+            kind = rng.randrange(12)
+            i = rng.randrange(n)
+            if kind >= 10:  # faults in one row: the earlier check must win
+                for j in (0, i, rng.randrange(n)):
+                    marks[i][j] = rng.choice(values)
+            elif kind == 0:
+                marks[i] = marks[i][: rng.randrange(n)] if rng.random() < 0.5 else marks[i] + [0]
+            elif kind == 1:
+                orders[i] = rng.choice([1, 2, 3, 5, 7, 720, 1440, 2**70])
+            else:
+                marks[i][rng.randrange(n)] = rng.choice(values)
+        marks = tuple(map(tuple, marks))
+        try:
+            reference_table_checks(n, tuple(orders), marks, base.slps)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            TableOfMarks(n, tuple(orders), marks, base.slps)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (orders, marks)

@@ -1,6 +1,7 @@
 """Straight-line program construction and evaluation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,20 @@ def test_validation_errors():
         SLProgram(1, ((2, "NOP", 1),), (1,))
     with pytest.raises(ValueError):  # a product needs two operands
         SLProgram(2, ((3, MUL, 1),), (3,))
+
+
+def test_inputs_past_max_slots_are_refused_before_the_slot_set():
+    # inputs occupy r1..rM, so a program reads at most MAX_SLOTS of them;
+    # the refusal comes before a set of 10^8 slots is built
+    SLProgram(slp.MAX_SLOTS, (), (slp.MAX_SLOTS,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^input slot r100000000 outside 1\.\.10000$"):
+            SLProgram(100_000_000, (), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @pytest.mark.parametrize("statement,slot", [
