@@ -8,9 +8,9 @@ decomposes over the table of marks into orbit counts per stabilizer class.
 The fixed count for U is q^dim of the common left-nullspace of the
 (g^T - 1) for generators g of U, which is where the straight-line programs
 stored on the table come in: they rebuild class generators inside any
-matrix group with aligned generators.  The class programs are combined
-into one and evaluated once, so a product that several classes share is
-computed once.  Tables built by cyclic extension give a class the
+matrix group with aligned generators.  The class programs run in turn
+against one shared dict of products, so a product that several classes
+share is computed once.  Tables built by cyclic extension give a class the
 generators of a smaller class plus one more, so the fixed spaces are
 reduced one generator at a time and shared by generator prefix: each
 prefix that several classes share is reduced once.  Only a prefix that a
@@ -41,7 +41,7 @@ import numpy as np
 from .cyclotomic import is_prime, power
 from .ffield import FFMatrix, matmul_mod
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, orbit_minima, subgroup_classes
-from .slp import SLProgram, combine, evaluate
+from .slp import evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
 
 # dual vectors per broadcast block in the brute-force route
@@ -176,32 +176,6 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     return basis.rows
 
 
-def _class_generators(programs, mats):
-    """Each program's returns on mats, evaluating runs of programs combined.
-
-    A run starts as all remaining programs and is halved until its combined
-    program fits in MAX_SLOTS; a program that does not fit even alone runs
-    as it is.
-    """
-    out = []
-    start = 0
-    while start < len(programs):
-        end = len(programs)
-        while True:
-            try:
-                prog, slices = combine(programs[start:end])
-                break
-            except ValueError:
-                if end - start == 1:
-                    prog, slices = programs[start], [(0, len(programs[start].returns))]
-                    break
-                end = start + (end - start) // 2
-        gens = evaluate(prog, mats)
-        out.extend(gens[a:b] for a, b in slices)
-        start = end
-    return out
-
-
 def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
     """Census via the table of marks; needs the table's straight-line programs.
 
@@ -213,14 +187,14 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
     """
     if tom.slps is None:
         raise ValueError("table of marks carries no straight-line programs")
-    mats = list(action.matrices)
-    # programs may have been stored against a narrower generator list;
-    # re-targeting fails loudly if the program reads a missing slot
-    programs = [
-        prog if prog.n_inputs == len(mats) else SLProgram(len(mats), prog.statements, prog.returns)
-        for prog in tom.slps
-    ]
-    class_gens = _class_generators(programs, mats)
+    mats = action.matrices
+    # a program stored against a narrower generator list reads the first
+    # matrices; one that reads more than there are fails in evaluate.  The
+    # programs share one dict of products, dropped before the fixed spaces,
+    # so each distinct product is computed once
+    products = {}
+    class_gens = [evaluate(prog, mats[: prog.n_inputs], products) for prog in tom.slps]
+    del products
     # fixed-space bases by generator prefix, shared by all classes: the
     # proper prefixes are announced, so a class that extends no other's
     # generators takes a rank and keeps no basis

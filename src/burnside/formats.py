@@ -478,6 +478,13 @@ def write_slp(prog: SLProgram) -> str:
 # cyclotomic expressions
 
 
+# E(n) reduces a vector of length n and tries each divisor of n for the
+# conductor, so the cost grows fast with the level: E(840)^-1 takes seconds
+# and E(100000)^-1 tens of seconds.  The bundled character tables use
+# levels up to 13
+MAX_LEVEL = 1000
+
+
 class _ExprParser:
     """Recursive descent for: expr := term (('+'|'-') term)*;
     term := factor ('*' factor)*;
@@ -553,9 +560,9 @@ class _ExprParser:
             self.take("(")
             at = self.pos
             n = self.integer(signed=True)
-            if n < 1:
+            if not 1 <= n <= MAX_LEVEL:
                 self.pos = at
-                self.error(f"E({n}): level must be positive")
+                self.error(f"E({n}): level must be " + ("positive" if n < 1 else f"at most {MAX_LEVEL}"))
             self.take(")")
             e = 1
             if self.peek() == "^":

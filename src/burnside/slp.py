@@ -77,48 +77,6 @@ class SLProgram:
         return cls(n_inputs, tuple(statements), tuple(outs))
 
 
-def combine(programs):
-    """One program computing the returns of all the given programs.
-
-    Each distinct operation on the same operands is done once, so programs
-    built from words with shared prefixes share those products.  Returns the
-    combined program and, per input program, the (start, end) slice of the
-    combined returns that holds its returns.  Raises ValueError if the
-    programs take different numbers of inputs, or if the distinct
-    statements do not fit in MAX_SLOTS slots.
-    """
-    programs = list(programs)
-    if not programs:
-        raise ValueError("need at least one program")
-    n = programs[0].n_inputs
-    if any(prog.n_inputs != n for prog in programs):
-        raise ValueError("programs take different numbers of inputs")
-    statements = []
-    made = {}  # (op, operands over combined slots) -> combined slot
-    returns = []
-    slices = []
-    for prog in programs:
-        slot = {i: i for i in range(1, n + 1)}  # program slot -> combined slot
-        for stmt in prog.statements:
-            op = stmt[1]
-            if op == MUL:
-                key = (op, slot[stmt[2]], slot[stmt[3]])
-            elif op == POW:
-                key = (op, slot[stmt[2]], stmt[3])
-            else:
-                key = (op, slot[stmt[2]])
-            target = made.get(key)
-            if target is None:
-                target = made[key] = n + len(statements) + 1
-                if target > MAX_SLOTS:
-                    raise ValueError(f"the combined program needs more than {MAX_SLOTS} slots")
-                statements.append((target, *key))
-            slot[stmt[0]] = target
-        slices.append((len(returns), len(returns) + len(prog.returns)))
-        returns.extend(slot[s] for s in prog.returns)
-    return SLProgram(n, tuple(statements), tuple(returns)), slices
-
-
 def _check_carrier(inputs):
     first = inputs[0]
     if isinstance(first, FFMatrix):
@@ -137,8 +95,16 @@ def _check_carrier(inputs):
             raise ValueError("carrier mismatch")
 
 
-def evaluate(prog: SLProgram, inputs) -> list:
-    """Run the program; returns one carrier element per return slot."""
+def evaluate(prog: SLProgram, inputs, products=None) -> list:
+    """Run the program; returns one carrier element per return slot.
+
+    products maps each operation done, (MUL, id(a), id(b)) or (POW, id(a),
+    exponent) with an inverse as the power -1, to (result, a, b): holding
+    the operands keeps their ids from being reused while the dict lives.
+    Calls that share the dict and the input objects compute each distinct
+    product once.  Without a dict nothing is kept: a slot written again
+    frees its value, so memory stays bounded by the live slots.
+    """
     inputs = list(inputs)
     if len(inputs) != prog.n_inputs:
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
@@ -146,10 +112,17 @@ def evaluate(prog: SLProgram, inputs) -> list:
     slots = {i + 1: x for i, x in enumerate(inputs)}
     for stmt in prog.statements:
         target, op = stmt[0], stmt[1]
+        a = slots[stmt[2]]
         if op == MUL:
-            slots[target] = slots[stmt[2]] * slots[stmt[3]]
-        elif op == INV:
-            slots[target] = slots[stmt[2]] ** -1
+            b = slots[stmt[3]]
+            key = (MUL, id(a), id(b))
         else:
-            slots[target] = slots[stmt[2]] ** stmt[3]
+            b = None
+            key = (POW, id(a), -1 if op == INV else stmt[3])
+        entry = None if products is None else products.get(key)
+        if entry is None:
+            entry = (a * b if op == MUL else a ** key[2], a, b)
+            if products is not None:
+                products[key] = entry
+        slots[target] = entry[0]
     return [slots[s] for s in prog.returns]

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from burnside import census, ffield, slp
+from burnside import census, ffield
 from burnside.census import (
     CensusReport,
     ModuleAction,
@@ -28,7 +28,7 @@ from burnside.corpus import (
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.formats import write_meataxe, write_tom
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
-from burnside.slp import SLProgram, combine, evaluate
+from burnside.slp import INV, MUL, POW, evaluate
 from burnside.tom import TableOfMarks, compute_tom, decompose_fixed_vector
 from test_ffield import random_matrix
 from test_tom import projective_line_psl2
@@ -224,15 +224,33 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-def test_census_evaluates_one_combined_program(monkeypatch):
+def distinct_operations(programs):
+    """The number of distinct operations of programs run on the same inputs.
+
+    Each slot holds the term that computes it, so operations equal as terms
+    are counted once, whichever program and slot they come from.
+    """
+    terms = set()
+    for prog in programs:
+        slot = {i: i for i in range(1, prog.n_inputs + 1)}
+        for stmt in prog.statements:
+            if stmt[1] == MUL:
+                term = (MUL, slot[stmt[2]], slot[stmt[3]])
+            else:
+                term = (POW, slot[stmt[2]], -1 if stmt[1] == INV else stmt[3])
+            terms.add(term)
+            slot[stmt[0]] = term
+    return len(terms)
+
+
+def test_census_computes_each_distinct_product_once(monkeypatch):
     group, action = s5_on_gf3_8()
     tom = compute_tom(group)
     expected = per_class_report(tom, action)
-    distinct = len(combine(tom.slps)[0].statements)
+    distinct = distinct_operations(tom.slps)
     assert distinct < sum(len(prog.statements) for prog in tom.slps)
-    evaluations = counting(monkeypatch, census, "evaluate")
     products = counting(monkeypatch, FFMatrix, "__mul__")
-    # the fixed spaces multiply bases too; count the program's products only
+    # the fixed spaces multiply bases too; count the programs' products only
     during_evaluate = []
     counted_evaluate = census.evaluate
 
@@ -244,29 +262,9 @@ def test_census_evaluates_one_combined_program(monkeypatch):
 
     monkeypatch.setattr(census, "evaluate", evaluate_counting_products)
     assert census_from_tom(tom, action) == expected
-    assert len(evaluations) == 1
+    assert len(during_evaluate) == tom.n
     # the stored programs are words: every statement is one product
-    assert during_evaluate == [distinct]
-
-
-# 25 slots hold the largest S5 program but not all of them; with 12, some
-# programs do not fit even alone and run as they are
-@pytest.mark.parametrize("max_slots", [25, 12])
-def test_census_splits_programs_past_max_slots(monkeypatch, max_slots):
-    group, action = s5_on_gf3_8()
-    tom = compute_tom(group)
-    expected = per_class_report(tom, action)
-    monkeypatch.setattr(slp, "MAX_SLOTS", max_slots)
-    evaluations = counting(monkeypatch, census, "evaluate")
-    assert census_from_tom(tom, action) == expected
-    assert 1 < len(evaluations) < tom.n
-    alone = 0  # stored programs run as they are
-    for prog, _ in evaluations:
-        if any(prog is stored for stored in tom.slps):
-            alone += 1
-        else:
-            assert all(stmt[0] <= max_slots for stmt in prog.statements)
-    assert bool(alone) == (max_slots == 12)
+    assert sum(during_evaluate) == distinct
 
 
 @pytest.mark.parametrize("name,group,action", CORPUS, ids=IDS)
@@ -435,6 +433,16 @@ def test_tom_without_slps_fails_fast():
     tom = dataclasses.replace(compute_tom(group), slps=None)
     with pytest.raises(ValueError, match="straight-line"):
         census_from_tom(tom, action)
+
+
+def test_programs_read_the_first_of_more_matrices():
+    # the table of C3 has one-input programs; a second matrix is not read
+    group, action = pair_c3()
+    tom = compute_tom(group)
+    (m,) = action.matrices
+    wider = ModuleAction([m, FFMatrix.from_rows(m.field, [[1, 1], [0, 1]])])
+    assert all(prog.n_inputs == 1 for prog in tom.slps)
+    assert census_from_tom(tom, wider) == census_from_tom(tom, action)
 
 
 def test_program_requiring_missing_generator_fails():

@@ -663,14 +663,26 @@ def huge_prime_case(tmp_path, case):
     return ["census", "tom", "--tom", p("s3.tom.json"), "--gens", str(path), "--q", "2"]
 
 
-@pytest.mark.parametrize("case,code", [("chartab prime", 2), ("meataxe header", 2),
-                                       ("ext matrix", 2), ("brauer", 3)])
-def test_huge_primes_are_refused_at_once(tmp_path, case, code):
-    # a child process with a timeout, so a stall fails the test instead of hanging it
+def run_child(argv):
+    """The CLI run in a child process with a timeout, so a stall fails the test instead of hanging it."""
     env = dict(os.environ)
     src = str(Path(burnside.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "burnside.cli", *huge_prime_case(tmp_path, case)],
-                         env=env, capture_output=True, text=True, timeout=30)
+    return subprocess.run([sys.executable, "-m", "burnside.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("case,code", [("chartab prime", 2), ("meataxe header", 2),
+                                       ("ext matrix", 2), ("brauer", 3)])
+def test_huge_primes_are_refused_at_once(tmp_path, case, code):
+    run = run_child(huge_prime_case(tmp_path, case))
     assert (run.returncode, run.stdout) == (code, "")
     assert f"{HUGE}" in run.stderr and "too large" in run.stderr
+
+
+def test_cyclotomic_level_past_the_bound_is_refused_at_once(tmp_path):
+    table = tmp_path / "level.json"
+    table.write_text('{"name": "t", "n_classes": 1, "irreducibles": [["E(100000)^-1"]]}')
+    run = run_child(["chartab", "report", "--table", str(table)])
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "E(100000): level must be at most 1000" in run.stderr

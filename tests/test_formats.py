@@ -524,6 +524,16 @@ def test_expr_rejects():
     assert info.value.col == 3
 
 
+def test_expr_level_bound():
+    # the cost of E(n) grows fast with n: a level past the bound is refused
+    # at its column before any vector of that length is built
+    assert parse_cyclotomic(f"E({formats.MAX_LEVEL})^-1").level == formats.MAX_LEVEL
+    for text, col in (("E(100000)^-1", 3), (f"1 + E( {formats.MAX_LEVEL + 1})", 7)):
+        with pytest.raises(ParseError, match=f"at most {formats.MAX_LEVEL}") as info:
+            parse_cyclotomic(text)
+        assert info.value.col == col
+
+
 BOOLEAN_INTEGERS = [
     (parse_ext_matrix, '{"p": 2, "k": 2, "rows": true, "cols": 1, "entries": [[[0, 1]]]}'),
     (parse_ext_matrix, '{"p": 2, "k": true, "rows": 1, "cols": 1, "entries": [[[1]]]}'),

@@ -2,13 +2,14 @@
 
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
 from burnside import slp
 from burnside.ffield import ExtField, FFMatrix, PrimeField
 from burnside.permgroup import Perm
-from burnside.slp import INV, MUL, POW, SLProgram, combine, evaluate
+from burnside.slp import INV, MUL, POW, SLProgram, evaluate
 
 GF3 = PrimeField(3)
 
@@ -127,6 +128,26 @@ def test_overwriting_slots_is_allowed():
     assert evaluate(prog, [a, b]) == [a * b * b]
 
 
+def test_evaluate_without_products_keeps_only_the_live_slots():
+    # r3 = r1 * r2, then r3 = r3 * r1 a thousand times: without a dict each
+    # overwritten slot frees its matrix, so the peak is a few matrices
+    rng = random.Random(47)
+    a, b = (random_invertible(GF3, 32, rng) for _ in range(2))
+    prog = SLProgram(2, ((3, MUL, 1, 2),) + ((3, MUL, 3, 1),) * 1000, (3,))
+    tracemalloc.start()
+    try:
+        one = a * b
+        size = tracemalloc.get_traced_memory()[0]
+        del one
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate(prog, [a, b])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size
+
+
 def test_carrier_mismatch():
     prog = SLProgram(2, ((3, MUL, 1, 2),), (3,))
     with pytest.raises(ValueError):
@@ -150,12 +171,12 @@ def test_from_words():
     assert trivial.returns == ()
 
 
-# ---------------------------------------------------------------- combine
+# ---------------------------------------------------------- shared products
 
 
-# the first two programs share r1*r2 and its inverse; the third re-uses r1
-# for r1*r2 and then overwrites that slot again
-COMBINE_CASES = (
+# the first two programs share r1*r2 and its inverse; the third overwrites
+# input slot r1 with r1*r2 and then overwrites that slot again
+SHARED_CASES = (
     SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, POW, 4, 3)), (5, 3)),
     SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, MUL, 4, 1)), (5,)),
     SLProgram(2, ((1, MUL, 1, 2), (1, POW, 1, -2), (3, MUL, 2, 1)), (3, 1, 2)),
@@ -164,47 +185,77 @@ COMBINE_CASES = (
 )
 
 
-def combine_carriers():
+def shared_carriers():
     rng = random.Random(41)
     yield [Perm.from_cycles(5, [(0, 1, 2, 3, 4)]), Perm.from_cycles(5, [(0, 1)])]
     for f in (PrimeField(2), GF3, ExtField(2, 2)):
         yield [random_invertible(f, 3, rng) for _ in range(2)]
 
 
-@pytest.mark.parametrize("inputs", list(combine_carriers()), ids=["perm", "gf2", "gf3", "gf4"])
-def test_combined_program_returns_each_programs_returns(inputs):
-    prog, slices = combine(COMBINE_CASES)
-    out = evaluate(prog, inputs)
-    assert len(slices) == len(COMBINE_CASES)
-    assert [out[a:b] for a, b in slices] == [evaluate(p, inputs) for p in COMBINE_CASES]
+@pytest.mark.parametrize("inputs", list(shared_carriers()), ids=["perm", "gf2", "gf3", "gf4"])
+def test_shared_products_give_each_programs_returns(inputs):
+    alone = [evaluate(p, inputs) for p in SHARED_CASES]
+    products = {}
+    assert [evaluate(p, inputs, products) for p in SHARED_CASES] == alone
+    # r1*r2, its inverse, the cube and the product with r1 of that inverse,
+    # (r1*r2)^-2 and r2 times it, and r2^0
+    assert len(products) == 7
+    assert alone[3] == []
 
 
-def test_combine_computes_a_shared_product_once():
+def test_shared_products_compute_a_shared_product_once(monkeypatch):
+    rng = random.Random(43)
+    a, b = (random_invertible(GF3, 3, rng) for _ in range(2))
+    expected = [[a * b * a], [a * b * b, a * b]]
     words = SLProgram.from_words(2, [(1, 2, 1)]), SLProgram.from_words(2, [(1, 2, 2), (1, 2)])
-    prog, slices = combine(words)
+    calls = []
+    mul = FFMatrix.__mul__
+    monkeypatch.setattr(FFMatrix, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    products = {}
+    assert [evaluate(p, [a, b], products) for p in words] == expected
     # r1*r2 once, then *r1 and *r2
-    assert len(prog.statements) == 3
-    assert [prog.returns[a:b] for a, b in slices] == [(4,), (5, 3)]
-    again, _ = combine(words + words)
-    assert again.statements == prog.statements
+    assert len(calls) == 3
+    again = [evaluate(p, [a, b], products) for p in words]
+    assert len(calls) == 3
+    assert again == expected
 
 
-def test_combine_rejects_mixed_input_counts():
-    with pytest.raises(ValueError, match="inputs"):
-        combine([SLProgram(1, (), (1,)), SLProgram(2, (), (2,))])
-    with pytest.raises(ValueError):
-        combine([])
+def test_an_inverse_and_the_power_minus_one_are_one_product():
+    prog = SLProgram(1, ((2, INV, 1), (3, POW, 1, -1)), (2, 3))
+    a = random_invertible(GF3, 3, random.Random(53))
+    products = {}
+    out = evaluate(prog, [a], products)
+    assert out == [a.inverse(), a.inverse()]
+    assert out[0] is out[1] and len(products) == 1
 
 
-def test_combine_empty_returns_give_an_empty_slice():
-    prog, slices = combine([SLProgram(2, ((3, MUL, 1, 2),), ()), SLProgram(2, (), (2,))])
-    assert slices == [(0, 0), (0, 1)]
-    assert prog.returns == (2,)
+class Mod7:
+    """Units mod 7: a carrier that can be weakly referenced."""
+
+    __slots__ = ("v", "__weakref__")
+
+    def __init__(self, v):
+        self.v = v % 7
+
+    def __mul__(self, other):
+        return Mod7(self.v * other.v)
+
+    def __pow__(self, e):
+        return Mod7(pow(self.v, e, 7))
+
+    def __eq__(self, other):
+        return self.v == other.v
 
 
-def test_combine_refuses_more_than_max_slots(monkeypatch):
-    monkeypatch.setattr(slp, "MAX_SLOTS", 4)
-    programs = [SLProgram.from_words(2, [(1, 2)]), SLProgram.from_words(2, [(2, 1)])]
-    assert len(combine(programs[:1])[0].statements) == 1
-    with pytest.raises(ValueError, match="4 slots"):
-        combine(programs + [SLProgram.from_words(2, [(1, 1)])])
+def test_shared_products_hold_their_operands():
+    # a key holds operand ids, which a freed object gives back for reuse:
+    # the dict keeps every operand alive for as long as it lives
+    prog = SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3)), (3, 4))
+    products = {}
+    a, b = Mod7(2), Mod7(3)
+    assert evaluate(prog, [a, b], products) == [Mod7(6), Mod7(6)]
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    assert all(ref() is not None for ref in refs)
+    del products
+    assert all(ref() is None for ref in refs)
