@@ -54,7 +54,7 @@ class CharacterRow:
     def conjugate(self, k: int) -> "CharacterRow":
         """Row with every value mapped under zeta -> zeta^k."""
         return CharacterRow(
-            tuple(v if v.level == 1 else galois(v, k % v.level) for v in self.values),
+            tuple(galois(v, k) for v in self.values),
             self.name,
         )
 

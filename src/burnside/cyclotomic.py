@@ -2,9 +2,14 @@
 
 A value lives in Q(zeta_n) as a rational coefficient vector on the power
 basis {zeta_n^i : 0 <= i < phi(n)}, reduced modulo the n-th cyclotomic
-polynomial.  Every constructor minimizes the level to the true conductor
-(rationals sit at level 1), so equality of values is equality of stored
-data.  Levels in scope are tiny; nothing here tries to be clever.
+polynomial, and every constructor lowers n to the conductor (rationals sit
+at level 1), so equality of values is equality of stored data.  The level
+descends one prime p of n = p*m at a time.  If p^2 | n, Phi_n(x) = Phi_m(x^p)
+and the value lies in Q(zeta_m) when its coefficients vanish off the
+exponents divisible by p.  If p || n, zeta_n^e = zeta_m^(e*u) * zeta_p^(e*v)
+with u = 1/p mod m and v = 1/m mod p writes it as sum_j y_j zeta_p^j with y_j
+in Q(zeta_m); it lies in Q(zeta_m) when y_1 = ... = y_(p-1), and is then
+y_0 - y_1.  No level, of a sum or a product either, passes MAX_LEVEL.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# a value of level n folds a list of length n; the bundled character tables
+# use levels up to 13
+MAX_LEVEL = 1000
 
 
 def power(x, e, one, mul=operator.mul):
@@ -103,16 +111,8 @@ def euler_phi(n: int) -> int:
 
 
 def divisors(n: int) -> list:
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                big.append(n // d)
-        d += 1
-    big.reverse()
-    return small + big
+    # linear in n, as multiplicative_order is; levels are at most MAX_LEVEL
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -201,32 +201,40 @@ def _solve_columns(cols, target):
     return [aug[where[c]][m] if where[c] >= 0 else _ZERO for c in range(m)]
 
 
-def _downconvert(level, coeffs, f):
-    step = level // f
-    cols = []
-    for i in range(euler_phi(f)):
-        vec = [_ZERO] * (i * step + 1)
-        vec[i * step] = _ONE
-        cols.append(_reduce(level, vec))
-    return tuple(_solve_columns(cols, coeffs))
+def _descend(level, coeffs, p):
+    """The coefficients at level/p of a value that lies in Q(zeta_(level/p)), else None."""
+    m = level // p
+    if m % p == 0:
+        if any(c for e, c in enumerate(coeffs) if e % p):
+            return None
+        return coeffs[::p]
+    u, v = pow(p, -1, m), pow(m, -1, p)
+    parts = [[_ZERO] * m for _ in range(p)]
+    for e, c in enumerate(coeffs):
+        if c:
+            parts[e * v % p][e * u % m] += c
+    y1 = _reduce(m, parts[1])
+    if any(_reduce(m, part) != y1 for part in parts[2:]):
+        return None
+    return tuple(a - b for a, b in zip(_reduce(m, parts[0]), y1))
 
 
 def _minimize(level, coeffs):
+    # a prime that cannot descend cannot after other primes have, so each is tried once
     if not any(coeffs[1:]):
         return 1, (coeffs[0],)
-    units = [k for k in range(1, level) if math.gcd(k, level) == 1]
-    for f in divisors(level):
-        if f == level:
-            break
-        if f == 1:
-            continue  # nonrational at this point
-        if all(
-            _apply_sigma(level, coeffs, k) == coeffs
-            for k in units
-            if k % f == 1 and k != 1
-        ):
-            return f, _downconvert(level, coeffs, f)
+    for p in prime_factors(level):
+        while level % p == 0 and (down := _descend(level, coeffs, p)) is not None:
+            level, coeffs = level // p, down
     return level, coeffs
+
+
+def _check_level(level, name=None):
+    """level, refused outside 1..MAX_LEVEL before a list of its length is built."""
+    if not 1 <= level <= MAX_LEVEL:
+        bound = "positive" if level < 1 else f"at most {MAX_LEVEL}"
+        raise ValueError(f"{name or f'level {level}'} must be {bound}")
+    return level
 
 
 class Cyclotomic:
@@ -239,19 +247,20 @@ class Cyclotomic:
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level=1, coeffs=(0,)):
-        if level < 1:
-            raise ValueError("level must be positive")
-        lv, cs = _minimize(level, _reduce(level, coeffs))
-        object.__setattr__(self, "level", lv)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(*_minimize(_check_level(level), _reduce(level, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
+    def _set(self, level, coeffs):
+        # data already in canonical form, as for the images under -x and galois
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     @classmethod
     def zeta(cls, n, e=1):
-        if n < 1:
-            raise ValueError(f"E({n}): level must be positive")
+        _check_level(n, f"E({n}): level")
         e %= n
         vec = [0] * (e + 1)
         vec[e] = 1
@@ -293,7 +302,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        lv = math.lcm(self.level, other.level)
+        lv = _check_level(math.lcm(self.level, other.level))
         a = self._lift(lv)
         for e, c in enumerate(other._lift(lv)):
             a[e] += c
@@ -302,10 +311,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(Cyclotomic)
-        object.__setattr__(out, "level", self.level)
-        object.__setattr__(out, "coeffs", tuple(-c for c in self.coeffs))
-        return out
+        return object.__new__(Cyclotomic)._set(self.level, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -323,7 +329,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        lv = math.lcm(self.level, other.level)
+        lv = _check_level(math.lcm(self.level, other.level))
         s1 = lv // self.level
         s2 = lv // other.level
         full = [_ZERO] * lv
@@ -349,7 +355,7 @@ class Cyclotomic:
             for e, c in enumerate(self.coeffs):
                 shifted[e + j] = c
             cols.append(_reduce(lv, shifted))
-        target = [_ONE] + [_ZERO] * (phi - 1)
+        target = [Fraction(1)] + [_ZERO] * (phi - 1)
         return Cyclotomic(lv, _solve_columns(cols, target))
 
     def __truediv__(self, other):
@@ -401,10 +407,7 @@ class Cyclotomic:
                 parts.append("-" + base)
             else:
                 parts.append(f"{c}*{base}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
 
     __repr__ = __str__
 
@@ -414,12 +417,15 @@ def zeta(n: int, e: int = 1) -> Cyclotomic:
 
 
 def galois(x: Cyclotomic, k: int) -> Cyclotomic:
-    """Image of x under zeta -> zeta^k, for k coprime to the conductor."""
+    """Image of x under zeta -> zeta^k, for k coprime to the conductor.
+
+    The image has the conductor of x, and _apply_sigma reduces its data.
+    """
     if x.level == 1:
         return x
     if math.gcd(k, x.level) != 1:
         raise ValueError(f"{k} is not coprime to the conductor {x.level}")
-    return Cyclotomic(x.level, _apply_sigma(x.level, x.coeffs, k % x.level))
+    return object.__new__(Cyclotomic)._set(x.level, _apply_sigma(x.level, x.coeffs, k % x.level))
 
 
 def is_rational(x: Cyclotomic) -> bool:

@@ -16,6 +16,7 @@ its class programs repeat the same statements.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from contextlib import contextmanager
 
@@ -478,13 +479,6 @@ def write_slp(prog: SLProgram) -> str:
 # cyclotomic expressions
 
 
-# E(n) reduces a vector of length n and tries each divisor of n for the
-# conductor, so the cost grows fast with the level: E(840)^-1 takes seconds
-# and E(100000)^-1 tens of seconds.  The bundled character tables use
-# levels up to 13
-MAX_LEVEL = 1000
-
-
 class _ExprParser:
     """Recursive descent for: expr := term (('+'|'-') term)*;
     term := factor ('*' factor)*;
@@ -525,25 +519,28 @@ class _ExprParser:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def value_at(self, at, fn, *args):
+        """fn(*args), with a ValueError (a level past the bound) as a ParseError at position at."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            self.pos = at
+            self.error(str(exc))
+
+    def chain(self, operand, ops):
+        """operand (op operand)*, folded from the left; a level error names its operator."""
+        value = operand()
+        while self.peek() in ops:
+            at = self.pos
+            self.pos += 1
+            value = self.value_at(at, ops[self.text[at]], value, operand())
+        return value
+
     def expr(self):
-        value = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+        return self.chain(self.term, {"+": operator.add, "-": operator.sub})
 
     def term(self):
-        value = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            value = value * self.factor()
-        return value
+        return self.chain(self.factor, {"*": operator.mul})
 
     def factor(self):
         ch = self.peek()
@@ -560,15 +557,12 @@ class _ExprParser:
             self.take("(")
             at = self.pos
             n = self.integer(signed=True)
-            if not 1 <= n <= MAX_LEVEL:
-                self.pos = at
-                self.error(f"E({n}): level must be " + ("positive" if n < 1 else f"at most {MAX_LEVEL}"))
             self.take(")")
             e = 1
             if self.peek() == "^":
                 self.pos += 1
                 e = self.integer(signed=True)
-            return Cyclotomic.zeta(n, e)
+            return self.value_at(at, Cyclotomic.zeta, n, e)
         if "0" <= ch <= "9":
             num = self.integer()
             if self.peek() == "/":
@@ -624,7 +618,7 @@ def parse_chartab(text: str) -> CharacterTable:
             try:
                 values.append(parse_cyclotomic(expr))
             except ParseError as exc:
-                raise ParseError(f"row {i}, entry {j}: {exc}", 1, 1) from None
+                raise ParseError(f"row {i}, entry {j}: {exc}") from None
         with _reraise(f"character table: row {i}: "):
             rows.append(CharacterRow(tuple(values)))
     with _reraise("character table: "):

@@ -686,3 +686,5 @@ def test_cyclotomic_level_past_the_bound_is_refused_at_once(tmp_path):
     run = run_child(["chartab", "report", "--table", str(table)])
     assert (run.returncode, run.stdout) == (2, "")
     assert "E(100000): level must be at most 1000" in run.stderr
+    # the expression's own place, not a second one for the table around it
+    assert re.findall(r"at line \d+, column \d+", run.stderr) == ["at line 1, column 3"]

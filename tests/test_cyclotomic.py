@@ -8,10 +8,12 @@ import cmath
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from burnside import cyclotomic
 from burnside.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
@@ -27,6 +29,7 @@ from burnside.cyclotomic import (
     zeta,
 )
 from burnside.ffield import ExtField, FFMatrix, PrimeField
+from burnside.formats import parse_cyclotomic
 from burnside.permgroup import Perm
 
 
@@ -109,6 +112,89 @@ def test_conductor_minimization():
     assert sqrt2 * sqrt2 == 2
     b5 = zeta(5) + zeta(5, 4)
     assert (2 * b5 + 1) ** 2 == 5
+
+
+def _int_reduce(n, coeffs):
+    # integer coefficients by exponent folded modulo Phi_n, which is monic
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    cs = list(coeffs) + [0] * max(0, deg - len(coeffs))
+    for e in range(len(cs) - 1, deg - 1, -1):
+        c, cs[e] = cs[e], 0
+        for j in range(deg):
+            cs[e - deg + j] -= c * phi[j]
+    return cs[:deg]
+
+
+def reference_conductor(n, coeffs):
+    """The least f | n such that every unit k = 1 (mod f) fixes the value: zeta_n^e -> zeta_n^(ek)."""
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    for f in divisors(n):
+        fixed = True
+        for k in units:
+            if k % f != 1 % f:
+                continue
+            image = [0] * n
+            for e, c in enumerate(coeffs):
+                image[e * k % n] += c
+            if _int_reduce(n, image) != coeffs:
+                fixed = False
+                break
+        if fixed:
+            return f
+
+
+def test_minimize_matches_the_fixed_field_rule(monkeypatch):
+    # random integer values placed in a random subfield Q(zeta_f) of each level
+    # n; the descent must find the reference conductor, and its coefficients
+    # lifted back to level n must give the value again
+    descents = set()
+    descend = cyclotomic._descend
+
+    def spy(level, coeffs, p):
+        down = descend(level, coeffs, p)
+        if down is not None:
+            descents.add("p^2 | n" if level % (p * p) == 0 else "p || n")
+        return down
+
+    monkeypatch.setattr(cyclotomic, "_descend", spy)
+    rng = random.Random(12)
+    for n in range(1, 201):
+        for _ in range(2):
+            f = rng.choice(divisors(n))
+            raw = [0] * n
+            for _ in range(rng.randrange(1, 5)):
+                raw[n // f * rng.randrange(f)] += rng.randrange(-3, 4)
+            coeffs = _int_reduce(n, raw)
+            level, reduced = cyclotomic._minimize(n, tuple(Fraction(c) for c in coeffs))
+            assert level == reference_conductor(n, coeffs), (n, raw)
+            assert len(reduced) == euler_phi(level)
+            lifted = [0] * n
+            for e, c in enumerate(reduced):
+                lifted[n // level * e] = c
+            assert _int_reduce(n, lifted) == coeffs, (n, raw)
+    assert descents == {"p^2 | n", "p || n"}
+
+
+def test_level_bound_covers_sums_and_products():
+    assert (zeta(8) * zeta(125)).level == 1000 == cyclotomic.MAX_LEVEL
+    assert (zeta(8) + zeta(125)).level == 1000
+    for op in (operator.mul, operator.add, operator.sub):
+        with pytest.raises(ValueError, match="level 1147 must be at most 1000"):
+            op(zeta(31), zeta(37))
+    for bad in (0, 1001):
+        with pytest.raises(ValueError, match="level"):
+            Cyclotomic(bad, [0, 1])
+        with pytest.raises(ValueError, match=f"E\\({bad}\\): level"):
+            zeta(bad)
+
+
+def test_many_divisor_level_is_fast():
+    # 840 = 2^3*3*5*7 has 32 divisors, each of which a unit scan would try
+    start = time.perf_counter()
+    x = parse_cyclotomic("E(840)^-1")
+    assert time.perf_counter() - start < 1.0
+    assert x.level == 840 and x == zeta(840, 839)
 
 
 def test_rational_predicates():

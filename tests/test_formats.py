@@ -6,13 +6,14 @@ import re
 
 import pytest
 
-from burnside import formats
+from burnside import cyclotomic, formats
 from burnside.chartab import (
     CharacterRow,
     CharacterTable,
     galois_partition_by_degree,
     rational_degree_census,
 )
+from burnside.cli import main
 from burnside.cyclotomic import Cyclotomic, zeta
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.formats import (
@@ -527,11 +528,26 @@ def test_expr_rejects():
 def test_expr_level_bound():
     # the cost of E(n) grows fast with n: a level past the bound is refused
     # at its column before any vector of that length is built
-    assert parse_cyclotomic(f"E({formats.MAX_LEVEL})^-1").level == formats.MAX_LEVEL
-    for text, col in (("E(100000)^-1", 3), (f"1 + E( {formats.MAX_LEVEL + 1})", 7)):
-        with pytest.raises(ParseError, match=f"at most {formats.MAX_LEVEL}") as info:
+    assert parse_cyclotomic(f"E({cyclotomic.MAX_LEVEL})^-1").level == cyclotomic.MAX_LEVEL
+    for text, col in (("E(100000)^-1", 3), (f"1 + E( {cyclotomic.MAX_LEVEL + 1})", 7)):
+        with pytest.raises(ParseError, match=f"at most {cyclotomic.MAX_LEVEL}") as info:
             parse_cyclotomic(text)
         assert info.value.col == col
+
+
+def test_expr_product_level_bound(tmp_path, capsys):
+    # each E(n) is under the bound, their product's level lcm(31, 37) = 1147 is
+    # not: a ParseError at the operator, and a format error (exit 2) in the CLI
+    for text, col in (("E(31)*E(37)", 6), ("1 + (E(31) - E(37))", 12)):
+        with pytest.raises(ParseError, match=f"level 1147 must be at most {cyclotomic.MAX_LEVEL}") as info:
+            parse_cyclotomic(text)
+        assert (info.value.line, info.value.col) == (1, col)
+    table = tmp_path / "t.json"
+    table.write_text('{"name": "t", "n_classes": 1, "irreducibles": [["E(31)*E(37)"]]}')
+    assert main(["chartab", "report", "--table", str(table)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "row 1, entry 1: level 1147 must be at most 1000 at line 1, column 6" in err
 
 
 BOOLEAN_INTEGERS = [
