@@ -153,19 +153,21 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 
 def _reduce(level, coeffs):
-    """Fold a coefficient-by-exponent list into the power basis of level."""
+    """Fold a coefficient-by-exponent list into the power basis of level.
+
+    The fold runs on integers over the common denominator of the list.
+    """
     phi_poly = cyclotomic_polynomial(level)
     deg = len(phi_poly) - 1
     cs = [Fraction(c) for c in coeffs]
-    if len(cs) < deg:
-        cs.extend(_ZERO for _ in range(deg - len(cs)))
-    for e in range(len(cs) - 1, deg - 1, -1):
-        c = cs[e]
-        cs[e] = _ZERO
-        if c:
-            for j in range(deg):
-                cs[e - deg + j] -= c * phi_poly[j]
-    return tuple(cs[:deg])
+    den = math.lcm(*(c.denominator for c in cs))
+    ns = [c.numerator * (den // c.denominator) for c in cs] + [0] * (deg - len(cs))
+    terms = [(j, a) for j, a in enumerate(phi_poly[:deg]) if a]
+    for e in range(len(ns) - 1, deg - 1, -1):
+        if c := ns[e]:
+            for j, a in terms:
+                ns[e - deg + j] -= c * a
+    return tuple(Fraction(n, den) for n in ns[:deg])
 
 
 def _apply_sigma(level, coeffs, k):

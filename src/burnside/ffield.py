@@ -16,7 +16,8 @@ to share.  Every prime field, GF(2) included, has one product, matmul_mod
 (an exact integer matrix product, in float64 BLAS while that is exact and
 in int64 past it, reduced mod p), and one elimination routine: row_echelon, a
 one-pass Gauss-Jordan elimination that returns the reduced row echelon
-form.  Ranks, inverses and nullspaces all come from it.  A matrix over
+form; GF(2)'s runs on rows packed into Python ints, one XOR per row
+operation.  Ranks, inverses and nullspaces all come from it.  A matrix over
 GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
 GF(p).  Each GF(p^k) matrix is blown up at most once: the blow-up is kept
 with the matrix, and a result computed over GF(p) keeps the GF(p) matrix it
@@ -471,10 +472,13 @@ def row_echelon(a, p: int):
     """Gauss-Jordan elimination over GF(p) of a copy of the integer matrix a.
 
     Each pivot clears its column in every other row, so one pass gives the
-    reduced row echelon form.  Returns (e, pivots): e is that form, and
-    pivots lists the pivot column of each of its nonzero rows.
+    reduced row echelon form.  Returns (e, pivots): e is that form, as an
+    int64 array, and pivots lists the pivot column of each of its nonzero
+    rows.  GF(2) runs on packed rows (_row_echelon_gf2), with the same result.
     """
     _check_int64(p, 1)
+    if p == 2:
+        return _row_echelon_gf2(np.asarray(a, dtype=np.int64))
     a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
@@ -501,6 +505,29 @@ def row_echelon(a, p: int):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def _row_echelon_gf2(a):
+    """row_echelon over GF(2), on rows packed as ints: column c is bit cols - 1 - c.
+
+    The reduced form is unique, so any row holding a pivot column may be its
+    pivot row: the largest remaining row holds the leftmost remaining column,
+    and one XOR clears that column from every other row.  Rows that fall to
+    zero are dropped.
+    """
+    rows, cols = a.shape
+    width, pad = -(-cols // 8), -cols % 8
+    rest = [x for row in np.packbits(a & 1, axis=1) if (x := int.from_bytes(row, "big") >> pad)]
+    done = []
+    while rest:
+        x = max(rest)
+        bit = 1 << (x.bit_length() - 1)
+        done = [y ^ x if y & bit else y for y in done] + [x]
+        rest = [z for y in rest if (z := y ^ x if y & bit else y)]
+    packed = b"".join((x << pad).to_bytes(width, "big") for x in done)
+    e = np.zeros((rows, cols), dtype=np.int64)
+    e[: len(done)] = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(done), width), axis=1, count=cols)
+    return e, [cols - x.bit_length() for x in done]
 
 
 # ---------------------------------------------------------------------------

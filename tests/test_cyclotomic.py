@@ -197,6 +197,37 @@ def test_many_divisor_level_is_fast():
     assert x.level == 840 and x == zeta(840, 839)
 
 
+def _fraction_reduce(level, coeffs):
+    # the fold on Fractions, one exponent at a time, that _reduce replaced
+    phi_poly = cyclotomic_polynomial(level)
+    deg = len(phi_poly) - 1
+    cs = [Fraction(c) for c in coeffs]
+    if len(cs) < deg:
+        cs.extend(Fraction(0) for _ in range(deg - len(cs)))
+    for e in range(len(cs) - 1, deg - 1, -1):
+        c = cs[e]
+        cs[e] = Fraction(0)
+        if c:
+            for j in range(deg):
+                cs[e - deg + j] -= c * phi_poly[j]
+    return tuple(cs[:deg])
+
+
+def test_reduce_folds_integers_to_the_fraction_fold():
+    # lists from empty to longer than n, of ints and Fractions with mixed
+    # denominators
+    rng = random.Random(27)
+    for n in [*range(1, 201), 935]:
+        coeffs = [
+            rng.choice([0, rng.randrange(-9, 10), Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))])
+            for _ in range(rng.randrange(0, n + 3))
+        ]
+        got = cyclotomic._reduce(n, coeffs)
+        assert got == _fraction_reduce(n, coeffs), n
+        assert all(type(c) is Fraction for c in got)
+    assert zeta(935, -1) == Cyclotomic(935, _fraction_reduce(935, [0] * 934 + [1]))
+
+
 def test_rational_predicates():
     three_halves = Cyclotomic.from_rational(Fraction(3, 2))
     assert is_rational(three_halves) and not is_rational_integer(three_halves)

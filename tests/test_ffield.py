@@ -8,10 +8,13 @@ the blow-up to GF(p) for extension fields) so the two never share code.
 import itertools
 import random
 import time
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from burnside import ffield
+from burnside.cli import main
 from burnside.ffield import (
     ExtField,
     FFMatrix,
@@ -23,7 +26,7 @@ from burnside.ffield import (
     norm,
     row_echelon,
 )
-from burnside.formats import parse_meataxe
+from burnside.formats import parse_meataxe, write_ext_matrix, write_meataxe
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -524,6 +527,72 @@ def test_row_echelon_is_one_pass_rref():
             # same row space: m and e stacked have the rank of e
             stacked = FFMatrix(f, 2 * m.rows, m.cols, list(m.entries) + [x for row in rows for x in row])
             assert len(row_echelon(stacked.array, p)[1]) == rank
+
+
+def gauss_jordan_gf2(a):
+    """Reference RREF over GF(2): lists of bits, the textbook column loop."""
+    rows = [[x % 2 for x in row] for row in a.tolist()]
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        s = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if s is None:
+            continue
+        rows[r], rows[s] = rows[s], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def test_gf2_packed_rows_match_gauss_jordan():
+    # widths inside one byte, at and past byte and 64-bit word edges, and
+    # over two words; entries are any ints of the right parity
+    rng = np.random.default_rng(27)
+    cases = [np.zeros((0, 5), np.int64), np.zeros((5, 0), np.int64), np.zeros((0, 0), np.int64),
+             np.array([[1]]), np.array([[-2]]), np.array([[-3]])]
+    for w in (7, 8, 9, 63, 64, 65, 130):
+        for rows in (1, w // 3 + 1, w, w + 5):  # wide, square and tall
+            cases.append(rng.integers(0, 2, (rows, w)))
+            for t in (1, w // 4 + 1):  # rank at most t
+                cases.append(rng.integers(0, 2, (rows, t)) @ rng.integers(0, 2, (t, w)))
+        full = rng.integers(0, 2, (w, w))
+        while len(gauss_jordan_gf2(full)[1]) < w:
+            full = rng.integers(0, 2, (w, w))
+        cases += [full, np.eye(w, dtype=np.int64)[::-1]]
+    for a in cases:
+        for m in (a, a + 2 * rng.integers(-4, 4, a.shape)):  # outside 0..1, negatives included
+            m = m.astype(np.int64)
+            before = m.copy()
+            e, pivots = row_echelon(m, 2)
+            assert (m == before).all()
+            rows, ref = gauss_jordan_gf2(m)
+            assert pivots == ref
+            assert e.dtype == np.int64 and e.shape == m.shape
+            assert e.tolist() == rows
+    assert {len(row_echelon(a, 2)[1]) for a in cases} >= {0, 1, 64, 130}
+
+
+@pytest.mark.parametrize("f", [GF2, GF4], ids=repr)
+def test_census_tom_eliminates_on_packed_rows(monkeypatch, tmp_path, capsys, f):
+    shapes = []
+    packed = ffield._row_echelon_gf2
+
+    def spy(a):
+        shapes.append(a.shape)
+        return packed(a)
+
+    monkeypatch.setattr(ffield, "_row_echelon_gf2", spy)
+    gens = []
+    for k, rows in enumerate(([[0, 1], [1, 0]], [[0, 1], [1, 1]])):  # S3 on its 2-dim module
+        gens.append(tmp_path / f"gen{k}.mtx")
+        m = FFMatrix.from_rows(f, rows)
+        gens[-1].write_text(write_meataxe(m) if f.k == 1 else write_ext_matrix(m))
+    tom = files("burnside") / "data" / "s3.tom.json"
+    assert main(["census", "tom", "--tom", str(tom), "--gens", ",".join(map(str, gens)), "--q", str(f.q)]) == 0
+    assert capsys.readouterr().out.startswith("regular_orbits ")
+    assert shapes and all(c % f.k == 0 for _, c in shapes)
 
 
 def test_rank_nullity():
