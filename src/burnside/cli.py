@@ -151,6 +151,10 @@ def _cmd_census(args) -> str:
     if args.mode == "tom":
         tom = parse_tom(_read(args.tom))
         report = census_from_tom(tom, action)
+        if args.verbose:
+            for i, (order, fixed, orbits) in enumerate(zip(tom.orders, report.fixed, report.decomp), 1):
+                dim = next(d for d in range(report.dim + 1) if report.q**d == fixed)
+                _note(args, f"class {i}/{tom.n} |U|={order} fixed_dim={dim} orbits={orbits}")
     else:
         group = _perm_group(args.perm)
         _note(args, f"group of order {group.order()} on {group.degree} points")

@@ -15,17 +15,18 @@ array, in the same int encoding, so every value here is immutable and safe
 to share.  Every prime field, GF(2) included, has one product, matmul_mod
 (an exact integer matrix product, in float64 BLAS while that is exact and
 in int64 past it, reduced mod p), and one elimination routine: row_echelon, a
-one-pass Gauss-Jordan elimination that returns the reduced row echelon
-form; GF(2)'s runs on rows packed into Python ints, one XOR per row
-operation.  Ranks, inverses and nullspaces all come from it.  A matrix over
-GF(p^k) is added, multiplied, inverted and reduced through its blow-up to
-GF(p).  Each GF(p^k) matrix is blown up at most once: the blow-up is kept
-with the matrix, and a result computed over GF(p) keeps the GF(p) matrix it
-came from.  No field with q >= 2^63 is built, so every scalar fits int64.
+one-pass Gauss-Jordan elimination on rows packed into Python ints (a bit or
+a byte-aligned slot per entry) that returns the reduced row echelon form.
+Ranks, inverses and nullspaces all come from it.  A matrix over GF(p^k) is
+added, multiplied, inverted and reduced through its blow-up to GF(p).  Each
+GF(p^k) matrix is blown up at most once: the blow-up is kept with the
+matrix, and a result computed over GF(p) keeps the GF(p) matrix it came
+from.  No field with q >= 2^63 is built, so every scalar fits int64.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -465,7 +466,7 @@ class FFMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-# prime-field elimination on int64 arrays of residues
+# prime-field elimination on rows packed into Python ints
 
 
 def row_echelon(a, p: int):
@@ -474,37 +475,14 @@ def row_echelon(a, p: int):
     Each pivot clears its column in every other row, so one pass gives the
     reduced row echelon form.  Returns (e, pivots): e is that form, as an
     int64 array, and pivots lists the pivot column of each of its nonzero
-    rows.  GF(2) runs on packed rows (_row_echelon_gf2), with the same result.
+    rows.  Rows are packed into ints with column 0 the most significant.
     """
     _check_int64(p, 1)
-    if p == 2:
-        return _row_echelon_gf2(np.asarray(a, dtype=np.int64))
-    a = np.asarray(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[:, c]  # a view, so it follows the row swap
-        nz = col[r:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            s = r + nz[0]
-            a[[r, s]] = a[[s, r]]
-        # left of column c, row r is zero
-        inv = pow(int(col[r]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = a[r, c:] * inv % p
-        # the rows other than r that are nonzero in column c, from one scan
-        others = col.nonzero()[0]
-        if others.size > 1:
-            others = others[others != r]
-            a[others, c:] = reduce_mod(a[others, c:] - col[others, None] * a[r, c:], p)
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    a = np.asarray(a, dtype=np.int64)
+    return _row_echelon_gf2(a) if p == 2 else _row_echelon_odd(a, p)
+
+
+_BITS = np.arange(61, -1, -1, dtype=np.int64)  # the bit of each column in a chunk of 62
 
 
 def _row_echelon_gf2(a):
@@ -513,21 +491,81 @@ def _row_echelon_gf2(a):
     The reduced form is unique, so any row holding a pivot column may be its
     pivot row: the largest remaining row holds the leftmost remaining column,
     and one XOR clears that column from every other row.  Rows that fall to
-    zero are dropped.
+    zero are dropped.  Rows are packed and unpacked in int64 chunks of 62 bits.
     """
     rows, cols = a.shape
-    width, pad = -(-cols // 8), -cols % 8
-    rest = [x for row in np.packbits(a & 1, axis=1) if (x := int.from_bytes(row, "big") >> pad)]
+    rest = []
+    for s in range(0, cols, 62):
+        k = min(62, cols - s)
+        words = ((a[:, s : s + k] & 1) @ (1 << _BITS[-k:])).tolist()
+        rest = [x << k | v for x, v in zip(rest, words)] if s else words
+    rest = [x for x in rest if x]
     done = []
     while rest:
         x = max(rest)
         bit = 1 << (x.bit_length() - 1)
         done = [y ^ x if y & bit else y for y in done] + [x]
         rest = [z for y in rest if (z := y ^ x if y & bit else y)]
-    packed = b"".join((x << pad).to_bytes(width, "big") for x in done)
     e = np.zeros((rows, cols), dtype=np.int64)
-    e[: len(done)] = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(done), width), axis=1, count=cols)
+    for s in range(0, cols, 62):
+        k = min(62, cols - s)
+        words = np.array([x >> (cols - s - k) & (1 << k) - 1 for x in done], dtype=np.int64)
+        e[: len(done), s : s + k] = words[:, None] >> _BITS[-k:] & 1
     return e, [cols - x.bit_length() for x in done]
+
+
+@functools.cache
+def _byte_scalings(p):
+    """The bytes.translate tables of v -> (v mod p) * s mod p, for s in 0..p-1."""
+    return [bytes(v % p * s % p for v in range(256)) for s in range(p)]
+
+
+def _row_echelon_odd(a, p):
+    """row_echelon over an odd prime, on rows packed as ints: column c is slot cols - 1 - c.
+
+    A w-byte slot holds a nonnegative int congruent to its entry.  A row
+    operation adds t < p times the pivot row, at most (p-1)^2 to a slot, and
+    every row is reduced after each `room` pivots, so no slot carries.  The
+    remaining rows are also reduced at a column with no pivot, dropping zeros.
+    """
+    rows, cols = a.shape
+    w = next(w for w in (1, 2, 4, 8) if (p - 1) * p < 256**w)  # a slot holds (p-1) + (p-1)^2
+    fmt, size, bits, mask, room = f">u{w}", cols * w, 8 * w, 256**w - 1, (256**w - p) // (p - 1) ** 2
+
+    def pack(xs):
+        return b"".join(x.to_bytes(size, "big") for x in xs)
+
+    def unpack(data):  # the rows that are not zero
+        return [x for i in range(0, len(data), size or 1) if (x := int.from_bytes(data[i : i + size], "big"))]
+
+    def scale(data, s=1):  # each slot v to (v mod p) * s mod p
+        if w == 1:
+            return data.translate(_byte_scalings(p)[s])
+        return (np.frombuffer(data, fmt) % p * s % p).astype(fmt).tobytes()
+
+    rest = unpack((a % p).astype(fmt).tobytes())
+    done, pivots, clean = [], [], 0  # the remaining rows were last reduced after `clean` pivots
+    for c in range(cols):
+        if not rest:
+            break
+        shift = (cols - 1 - c) * bits
+        for i, x in enumerate(rest):
+            if (x >> shift & mask) % p:
+                break
+        else:  # no pivot in column c
+            if clean < len(pivots):
+                rest, clean = unpack(scale(pack(rest))), len(pivots)
+            continue
+        del rest[i]
+        x = int.from_bytes(scale(x.to_bytes(size, "big"), pow((x >> shift & mask) % p, -1, p)), "big")
+        done = [y + -(y >> shift & mask) % p * x for y in done] + [x]
+        rest = [y + -(y >> shift & mask) % p * x for y in rest]
+        pivots.append(c)
+        if len(pivots) % room == 0:
+            done, rest, clean = unpack(scale(pack(done))), unpack(scale(pack(rest))), len(pivots)
+    e = np.zeros((rows, cols), dtype=np.int64)
+    e[: len(done)] = np.frombuffer(pack(done), fmt).reshape(len(done), cols) % p
+    return e, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,25 @@ def test_verbose_goes_to_stderr_only(capsys):
     assert err
 
 
+def test_census_tom_verbose_reports_each_class(capsys, tmp_path):
+    report_file = tmp_path / "report.json"
+    argv = ["census", "tom", "--tom", p("s3.tom.json"),
+            "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}", "--q", "2", "--out", str(report_file)]
+    _, plain, quiet = run(capsys, *argv)
+    assert quiet == ""
+    _, out, err = run(capsys, *argv, "--verbose")
+    assert out == plain
+    report = json.loads(report_file.read_text())
+    lines = [line for line in err.splitlines() if line.startswith("class ")]
+    assert len(lines) == 4
+    for i, line in enumerate(lines):
+        m = re.fullmatch(r"class (\d+)/4 \|U\|=(\d+) fixed_dim=(\d+) orbits=(\d+)", line)
+        assert m and int(m[1]) == i + 1
+        assert 2 ** int(m[3]) == report["fixed"][i]
+        assert int(m[4]) == report["decomp"][i]
+    assert [int(re.search(r"\|U\|=(\d+)", line)[1]) for line in lines] == [1, 2, 3, 6]
+
+
 # -------------------------------------------------------- huge primes ----
 
 HUGE = (2**61 - 1) ** 2  # past the range where is_prime is exact

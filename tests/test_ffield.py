@@ -529,9 +529,9 @@ def test_row_echelon_is_one_pass_rref():
             assert len(row_echelon(stacked.array, p)[1]) == rank
 
 
-def gauss_jordan_gf2(a):
-    """Reference RREF over GF(2): lists of bits, the textbook column loop."""
-    rows = [[x % 2 for x in row] for row in a.tolist()]
+def gauss_jordan(a, p):
+    """Reference RREF over GF(p): lists of residues, the textbook column loop."""
+    rows = [[x % p for x in row] for row in a.tolist()]
     pivots = []
     for c in range(a.shape[1]):
         r = len(pivots)
@@ -539,53 +539,125 @@ def gauss_jordan_gf2(a):
         if s is None:
             continue
         rows[r], rows[s] = rows[s], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
+                t = rows[i][c]
+                rows[i] = [(x - t * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
 
 
+def assert_matches_gauss_jordan(m, p):
+    m = m.astype(np.int64)
+    before = m.copy()
+    e, pivots = row_echelon(m, p)
+    assert (m == before).all()
+    rows, ref = gauss_jordan(m, p)
+    assert pivots == ref
+    assert e.dtype == np.int64 and e.shape == m.shape
+    assert e.tolist() == rows
+    return len(pivots)
+
+
 def test_gf2_packed_rows_match_gauss_jordan():
-    # widths inside one byte, at and past byte and 64-bit word edges, and
-    # over two words; entries are any ints of the right parity
+    # widths inside one byte, at and past byte, 62-column chunk and 64-bit
+    # word edges, and over two chunks; entries are any ints of the right parity
     rng = np.random.default_rng(27)
     cases = [np.zeros((0, 5), np.int64), np.zeros((5, 0), np.int64), np.zeros((0, 0), np.int64),
              np.array([[1]]), np.array([[-2]]), np.array([[-3]])]
-    for w in (7, 8, 9, 63, 64, 65, 130):
+    for w in (7, 8, 9, 62, 63, 64, 65, 124, 125, 130):
         for rows in (1, w // 3 + 1, w, w + 5):  # wide, square and tall
             cases.append(rng.integers(0, 2, (rows, w)))
             for t in (1, w // 4 + 1):  # rank at most t
                 cases.append(rng.integers(0, 2, (rows, t)) @ rng.integers(0, 2, (t, w)))
         full = rng.integers(0, 2, (w, w))
-        while len(gauss_jordan_gf2(full)[1]) < w:
+        while len(gauss_jordan(full, 2)[1]) < w:
             full = rng.integers(0, 2, (w, w))
         cases += [full, np.eye(w, dtype=np.int64)[::-1]]
+    ranks = set()
     for a in cases:
         for m in (a, a + 2 * rng.integers(-4, 4, a.shape)):  # outside 0..1, negatives included
-            m = m.astype(np.int64)
-            before = m.copy()
-            e, pivots = row_echelon(m, 2)
-            assert (m == before).all()
-            rows, ref = gauss_jordan_gf2(m)
-            assert pivots == ref
-            assert e.dtype == np.int64 and e.shape == m.shape
-            assert e.tolist() == rows
-    assert {len(row_echelon(a, 2)[1]) for a in cases} >= {0, 1, 64, 130}
+            ranks.add(assert_matches_gauss_jordan(m, 2))
+    assert ranks >= {0, 1, 62, 64, 125, 130}
 
 
-@pytest.mark.parametrize("f", [GF2, GF4], ids=repr)
+def slot_room(p):
+    """Pivots between reductions of the odd-prime packed rows: a slot of w
+    bytes, w in (1, 2, 4, 8), starts below p and gains at most (p-1)^2 per pivot."""
+    w = min(w for w in (1, 2, 4, 8) if (p - 1) + (p - 1) ** 2 < 256**w)
+    return (256**w - 1 - (p - 1)) // (p - 1) ** 2
+
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 257, 65537, 2**31 - 1, 3037000493]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_odd_packed_rows_match_gauss_jordan(p):
+    # entries anywhere in int64, or p-multiples away from small products
+    rng = np.random.default_rng(p % 1000)
+
+    def dense(shape):
+        return rng.integers(-(2**62), 2**62, shape)
+
+    def shifted(m):  # the same residues, outside 0..p-1, negatives included
+        return m + p * rng.integers(-3, 3, m.shape)
+
+    cases = [np.zeros((0, 5), np.int64), np.zeros((5, 0), np.int64), np.zeros((0, 0), np.int64),
+             np.array([[p]]), np.array([[-1]]), np.array([[1 - p]]), np.zeros((4, 6), np.int64)]
+    for w in (1, 7, 8, 9, 31, 32, 33, 65):
+        for rows in (1, w // 3 + 1, w + 5):  # wide and tall
+            cases.append(dense((rows, w)))
+            t = w // 4 + 1  # rank at most t
+            cases.append(shifted(rng.integers(0, 3, (rows, t)) @ rng.integers(0, 3, (t, w))))
+        full = shifted(rng.integers(0, min(p, 100), (w, w)))
+        while len(gauss_jordan(full, p)[1]) < w:
+            full = shifted(rng.integers(0, min(p, 100), (w, w)))
+        cases += [full, dense((w, w)), np.eye(w, dtype=np.int64)[::-1] * (p - 1)]
+    ranks = {assert_matches_gauss_jordan(m, p) for m in cases}
+    assert ranks >= {0, 1, 8, 65}
+
+
+def slot_room(p):
+    """Pivots between reductions of odd-prime packed rows: a slot of w bytes,
+    w in (1, 2, 4, 8), starts below p and gains at most (p-1)^2 per pivot."""
+    w = min(w for w in (1, 2, 4, 8) if (p - 1) + (p - 1) ** 2 < 256**w)
+    return (256**w - 1 - (p - 1)) // (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [p for p in ODD_PRIMES if slot_room(p) < 300])
+def test_odd_packed_rows_reduce_in_mid_elimination(p):
+    # a unit lower times a unit upper triangular matrix has determinant 1,
+    # so its reduced form is the identity; it takes room + 2 pivots, so the
+    # rows are reduced in mid-elimination.  Over GF(257) and GF(65537) a
+    # slot has room for 65535 and 2^32 pivots, past any size tested here.
+    rng = np.random.default_rng(p % 1000)
+    n = slot_room(p) + 2
+    low = np.tril(rng.integers(0, min(p, 50), (n, n)), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(rng.integers(0, min(p, 50), (n, n)), 1) + np.eye(n, dtype=np.int64)
+    m = low @ up - p * rng.integers(0, 3, (n, n))
+    before = m.copy()
+    e, pivots = row_echelon(m, p)
+    assert (m == before).all()
+    assert pivots == list(range(n)) and (e == np.eye(n, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("f", [GF2, GF4, GF3, GF5, GF9], ids=repr)
 def test_census_tom_eliminates_on_packed_rows(monkeypatch, tmp_path, capsys, f):
     shapes = []
-    packed = ffield._row_echelon_gf2
+    name = "_row_echelon_gf2" if f.p == 2 else "_row_echelon_odd"
+    packed = getattr(ffield, name)
 
-    def spy(a):
+    def spy(a, *p):
         shapes.append(a.shape)
-        return packed(a)
+        assert p == (() if f.p == 2 else (f.p,))
+        return packed(a, *p)
 
-    monkeypatch.setattr(ffield, "_row_echelon_gf2", spy)
+    monkeypatch.setattr(ffield, name, spy)
     gens = []
-    for k, rows in enumerate(([[0, 1], [1, 0]], [[0, 1], [1, 1]])):  # S3 on its 2-dim module
+    minus = f.neg(f.one)
+    for k, rows in enumerate(([[0, 1], [1, 0]], [[0, minus], [1, minus]])):  # S3 on its 2-dim module
         gens.append(tmp_path / f"gen{k}.mtx")
         m = FFMatrix.from_rows(f, rows)
         gens[-1].write_text(write_meataxe(m) if f.k == 1 else write_ext_matrix(m))
