@@ -82,39 +82,38 @@ class ModuleAction:
 class CensusReport:
     """Orbit census of the dual of GF(q)^dim under a group action.
 
-    fixed[i]   -- dual vectors fixed by subgroup class i+1,
-    decomp[i]  -- orbits whose stabilizer lies in class i+1,
-    nonzeropos -- 1-based classes with decomp != 0,
-    staborders -- subgroup orders at those positions,
-    regular_orbits -- decomp at the trivial class (free orbits).
+    fixed[i]  -- dual vectors fixed by subgroup class i+1,
+    decomp[i] -- orbits whose stabilizer lies in class i+1,
+    orders[i] -- the order of subgroup class i+1.
+
+    The rest is read off these: nonzeropos (the 1-based classes with
+    decomp != 0), staborders (the orders at those positions), regular_orbits
+    (decomp at the trivial class) and orbits (all of them).
     """
 
     q: int
     dim: int
     fixed: tuple
     decomp: tuple
-    nonzeropos: tuple
-    staborders: tuple
-    regular_orbits: int
+    orders: tuple
 
     def __post_init__(self):
-        if len(self.fixed) != len(self.decomp):
-            raise ValueError("fixed and decomp must have one entry per class")
+        if not len(self.fixed) == len(self.decomp) == len(self.orders):
+            raise ValueError("fixed, decomp and orders must have one entry per class")
         if self.fixed[0] != self.q**self.dim:
             raise ValueError("the trivial class must fix the whole dual space")
-        nz = tuple(i + 1 for i, c in enumerate(self.decomp) if c)
-        if self.nonzeropos != nz:
-            raise ValueError("nonzeropos must list the nonzero decomp positions")
-        if len(self.staborders) != len(self.nonzeropos):
-            raise ValueError("one stabilizer order per nonzero position")
-        if self.regular_orbits != self.decomp[0]:
-            raise ValueError("regular_orbits must equal the trivial-class count")
 
-    @classmethod
-    def from_counts(cls, q, dim, fixed, decomp, orders):
-        """The report for per-class fixed and orbit counts; orders[i] = |U_(i+1)|."""
-        nz = tuple(i + 1 for i, c in enumerate(decomp) if c)
-        return cls(q, dim, tuple(fixed), tuple(decomp), nz, tuple(orders[i - 1] for i in nz), decomp[0])
+    @property
+    def nonzeropos(self):
+        return tuple(i + 1 for i, c in enumerate(self.decomp) if c)
+
+    @property
+    def staborders(self):
+        return tuple(self.orders[i - 1] for i in self.nonzeropos)
+
+    @property
+    def regular_orbits(self):
+        return self.decomp[0]
 
     @property
     def orbits(self):
@@ -137,11 +136,12 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     extend enters them as keys beforehand.  The basis is kept for every
     proper prefix, and for the whole tuple only when it is a key; otherwise
     the last step needs no basis, only the rank of B * (g_r^T - 1), and the
-    dimension is k minus that rank.  bases also maps each generator g to
-    its block g^T - 1, and (field, d) to the identity those blocks
-    subtract.  Calls that share one dict reduce a shared prefix of their
-    generators once, form each generator's block once, and over GF(p^k)
-    blow one identity up.
+    dimension is k minus that rank.  A zero B * (g_r^T - 1) says that g_r
+    fixes the whole space, so nothing is eliminated and B carries over.
+    bases also maps each generator g to its block g^T - 1, and (field, d)
+    to the identity those blocks subtract.  Calls that share one dict
+    reduce a shared prefix of their generators once, form each generator's
+    block once, and over GF(p^k) blow one identity up.
     """
     mats = tuple(mats)
     if not mats:
@@ -169,10 +169,13 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
             block = bases[g] = g.transpose() - bases[field, d]
         # for one generator B is the identity, and is left out
         m = block if basis is None else basis * block
+        # a zero m says that g fixes every vector of B: nothing is eliminated
         if r == len(mats) and mats not in bases:
-            return m.rows - m.rank()
-        x = m.nullspace()
-        basis = bases[mats[:r]] = x if basis is None else x * basis
+            return m.rows - m.rank() if m.array.any() else m.rows
+        if m.array.any():
+            x = m.nullspace()
+            basis = x if basis is None else x * basis
+        basis = bases[mats[:r]] = bases[field, d] if basis is None else basis
     return basis.rows
 
 
@@ -205,7 +208,7 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
     decomp = decompose_fixed_vector(tom, fixed)
     # last, as the only check that costs products
     _check_prime_order_generators(tom, class_gens, FFMatrix.identity(action.field, action.d))
-    return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
+    return CensusReport(action.q, action.d, tuple(fixed), decomp, tom.orders)
 
 
 def _check_fixed_dims(tom: TableOfMarks, dims) -> None:
@@ -364,7 +367,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
             ids = np.unique(ids * space + codes[g], return_inverse=True)[1]
         left, right = (np.bincount(i, minlength=len(ids)) for i in np.split(ids, [lows]))
         fixed.append(int(left @ right))
-    return CensusReport.from_counts(action.q, action.d, fixed, counts, [c.order for c in classes])
+    return CensusReport(action.q, action.d, tuple(fixed), tuple(counts), tuple(c.order for c in classes))
 
 
 def _digits(p, width):

@@ -491,7 +491,8 @@ def _row_echelon_gf2(a):
     The reduced form is unique, so any row holding a pivot column may be its
     pivot row: the largest remaining row holds the leftmost remaining column,
     and one XOR clears that column from every other row.  Rows that fall to
-    zero are dropped.  Rows are packed and unpacked in int64 chunks of 62 bits.
+    zero are dropped.  Rows are packed in int64 chunks of 62 bits, and
+    unpacked through their bytes.
     """
     rows, cols = a.shape
     rest = []
@@ -506,11 +507,11 @@ def _row_echelon_gf2(a):
         bit = 1 << (x.bit_length() - 1)
         done = [y ^ x if y & bit else y for y in done] + [x]
         rest = [z for y in rest if (z := y ^ x if y & bit else y)]
+    # shifted so that column 0 is the top bit of a row's first byte
+    size = -(-cols // 8)
+    data = np.frombuffer(b"".join((x << 8 * size - cols).to_bytes(size, "big") for x in done), np.uint8)
     e = np.zeros((rows, cols), dtype=np.int64)
-    for s in range(0, cols, 62):
-        k = min(62, cols - s)
-        words = np.array([x >> (cols - s - k) & (1 << k) - 1 for x in done], dtype=np.int64)
-        e[: len(done), s : s + k] = words[:, None] >> _BITS[-k:] & 1
+    e[: len(done)] = np.unpackbits(data.reshape(len(done), size), axis=1, count=cols)
     return e, [cols - x.bit_length() for x in done]
 
 

@@ -26,7 +26,7 @@ from .chartab import CharacterRow, CharacterTable
 from .cyclotomic import Cyclotomic
 from .ffield import ExtField, FFMatrix, PrimeField
 from .permgroup import Perm, check_allocation
-from .slp import INV, MUL, POW, SLProgram
+from .slp import MUL, POW, SLProgram
 from .tom import TableOfMarks, marks_from_triples
 
 __all__ = [
@@ -437,8 +437,7 @@ def _parse_slp_lines(text: str, memo: dict):
             if b is not None:
                 stmt = (int(tgt), MUL, int(a), int(b))
             else:
-                e = int(e)
-                stmt = (int(tgt), INV, int(a)) if e == -1 else (int(tgt), POW, int(a), e)
+                stmt = (int(tgt), POW, int(a), int(e))
             memo[line] = stmt
         a = stmt[2]
         if a > max_input and a not in defined:
@@ -460,14 +459,7 @@ def _slprogram(n_inputs, statements, returns) -> SLProgram:
 
 
 def write_slp(prog: SLProgram) -> str:
-    lines = []
-    for st in prog.statements:
-        if st[1] == MUL:
-            lines.append(f"r{st[0]} = r{st[2]} * r{st[3]}")
-        elif st[1] == INV:
-            lines.append(f"r{st[0]} = r{st[2]}^-1")
-        else:
-            lines.append(f"r{st[0]} = r{st[2]}^{st[3]}")
+    lines = [f"r{t} = r{i} * r{x}" if op == MUL else f"r{t} = r{i}^{x}" for t, op, i, x in prog.statements]
     if prog.returns:
         lines.append("return " + ", ".join(f"r{s}" for s in prog.returns))
     else:

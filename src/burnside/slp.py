@@ -17,13 +17,12 @@ from .permgroup import Perm
 MAX_SLOTS = 10_000
 
 MUL = "MUL"
-INV = "INV"
 POW = "POW"
 
 
 @dataclass(frozen=True)
 class SLProgram:
-    """statements: (target, MUL, i, j) | (target, INV, i) | (target, POW, i, e).
+    """statements: (target, MUL, i, j) | (target, POW, i, e); an inverse is POW with e = -1.
 
     An empty `returns` is meaningful: it encodes the trivial subgroup (no
     generators).
@@ -43,12 +42,10 @@ class SLProgram:
             target, op = stmt[0], stmt[1]
             if not 1 <= target <= MAX_SLOTS:
                 raise ValueError(f"slot r{target} outside 1..{MAX_SLOTS}")
-            if op == MUL:
-                _, _, i, j = stmt
-            elif op == INV or op == POW:
-                i = j = stmt[2]
-            else:
+            if op != MUL and op != POW:
                 raise ValueError(f"unknown opcode {op!r}")
+            _, _, i, x = stmt
+            j = x if op == MUL else i
             if i not in defined or j not in defined:
                 raise ValueError(f"slot r{j if i in defined else i} used before definition")
             defined.add(target)
@@ -99,29 +96,24 @@ def evaluate(prog: SLProgram, inputs, products=None) -> list:
     """Run the program; returns one carrier element per return slot.
 
     products maps each operation done, (MUL, id(a), id(b)) or (POW, id(a),
-    exponent) with an inverse as the power -1, to (result, a, b): holding
-    the operands keeps their ids from being reused while the dict lives.
-    Calls that share the dict and the input objects compute each distinct
-    product once.  Without a dict nothing is kept: a slot written again
-    frees its value, so memory stays bounded by the live slots.
+    exponent), to (result, a, b): holding the operands keeps their ids from
+    being reused while the dict lives.  Calls that share the dict and the
+    input objects compute each distinct product once.  Without a dict
+    nothing is kept: a slot written again frees its value, so memory stays
+    bounded by the live slots.
     """
     inputs = list(inputs)
     if len(inputs) != prog.n_inputs:
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
     _check_carrier(inputs)
     slots = {i + 1: x for i, x in enumerate(inputs)}
-    for stmt in prog.statements:
-        target, op = stmt[0], stmt[1]
-        a = slots[stmt[2]]
-        if op == MUL:
-            b = slots[stmt[3]]
-            key = (MUL, id(a), id(b))
-        else:
-            b = None
-            key = (POW, id(a), -1 if op == INV else stmt[3])
+    for target, op, i, x in prog.statements:
+        a = slots[i]
+        b = slots[x] if op == MUL else None
+        key = (op, id(a), id(b) if op == MUL else x)
         entry = None if products is None else products.get(key)
         if entry is None:
-            entry = (a * b if op == MUL else a ** key[2], a, b)
+            entry = (a * b if op == MUL else a ** x, a, b)
             if products is not None:
                 products[key] = entry
         slots[target] = entry[0]

@@ -28,7 +28,7 @@ from burnside.corpus import (
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.formats import write_meataxe, write_tom
 from burnside.permgroup import Perm, PermGroup, subgroup_classes
-from burnside.slp import INV, MUL, POW, evaluate
+from burnside.slp import MUL, POW, evaluate
 from burnside.tom import TableOfMarks, compute_tom, decompose_fixed_vector
 from test_ffield import random_matrix
 from test_tom import projective_line_psl2
@@ -208,7 +208,7 @@ def per_class_report(tom, action):
         gens = evaluate(prog, action.matrices)
         fixed.append(action.q ** (fixed_space_dim_dual(gens) if gens else action.d))
     decomp = decompose_fixed_vector(tom, fixed)
-    return CensusReport.from_counts(action.q, action.d, fixed, decomp, tom.orders)
+    return CensusReport(action.q, action.d, tuple(fixed), decomp, tom.orders)
 
 
 def counting(monkeypatch, owner, name):
@@ -233,13 +233,10 @@ def distinct_operations(programs):
     terms = set()
     for prog in programs:
         slot = {i: i for i in range(1, prog.n_inputs + 1)}
-        for stmt in prog.statements:
-            if stmt[1] == MUL:
-                term = (MUL, slot[stmt[2]], slot[stmt[3]])
-            else:
-                term = (POW, slot[stmt[2]], -1 if stmt[1] == INV else stmt[3])
+        for target, op, i, x in prog.statements:
+            term = (op, slot[i], slot[x] if op == MUL else x)
             terms.add(term)
-            slot[stmt[0]] = term
+            slot[target] = term
     return len(terms)
 
 
@@ -336,6 +333,31 @@ def test_fixed_space_dim_basics():
         fixed_space_dim_dual([transvection, FFMatrix.identity(f, 3)])
 
 
+def test_a_generator_fixing_the_space_so_far_is_not_eliminated(monkeypatch):
+    f = PrimeField(3)
+    g = FFMatrix.from_rows(f, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])  # its dual fixes e1 and e3
+    h = FFMatrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])  # fixes e1 and e3 too
+    k = FFMatrix.from_rows(f, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])  # fixes e2 and e3
+    one = FFMatrix.identity(f, 3)
+    calls = counting(monkeypatch, ffield, "row_echelon")
+    # (generators, announced tuples, fixed dimension, eliminations)
+    for mats, announced, dim, eliminations in [
+        ((one,), (), 3, 0),
+        ((one, one), (), 3, 0),
+        ((g, h), (), 2, 1),
+        ((g, h), ((g, h),), 2, 1),
+        ((one, g), (), 2, 1),
+        ((one, g, h, k), ((one, g, h, k),), 1, 2),
+    ]:
+        assert stacked_fixed_dim(mats) == dim
+        bases = dict.fromkeys(announced)
+        del calls[:]
+        assert fixed_space_dim_dual(mats, bases) == dim
+        assert len(calls) == eliminations
+    # the basis carries over: the one before it, or for the first generator the identity
+    assert bases[one,] is bases[f, 3] and bases[one, g, h] is bases[one, g]
+
+
 def stacked_fixed_dim(mats):
     """The dual fixed dimension as one left nullspace of all blocks g^T - 1 side by side."""
     field, d = mats[0].field, mats[0].rows
@@ -394,13 +416,18 @@ def test_census_reduces_each_generator_prefix_once(monkeypatch):
     # a class that no other class extends takes one rank and keeps no basis
     leaves = [g for g in gens if g and g not in set(prefixes)]
     assert leaves
+    # a step whose generator fixes the whole space so far eliminates nothing
+    steps = set(prefixes) | set(leaves)
+    dim_before = {g: stacked_fixed_dim(g[:-1]) if len(g) > 1 else action.d for g in steps}
+    reduced = {g for g in steps if stacked_fixed_dim(g) < dim_before[g]}
+    assert len(reduced) < len(steps)
     expected = per_class_report(tom, action)
     nullspaces = counting(monkeypatch, FFMatrix, "nullspace")
     ranks = counting(monkeypatch, FFMatrix, "rank")
     blocks = counting(monkeypatch, FFMatrix, "__sub__")
     assert census_from_tom(tom, action) == expected
-    assert len(nullspaces) == len(set(prefixes))
-    assert len(ranks) == len(leaves)
+    assert len(nullspaces) == len(set(prefixes) & reduced)
+    assert len(ranks) == len(set(leaves) & reduced)
     assert len(blocks) == len({m for g in gens for m in g})
 
 
@@ -513,16 +540,17 @@ def test_module_action_validation():
 
 
 def test_report_invariants_enforced():
-    good = dict(
-        q=2, dim=1, fixed=(2, 1), decomp=(1, 1), nonzeropos=(1, 2), staborders=(1, 2), regular_orbits=1
-    )
-    CensusReport(**good)
+    good = dict(q=2, dim=1, fixed=(2, 1), decomp=(0, 1), orders=(1, 2))
+    report = CensusReport(**good)
+    assert (report.nonzeropos, report.staborders, report.regular_orbits, report.orbits) == ((2,), (2,), 0, 1)
+    # a report stores what the census counted; the rest is derived
+    assert [f.name for f in dataclasses.fields(CensusReport)] == ["q", "dim", "fixed", "decomp", "orders"]
+    assert not hasattr(CensusReport, "from_counts")
     for key, bad in [
         ("fixed", (4, 1)),
-        ("nonzeropos", (2,)),
-        ("staborders", (1,)),
-        ("regular_orbits", 0),
+        ("fixed", (2, 1, 1)),
         ("decomp", (1, 1, 1)),
+        ("orders", (1,)),
     ]:
         with pytest.raises(ValueError):
             CensusReport(**{**good, key: bad})

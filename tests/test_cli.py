@@ -8,6 +8,7 @@ import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import burnside
@@ -656,6 +657,45 @@ def test_census_tom_verbose_reports_each_class(capsys, tmp_path):
         assert 2 ** int(m[3]) == report["fixed"][i]
         assert int(m[4]) == report["decomp"][i]
     assert [int(re.search(r"\|U\|=(\d+)", line)[1]) for line in lines] == [1, 2, 3, 6]
+
+
+def test_census_tom_on_s3_summed_33_times_over_gf2(capsys, tmp_path):
+    # 66 columns, past one 64-bit word: each involution fixes 2^33 dual
+    # vectors and each 3-cycle only 1, so (2^66 - 3 * 2^33 + 2) / 6 are regular
+    gens = []
+    for k in (1, 2):
+        m = formats.parse_meataxe((DATA / f"s3.gen{k}.mtx").read_text())
+        wide = FFMatrix(PrimeField(2), 66, 66, np.kron(np.eye(33, dtype=np.int64), m.array))
+        gens.append(tmp_path / f"s3x33.gen{k}.mtx")
+        gens[-1].write_text(write_meataxe(wide))
+    code, out, _ = run(capsys, "census", "tom", "--tom", p("s3.tom.json"),
+                       "--gens", ",".join(map(str, gens)), "--q", "2")
+    assert code == 0
+    assert out.splitlines()[0] == f"regular_orbits {(2**66 - 3 * 2**33 + 2) // 6}" == "regular_orbits 12297829378178067115"
+
+
+def test_census_tom_on_a_dense_s4_module_over_gf7(capsys, tmp_path):
+    # S4's GF(7)^4 permutation module summed 8 times, conjugated by a fixed
+    # dense matrix of determinant 1: eliminations of up to 32 pivots pass the
+    # 6 after which GF(7)'s packed slots are reduced
+    s4 = [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 1)])]
+    (tmp_path / "s4.perm.mtx").write_text(write_meataxe(s4))
+    code, _, _ = run(capsys, "tom", "compute", "--perm", str(tmp_path / "s4.perm.mtx"),
+                     "--out", str(tmp_path / "s4.tom.json"))
+    assert code == 0
+    i, j = np.indices((32, 32))
+    one = np.eye(32, dtype=np.int64)
+    c = FFMatrix(PrimeField(7), 32, 32, (np.tril(i * j + 3 * i + j, -1) + one) @ (np.triu(i + 2 * j, 1) + one) % 7)
+    gens = []
+    for k, g in enumerate(s4):
+        block = [[int(b == g(a)) for b in range(4)] for a in range(4)]
+        m = FFMatrix(PrimeField(7), 32, 32, np.kron(np.eye(8, dtype=np.int64), block))
+        gens.append(tmp_path / f"s4x8.gen{k}.mtx")
+        gens[-1].write_text(write_meataxe(c * m * c.inverse()))
+    code, out, _ = run(capsys, "census", "tom", "--tom", str(tmp_path / "s4.tom.json"),
+                       "--gens", ",".join(map(str, gens)), "--q", "7")
+    assert code == 0
+    assert out.splitlines()[0] == "regular_orbits 46017771864870746879520400"
 
 
 # -------------------------------------------------------- huge primes ----

@@ -563,11 +563,12 @@ def assert_matches_gauss_jordan(m, p):
 
 def test_gf2_packed_rows_match_gauss_jordan():
     # widths inside one byte, at and past byte, 62-column chunk and 64-bit
-    # word edges, and over two chunks; entries are any ints of the right parity
+    # word edges, and over two chunks, some of them not a whole number of
+    # bytes when unpacked; entries are any ints of the right parity
     rng = np.random.default_rng(27)
     cases = [np.zeros((0, 5), np.int64), np.zeros((5, 0), np.int64), np.zeros((0, 0), np.int64),
              np.array([[1]]), np.array([[-2]]), np.array([[-3]])]
-    for w in (7, 8, 9, 62, 63, 64, 65, 124, 125, 130):
+    for w in (1, 7, 8, 9, 61, 62, 63, 64, 65, 66, 84, 124, 125, 130):
         for rows in (1, w // 3 + 1, w, w + 5):  # wide, square and tall
             cases.append(rng.integers(0, 2, (rows, w)))
             for t in (1, w // 4 + 1):  # rank at most t

@@ -33,7 +33,7 @@ from burnside.formats import (
     write_tom,
 )
 from burnside.permgroup import Perm, PermGroup
-from burnside.slp import INV, MUL, POW, SLProgram, evaluate
+from burnside.slp import MUL, POW, SLProgram, evaluate
 from burnside.tom import TableOfMarks, compute_tom
 
 GF2 = PrimeField(2)
@@ -409,7 +409,8 @@ def test_slp_inverse_then_product():
 
 def test_slp_power_statements():
     assert parse_slp("r2 = r1^5\nreturn r2\n").statements == ((2, POW, 1, 5),)
-    assert parse_slp("r2 = r1^-1\nreturn r2\n").statements == ((2, INV, 1),)
+    assert parse_slp("r2 = r1^-1\nreturn r2\n").statements == ((2, POW, 1, -1),)
+    assert write_slp(parse_slp("r2 = r1^-1\nreturn r2\n")) == "r2 = r1^-1\nreturn r2\n"
     assert parse_slp("r2 = r1^-3\nreturn r2\n").statements == ((2, POW, 1, -3),)
 
 
@@ -420,7 +421,7 @@ def test_slp_bare_return_is_trivial_subgroup():
 
 def test_slp_round_trip():
     progs = [
-        SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, POW, 4, 7)), (5, 2)),
+        SLProgram(2, ((3, MUL, 1, 2), (4, POW, 3, -1), (5, POW, 4, 7)), (5, 2)),
         SLProgram(1, (), (1,)),
         SLProgram(3, (), ()),
     ]

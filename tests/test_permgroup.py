@@ -19,6 +19,7 @@ from burnside.permgroup import (
     ElementTable,
     Perm,
     _class_minima,
+    _generators_within,
     PermGroup,
     is_conjugate_subgroup,
     minimal_generators,
@@ -29,6 +30,7 @@ from burnside.permgroup import (
 from smallgroups import all_small_groups, perms_of
 from test_census import psl2_9_sym2, sl2_on_projective_line
 from test_ffield import random_matrix
+from test_tom import projective_line_psl2
 
 
 def cyc(degree, *cycles):
@@ -352,6 +354,18 @@ def test_closure_cap_is_inclusive():
 
 def s6():
     return PermGroup(6, [cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))])
+
+
+@pytest.mark.parametrize("make", [lambda: PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))]), s6, a7,
+                                  lambda: projective_line_psl2(7)], ids=["S5", "S6", "A7", "PSL(2,7)"])
+def test_generators_within_match_minimal_generators(make):
+    # the greedy scan over sorted indices picks the generators that
+    # minimal_generators picks over sorted permutations, class by class
+    group = make()
+    table = group.multiplication_table()
+    for c in subgroup_classes(group):
+        expected = [table.index[x] for x in minimal_generators([table.perms[i] for i in c.elements])]
+        assert _generators_within(table, c.elements) == expected
 
 
 def element_table_by_search(degree, generators):

@@ -20,7 +20,7 @@ from burnside import formats
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.formats import ParseError, parse_meataxe, parse_tom, write_meataxe, write_tom
 from burnside.permgroup import Perm, PermGroup
-from burnside.slp import INV, MUL, POW
+from burnside.slp import MUL, POW
 from burnside.tom import TableOfMarks, compute_tom
 
 
@@ -86,8 +86,7 @@ def reference_slp_lines(text):
                     max_input = b
                 statements.append((tgt, MUL, a, b))
             else:
-                e = int(e)
-                statements.append((tgt, INV, a) if e == -1 else (tgt, POW, a, e))
+                statements.append((tgt, POW, a, int(e)))
             defined.add(tgt)
         elif line == "return" or line.startswith("return "):
             rest = line[len("return") :].strip()

@@ -9,7 +9,7 @@ import pytest
 from burnside import slp
 from burnside.ffield import ExtField, FFMatrix, PrimeField
 from burnside.permgroup import Perm
-from burnside.slp import INV, MUL, POW, SLProgram, evaluate
+from burnside.slp import MUL, POW, SLProgram, evaluate
 
 GF3 = PrimeField(3)
 
@@ -35,7 +35,7 @@ def test_product_program_on_perms():
 
 
 def test_inverse_then_product_program():
-    prog = SLProgram(2, ((3, INV, 1), (4, MUL, 3, 2)), (4,))
+    prog = SLProgram(2, ((3, POW, 1, -1), (4, MUL, 3, 2)), (4,))
     rng = random.Random(0)
     a = random_invertible(GF3, 2, rng)
     b = random_invertible(GF3, 2, rng)
@@ -71,7 +71,7 @@ def test_evaluate_distributes_over_conjugation():
     rng = random.Random(3)
     prog = SLProgram(
         2,
-        ((3, MUL, 1, 2), (4, INV, 2), (5, MUL, 4, 3), (6, POW, 5, 3)),
+        ((3, MUL, 1, 2), (4, POW, 2, -1), (5, MUL, 4, 3), (6, POW, 5, 3)),
         (3, 6),
     )
     for _ in range(10):
@@ -90,13 +90,17 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         SLProgram(1, (), (2,))  # returned slot undefined
     with pytest.raises(ValueError):
-        SLProgram(1, ((10_001, INV, 1),), (1,))  # slot cap
+        SLProgram(1, ((10_001, POW, 1, -1),), (1,))  # slot cap
     with pytest.raises(ValueError):
         SLProgram(0, (), ())
     with pytest.raises(ValueError):
         SLProgram(1, ((2, "NOP", 1),), (1,))
     with pytest.raises(ValueError):  # a product needs two operands
         SLProgram(2, ((3, MUL, 1),), (3,))
+    with pytest.raises(ValueError):  # a power needs its exponent, an inverse too
+        SLProgram(1, ((2, POW, 1),), (2,))
+    with pytest.raises(ValueError, match="unknown opcode 'INV'"):  # an inverse is POW -1
+        SLProgram(1, ((2, "INV", 1),), (2,))
 
 
 def test_inputs_past_max_slots_are_refused_before_the_slot_set():
@@ -114,7 +118,7 @@ def test_inputs_past_max_slots_are_refused_before_the_slot_set():
 
 
 @pytest.mark.parametrize("statement,slot", [
-    ((3, MUL, 4, 1), 4), ((3, MUL, 1, 4), 4), ((3, MUL, 5, 4), 5), ((3, INV, 4), 4), ((3, POW, 4, 2), 4),
+    ((3, MUL, 4, 1), 4), ((3, MUL, 1, 4), 4), ((3, MUL, 5, 4), 5), ((3, POW, 4, -1), 4), ((3, POW, 4, 2), 4),
 ])
 def test_validation_names_the_first_undefined_operand(statement, slot):
     with pytest.raises(ValueError, match=f"^slot r{slot} used before definition$"):
@@ -177,8 +181,8 @@ def test_from_words():
 # the first two programs share r1*r2 and its inverse; the third overwrites
 # input slot r1 with r1*r2 and then overwrites that slot again
 SHARED_CASES = (
-    SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, POW, 4, 3)), (5, 3)),
-    SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3), (5, MUL, 4, 1)), (5,)),
+    SLProgram(2, ((3, MUL, 1, 2), (4, POW, 3, -1), (5, POW, 4, 3)), (5, 3)),
+    SLProgram(2, ((3, MUL, 1, 2), (4, POW, 3, -1), (5, MUL, 4, 1)), (5,)),
     SLProgram(2, ((1, MUL, 1, 2), (1, POW, 1, -2), (3, MUL, 2, 1)), (3, 1, 2)),
     SLProgram(2, (), ()),
     SLProgram(2, ((3, POW, 2, 0),), (3, 3)),
@@ -221,7 +225,8 @@ def test_shared_products_compute_a_shared_product_once(monkeypatch):
 
 
 def test_an_inverse_and_the_power_minus_one_are_one_product():
-    prog = SLProgram(1, ((2, INV, 1), (3, POW, 1, -1)), (2, 3))
+    # an inverse is the power -1, so two inverses of one slot share a product
+    prog = SLProgram(1, ((2, POW, 1, -1), (3, POW, 1, -1)), (2, 3))
     a = random_invertible(GF3, 3, random.Random(53))
     products = {}
     out = evaluate(prog, [a], products)
@@ -250,7 +255,7 @@ class Mod7:
 def test_shared_products_hold_their_operands():
     # a key holds operand ids, which a freed object gives back for reuse:
     # the dict keeps every operand alive for as long as it lives
-    prog = SLProgram(2, ((3, MUL, 1, 2), (4, INV, 3)), (3, 4))
+    prog = SLProgram(2, ((3, MUL, 1, 2), (4, POW, 3, -1)), (3, 4))
     products = {}
     a, b = Mod7(2), Mod7(3)
     assert evaluate(prog, [a, b], products) == [Mod7(6), Mod7(6)]
