@@ -333,14 +333,14 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     counts = [0] * len(classes)
     class_of = {}  # stabilizer, as a mask over the elements -> its class
     # images of a block of representatives under every element, along the
-    # tree; a block holds about 2^20 images
+    # tree a level at a time; a block holds about 2^20 images
     step = max(1, 2**20 // order)
     for a in range(0, len(reps), step):
         block = reps[a : a + step]
         images = np.empty((order, len(block)), dtype=np.int64)
         images[0] = block
-        for i, k, j in table.tree:
-            images[j] = perms[k][images[i]]
+        for i, k, j in table.tree_levels():
+            images[j] = perms[k[:, None], images[i]]
         fixes = images == block
         if np.any(fixes.sum(axis=0) * sizes[block] != order):
             raise RuntimeError("orbit-stabilizer mismatch; the action is inconsistent")

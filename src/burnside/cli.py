@@ -96,6 +96,15 @@ def _note(args, msg):
         print(msg, file=sys.stderr)
 
 
+def _note_setup(args, group):
+    """Note the stabilizer chain's base length and the word tree's depth and levels."""
+    if args.verbose:
+        table = group.element_table()
+        depth = max(map(len, table.words.values()))
+        _note(args, f"stabilizer chain: base length {len(group.base())}; "
+                    f"word tree: depth {depth}, levels {len(table.tree_levels())}")
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -159,6 +168,7 @@ def _cmd_census(args) -> str:
         group = _perm_group(args.perm)
         _note(args, f"group of order {group.order()} on {group.degree} points")
         report = census_brute_force(group, action)
+        _note_setup(args, group)
     if getattr(args, "out", None):
         Path(args.out).write_text(write_census_report(report))
     return _census_summary(report)
@@ -169,6 +179,7 @@ def _cmd_tom(args) -> str:
         group = _perm_group(args.perm)
         _note(args, f"group of order {group.order()} on {group.degree} points")
         tom = compute_tom(group)
+        _note_setup(args, group)
         Path(args.out).write_text(write_tom(tom))
         return f"{tom.n} classes\n"
     tom = parse_tom(_read(args.tom))
@@ -202,6 +213,7 @@ def _cmd_h2(args) -> str:
     mats = _gen_matrices(args.mod, args.p, "p")
     pair = GroupModulePair(group, mats)
     _note(args, f"group of order {group.order()}, module GF({pair.p})^{pair.d}")
+    _note_setup(args, group)
     dim = h2_dimension(pair, lambda msg: _note(args, msg))
     return f"{dim}\n{splits_implies(pair, dim)}\n"
 

@@ -107,12 +107,11 @@ def _tree_system(pair, unknowns, block):
         out[np.arange(len(k))[:, None], t, block(i, k)[:, None] * d + t] += 1
         return out
 
-    for i, k, j in table.tree_levels():
-        F[j] = reduce_mod(step(i, k), p)
     right = np.array(table.right, dtype=np.intp)
     outside = np.ones(right.shape, dtype=bool)
-    i, k, _ = np.array(table.tree, dtype=np.intp).reshape(-1, 3).T
-    outside[i, k] = False
+    for i, k, j in table.tree_levels():
+        F[j] = reduce_mod(step(i, k), p)
+        outside[i, k] = False
     i, k = np.nonzero(outside)
     out = step(i, k)
     np.subtract(F[right[i, k]], out, out=out)
@@ -159,8 +158,13 @@ def delta2_matrix(pair: GroupModulePair) -> np.ndarray:
 def _spin_columns(pair):
     """cols[k], the gather that takes a row of delta2_matrix to its image under pi_{x_k}."""
     table, n, r, d = pair.group.element_table(), pair.order, len(pair.gens), pair.d
-    # left[k, w]: the index of x_k w; column blocks are at position index - 1 mod n
-    left = np.array([[table.index[x * w] for w in table.perms] for x in pair.group.generators])
+    # left[k, w]: the index of x_k w, along the tree a level at a time:
+    # x_k (w' x_m) = (x_k w') x_m.  Column blocks are at position index - 1 mod n
+    right = np.array(table.right, dtype=np.intp)
+    left = np.empty((r, n), dtype=np.intp)
+    left[:, 0] = right[0]
+    for i, k, j in table.tree_levels():
+        left[:, j] = right[left[:, i], k]
     source = np.empty((r, n), dtype=np.intp)
     source[np.arange(r)[:, None], (left - 1) % n] = (np.arange(n) - 1) % n
     return (source[:, :, None] * (r * d) + np.arange(r * d)).reshape(r, n * r * d)

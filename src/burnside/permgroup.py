@@ -4,20 +4,32 @@ Provides exactly what the table-of-marks pipeline needs: orbits with
 transversals, group order and membership through a deterministic
 Schreier-Sims chain, full element enumeration with generator words, conjugacy
 classes of subgroups, and subgroup-conjugacy tests.  Everything is exhaustive
-and deterministic; the product table below is the one limit on the order.
+and deterministic; the product table and the element search below bound
+the order.
 Tables for the sporadic-group censuses of the paper are ingested from
 files, never computed.
+
+The stabilizer chain and the element search run on image tuples, not on
+Perm objects, and a product x * g is one itemgetter call.  The chain takes
+the least moved point as its base, a breadth-first transversal of the
+base's orbit with one inverse per orbit point, and the distinct Schreier
+generators, unsifted, as the next level's generators.
 
 The exhaustive algorithms work on element indices, not on Perm objects.
 Each group builds one ElementTable on first enumeration: the elements in
 sorted order (so the identity is index 0), their breadth-first generator
-words and the index of every product with a generator.  The n x n product
-table with inverses is filled in from those on first use, along the
-breadth-first tree, at two bytes an entry; a table over SYSTEM_BYTES_BOUND
-bytes (order above 11585) is refused before any element is enumerated.
-Subgroup classes and the subgroup-conjugacy test speak the same indices: a
-subgroup is the sorted array of its element indices, and element i is the
-Perm table.perms[i].
+words, the index of every product with a generator, and where each
+breadth-first level of the word tree ends.  The tree is walked one batched
+step per level: the elements' matrix images, their inverses, the left
+products of the cohomology spin and the stabilizers of the brute-force
+census.  The n x n product table is filled in on first use, one row per
+tree edge, at two bytes an entry; a table over SYSTEM_BYTES_BOUND bytes
+(order above 11585) is refused before any element is enumerated.  The
+search is charged apart, at 8 bytes an entry: its image tuples before it
+starts and the words as each level is added, so a large group of large
+degree, or with long words, is refused too.  Subgroup classes and the
+subgroup-conjugacy test speak the same indices: a subgroup is the sorted
+array of its element indices, and element i is the Perm table.perms[i].
 
 Permutations act on 0-based points and compose left to right: (p*q)(x) =
 q(p(x)), matching the convention used for row-vector matrix actions so that
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -155,35 +168,55 @@ class ElementTable:
     perms holds the elements in sorted order (the identity is index 0) and
     index maps them back; words maps each element to its breadth-first
     generator word; right[i][k] is the index of perms[i] * generators[k];
-    tree lists the edges (i, k, j) along which the search first reached j.
-    mul[i, j], the index of perms[i] * perms[j], and inv are filled in by
+    tree lists the edges (i, k, j) along which the search first reached j,
+    level by level: ends[t] is the number of edges into the first t + 1
+    breadth-first levels below the identity.  mul[i, j], the index of
+    perms[i] * perms[j], and inv are filled in by
     PermGroup.multiplication_table().
+
+    held is what the caller has already charged for the search (its image
+    tuples); the words are charged at 8 bytes an entry as each level is
+    added, and a search past SYSTEM_BYTES_BOUND is refused there.
     """
 
-    def __init__(self, degree, generators):
-        # a search on image tuples, x * g = (g(x(0)), ...); one Perm each at the end
-        steps = [g.images.__getitem__ for g in generators]
-        ident = tuple(range(degree))
-        words = {ident: ()}
-        found = [ident]  # breadth-first order; the loop below extends it
-        products = {}
-        tree = []
-        for x in found:
-            products[x] = ys = [tuple(map(step, x)) for step in steps]
-            for k, y in enumerate(ys):
-                if y not in words:
-                    words[y] = words[x] + (k,)
-                    found.append(y)
-                    tree.append((x, k, y))
-        found.sort()
-        index = {x: i for i, x in enumerate(found)}
+    def __init__(self, degree, generators, held=0):
+        # a search on image tuples, numbered in the order found; one Perm each at the end
+        gens = [g.images for g in generators]
+        found = [tuple(range(degree))]
+        position = {found[0]: 0}
+        words, right, tree, ends = [()], [], [], []
+        start = 0
+        while start < len(found):  # one breadth-first level a pass
+            stop = len(found)
+            for a in range(start, stop):
+                times, row = _times(found[a]), []
+                for k, g in enumerate(gens):
+                    y = times(g)
+                    b = position.setdefault(y, len(found))
+                    if b == len(found):
+                        found.append(y)
+                        words.append(words[a] + (k,))
+                        tree.append((a, k, b))
+                    row.append(b)
+                right.append(row)
+            if len(found) > stop:
+                ends.append(len(tree))
+                held += 8 * len(words[-1]) * (len(found) - stop)
+                check_allocation(f"the element search to depth {len(ends)} ({len(found)} elements)", held)
+            start = stop
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = [0] * len(found)
+        for i, a in enumerate(order):
+            rank[a] = i
         self.perms = perms = tuple(object.__new__(Perm) for _ in found)  # no check in __init__
-        for p, x in zip(perms, found):
-            p.images = x
+        for p, a in zip(perms, order):
+            p.images = found[a]
         self.index = {x: i for i, x in enumerate(perms)}
-        self.words = {perms[index[x]]: w for x, w in words.items()}
-        self.right = [[index[y] for y in products[x]] for x in found]
-        self.tree = [(index[x], k, index[y]) for x, k, y in tree]
+        self.words = {perms[rank[a]]: w for a, w in enumerate(words)}
+        self.right = [[rank[b] for b in right[a]] for a in order]
+        self.tree = [(rank[a], k, rank[b]) for a, k, b in tree]
+        self.ends = ends
+        self._levels = None
         self.mul = self.inv = None
 
     def images(self, gen_images):
@@ -192,7 +225,7 @@ class ElementTable:
         Returns an (n, D, D) int64 array over GF(p): the blow-ups of the
         images, for gen_images FFMatrices over GF(p^k) with D = k * size.
         Images are built one breadth-first level at a time, with one batched
-        product per generator, and then checked on every Cayley edge,
+        product per level, and then checked on every Cayley edge,
         image(x * g_k) == image(x) * gen_images[k], with one batched product
         per generator.  Those edges carry all defining relations of the
         group, so a ValueError here means the generator images do not
@@ -206,15 +239,13 @@ class ElementTable:
         p, size = gen_images[0].field.p, gens.shape[1]
         _check_int64(p, size)
         n = len(self.perms)
-        # the images and, in the check, a gathered copy, the float64 product
-        # and its operand (or its int64 residues)
-        check_allocation(f"the images of {n} elements", 4 * n * size * size * 8)
+        # the images and, at one level, both gathered operands, their
+        # float64 copies and the product (in the check, fewer)
+        check_allocation(f"the images of {n} elements", 6 * n * size * size * 8)
         images = np.empty((n, size, size), dtype=np.int64)
         images[0] = np.eye(size, dtype=np.int64)
-        for level in self.tree_levels():
-            for k in range(r):
-                i, _, j = level[:, level[1] == k]
-                images[j] = matmul_mod(images[i], gens[k], p)
+        for i, k, j in self.tree_levels():
+            images[j] = matmul_mod(images[i], gens[k], p)
         right = np.array(self.right, dtype=np.intp)
         for k in range(r):
             if not np.array_equal(images[right[:, k]], matmul_mod(images, gens[k], p)):
@@ -222,14 +253,11 @@ class ElementTable:
         return images
 
     def tree_levels(self):
-        """The tree edges by breadth-first level: one (i, k, j) triple of index arrays each.
-
-        The search reaches every element of a level before the next, so each
-        level is a run of the tree list.
-        """
-        edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
-        depth = np.array([len(self.words[self.perms[j]]) for j in edges[:, 2].tolist()])
-        return [level.T for level in np.split(edges, np.flatnonzero(np.diff(depth)) + 1) if level.size]
+        """The tree edges by breadth-first level: one (i, k, j) triple of index arrays each."""
+        if self._levels is None:
+            edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
+            self._levels = [np.ascontiguousarray(level.T) for level in np.split(edges, self.ends)[:-1]]
+        return self._levels
 
     def conjugates(self, xs):
         """Array c with c[g, t] = index of perms[g]^-1 * perms[xs[t]] * perms[g]."""
@@ -273,8 +301,12 @@ class PermGroup:
 
     def _stabilizer_chain(self):
         if self._chain is None:
-            self._chain = _build_chain([g for g in self.generators if not g.is_identity()])
+            self._chain = _build_chain([g.images for g in self.generators if not g.is_identity()])
         return self._chain
+
+    def base(self) -> tuple:
+        """The base points of the stabilizer chain, one a level."""
+        return tuple(base for base, _, _ in self._stabilizer_chain())
 
     def order(self) -> int:
         n = 1
@@ -285,13 +317,13 @@ class PermGroup:
     def __contains__(self, perm: Perm) -> bool:
         if perm.degree != self.degree:
             return False
-        for base, transversal, _ in self._stabilizer_chain():
-            x = perm(base)
-            t = transversal.get(x)
+        images = perm.images
+        for base, _, inverses in self._stabilizer_chain():
+            t = inverses.get(images[base])
             if t is None:
                 return False
-            perm = perm * t.inverse()
-        return perm.is_identity()
+            images = tuple(map(t.__getitem__, images))  # perm * transversal^-1
+        return images == tuple(range(self.degree))
 
     # -- enumeration ------------------------------------------------------
 
@@ -300,12 +332,17 @@ class PermGroup:
 
         A word (i1, i2, ...) means generators[i1] * generators[i2] * ...;
         the empty word is the identity.  The first call builds the group's
-        ElementTable, unless its product table would exceed SYSTEM_BYTES_BOUND.
+        ElementTable, unless its product table, or its search (the image
+        tuples of all elements and then their words), would exceed
+        SYSTEM_BYTES_BOUND.  The two are bounded apart, so the product
+        table alone caps the order at 11585.
         """
         if self._table is None:
             n = self.order()
             check_allocation(f"the {n} x {n} product table", n * n * np.dtype(_INDEX).itemsize)
-            self._table = ElementTable(self.degree, self.generators)
+            held = 8 * n * self.degree
+            check_allocation(f"the image tuples of {n} elements on {self.degree} points", held)
+            self._table = ElementTable(self.degree, self.generators, held)
         return self._table.words
 
     def elements(self):
@@ -330,12 +367,13 @@ class PermGroup:
             for i, k, j in table.tree:
                 steps[k].take(cols[i], out=cols[j], mode="clip")
             table.mul = cols.T
-            # along the tree too: (y g_k)^-1 = g_k^-1 y^-1
-            ginv = [table.index[g.inverse()] for g in self.generators]
-            inv = [0] * n
-            for i, k, j in table.tree:
+            # a level at a time: (y g_k)^-1 = g_k^-1 y^-1, where g_k^-1 is
+            # the element that g_k takes to the identity
+            ginv = right.argmin(axis=0)
+            inv = np.zeros(n, dtype=_INDEX)
+            for i, k, j in table.tree_levels():
                 inv[j] = cols[inv[i], ginv[k]]
-            table.inv = np.array(inv, dtype=_INDEX)
+            table.inv = inv
         return table
 
     # -- orbits -----------------------------------------------------------
@@ -364,22 +402,46 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
 
 
+def _times(x):
+    """The map g -> x * g on image tuples of x's degree: (x * g)(i) = g(x(i))."""
+    # itemgetter of one index gives an entry, not a tuple; below two points x is the identity
+    return itemgetter(*x) if len(x) > 1 else tuple
+
+
 def _build_chain(gens):
-    if not gens:
-        return []
-    base = min(min(i for i, x in enumerate(g.images) if x != i) for g in gens)
-    group = PermGroup(gens[0].degree, gens)
-    orbit, transversal = group.orbit(base)
-    stab_gens = []
-    seen = set()
-    for x in orbit:
-        tx = transversal[x]
-        for g in gens:
-            sg = tx * g * transversal[g(x)].inverse()
-            if not sg.is_identity() and sg not in seen:
-                seen.add(sg)
-                stab_gens.append(sg)
-    return [(base, transversal, tuple(gens))] + _build_chain(stab_gens)
+    """The stabilizer chain of the group generated by gens, image tuples none the identity.
+
+    One (base, transversal, inverses) entry a level: the base is the least
+    point moved by the level's generators, transversal[x] the product of
+    generators along the breadth-first orbit of the base that takes it to
+    x, and inverses[x] its inverse.  The next level's generators are the
+    distinct Schreier generators t_x * g * t_(g(x))^-1 other than the
+    identity, in the order of the orbit and then of the generators; they
+    are not sifted (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    """
+    chain = []
+    while gens:
+        ident = tuple(range(len(gens[0])))
+        base = min(list(map(ne, g, ident)).index(True) for g in gens)
+        transversal = {base: ident}
+        orbit, times = [base], []
+        for x in orbit:  # breadth-first: the loop extends the list it walks
+            times.append(t := _times(transversal[x]))
+            for g in gens:
+                if g[x] not in transversal:
+                    transversal[g[x]] = t(g)
+                    orbit.append(g[x])
+        # the inverse of t lists the points in the order of their images
+        inverses = {x: sorted(ident, key=t.__getitem__) for x, t in transversal.items()}
+        schreier = {}  # an insertion-ordered set
+        steps = [(g, _times(g)) for g in gens]
+        for x, t in zip(orbit, times):
+            for g, g_times in steps:
+                schreier[t(g_times(inverses[g[x]]))] = None
+        schreier.pop(ident, None)
+        chain.append((base, transversal, inverses))
+        gens = list(schreier)
+    return chain
 
 
 # ---------------------------------------------------------------------------

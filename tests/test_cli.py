@@ -229,6 +229,45 @@ def test_tom_compute_oversized_product_table_exits_3(capsys, tmp_path, monkeypat
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("cycles,message", [
+    # 2310 * 2309 / 2 word entries at 8 bytes: 21 MB, refused at some depth
+    ((2, 3, 5, 7, 11), r"the element search to depth \d+ \(\d+ elements\) takes \d+ bytes, over the bound"),
+    # 1500 image tuples of 1500 entries at 8 bytes: 18 MB, refused before the search
+    ((1500,), "the image tuples of 1500 elements on 1500 points takes 18000000 bytes, over the bound"),
+], ids=["C2310 on 28 points", "regular C1500"])
+def test_element_search_is_charged_for_its_tuples_and_words(capsys, tmp_path, monkeypatch, cycles, message):
+    monkeypatch.setattr(permgroup, "SYSTEM_BYTES_BOUND", 2**24)
+    points = iter(range(sum(cycles)))
+    gen = Perm.from_cycles(sum(cycles), [tuple(next(points) for _ in range(c)) for c in cycles])
+    order = gen.order()
+    assert 2 * order * order < 2**24  # the product table alone fits
+    perm = tmp_path / "cyclic.mtx"
+    perm.write_text(write_meataxe([gen]))
+    out_file = tmp_path / "cyclic.tom.json"
+    code, out, err = run(capsys, "tom", "compute", "--perm", str(perm), "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert re.search(message, err)
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["tom", "compute", "--perm", p("s3.perm.mtx"), "--out", "{tmp}/s3.tom.json"], (2, 2)),
+    (["census", "brute", "--perm", p("s3.perm.mtx"), "--gens", f"{p('s3.gen1.mtx')},{p('s3.gen2.mtx')}",
+      "--q", "2"], (2, 2)),
+    (["h2", "--perm", p("c2.perm.mtx"), "--mod", p("c2.mod.mtx"), "--p", "2"], (1, 1)),
+], ids=["tom compute", "census brute", "h2"])
+def test_verbose_notes_the_chain_and_the_tree(capsys, tmp_path, argv, expected):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, plain, quiet = run(capsys, *argv)
+    assert code == 0 and quiet == ""
+    code, out, err = run(capsys, *argv, "--verbose")
+    assert code == 0 and out == plain
+    lines = [line for line in err.splitlines() if line.startswith("stabilizer chain")]
+    base, depth = expected
+    assert lines == [f"stabilizer chain: base length {base}; word tree: depth {depth}, levels {depth}"]
+
+
 def test_tom_compute_oversized_marks_exit_3(capsys, tmp_path, monkeypatch):
     # the classes are found under the byte bound; then the bound drops to
     # the bytes of the marks (8 a list slot) and the membership table, and

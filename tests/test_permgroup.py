@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from burnside.census import ModuleAction, census_brute_force, validate_action_homomorphism
-from burnside.cohomology import GroupModulePair
+from burnside.cohomology import GroupModulePair, _spin_columns
 from burnside.corpus import census_corpus
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
 from burnside.permgroup import (
@@ -171,6 +171,111 @@ def test_orbit_stabilizer():
             orb, _ = g.orbit(point)
             stab = sum(1 for x in g.element_words() if x(point) == point)
             assert len(orb) * stab == n
+
+
+def perm_chain(gens):
+    """(base, transversal) a level: the stabilizer chain as built on Perm objects, for reference."""
+    if not gens:
+        return []
+    base = min(min(i for i, x in enumerate(g.images) if x != i) for g in gens)
+    orbit, transversal = PermGroup(gens[0].degree, gens).orbit(base)
+    stab, seen = [], set()
+    for x in orbit:
+        for g in gens:
+            sg = transversal[x] * g * transversal[g(x)].inverse()
+            if not sg.is_identity() and sg not in seen:
+                seen.add(sg)
+                stab.append(sg)
+    return [(base, transversal)] + perm_chain(stab)
+
+
+def in_perm_chain(chain, perm):
+    for base, transversal in chain:
+        t = transversal.get(perm(base))
+        if t is None:
+            return False
+        perm = perm * t.inverse()
+    return perm.is_identity()
+
+
+def m11():
+    return PermGroup(11, [cyc(11, tuple(range(11))), cyc(11, (2, 6, 10, 7), (3, 9, 4, 5))])
+
+
+def m12():
+    return PermGroup(12, [cyc(12, tuple(range(11))), cyc(12, (2, 6, 10, 7), (3, 9, 4, 5)),
+                          cyc(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9))])
+
+
+def a8():
+    return PermGroup(8, [cyc(8, (0, 1, 2)), cyc(8, (1, 2, 3, 4, 5, 6, 7))])
+
+
+CHAIN_GROUPS = all_small_groups() + [("M11", m11()), ("M12", m12()), ("A8", a8())]
+
+
+@pytest.mark.parametrize("name,group", CHAIN_GROUPS, ids=[name for name, _ in CHAIN_GROUPS])
+def test_tuple_chain_matches_the_perm_chain(name, group):
+    reference = perm_chain([g for g in group.generators if not g.is_identity()])
+    chain = group._stabilizer_chain()
+    assert group.base() == tuple(base for base, _ in reference)
+    assert [len(t) for _, t, _ in chain] == [len(t) for _, t in reference]
+    expected = {"M11": 7920, "M12": 95040, "A8": 20160}
+    assert group.order() == expected.get(name, group.order())
+    for (_, transversal, inverses), (_, ref) in zip(chain, reference):
+        # the same transversal images, found in the same order
+        assert list(transversal.items()) == [(x, t.images) for x, t in ref.items()]
+        assert {x: tuple(t) for x, t in inverses.items()} == {x: t.inverse().images for x, t in ref.items()}
+    # members: words in the generators; mostly not: random permutations, and
+    # members times a transposition
+    rng = random.Random(len(name))
+    gens, degree = group.generators, group.degree
+    candidates = []
+    for _ in range(40):
+        x = Perm.identity(degree)
+        for _ in range(rng.randrange(12)):
+            x = x * rng.choice(gens)
+        candidates.append(x)
+        candidates.append(Perm(rng.sample(range(degree), degree)))
+        if degree > 1:
+            a, b = rng.sample(range(degree), 2)
+            candidates.append(x * Perm.from_cycles(degree, [(a, b)]))
+    answers = [x in group for x in candidates]
+    assert answers == [in_perm_chain(reference, x) for x in candidates]
+    assert all(answers[::3 if degree > 1 else 2])
+    assert Perm.identity(degree + 1) not in group
+
+
+TREE_GROUPS = all_small_groups() + [("S6", PermGroup(6, [cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))])),
+                                    ("M11", m11())]
+
+
+@pytest.mark.parametrize("name,group", TREE_GROUPS, ids=[name for name, _ in TREE_GROUPS])
+def test_tree_levels_split_the_tree_by_word_length(name, group):
+    table = group.element_table()
+    levels = table.tree_levels()
+    assert table.tree_levels() is levels  # built once
+    depth = [len(table.words[x]) for x in table.perms]
+    assert len(levels) == max(depth)
+    for d, level in enumerate(levels, 1):
+        assert level.shape[0] == 3
+        assert list(zip(*level.tolist())) == [edge for edge in table.tree if depth[edge[2]] == d]
+
+
+@pytest.mark.parametrize("name,group", TREE_GROUPS, ids=[name for name, _ in TREE_GROUPS])
+def test_inverses_and_left_products_match_perm_products(name, group):
+    table = group.multiplication_table()
+    perms, index = table.perms, table.index
+    assert table.inv.tolist() == [index[x.inverse()] for x in perms]
+    # _spin_columns' gather, from left products by the generators taken on Perm objects
+    one = FFMatrix.from_rows(PrimeField(2), [[1]])
+    pair = GroupModulePair(group, [one] * len(group.generators))
+    n, r = len(perms), len(group.generators)
+    left = np.array([[index[x * w] for w in perms] for x in group.generators]).reshape(r, n)
+    source = np.empty((r, n), dtype=np.intp)
+    source[np.arange(r)[:, None], (left - 1) % n] = (np.arange(n) - 1) % n
+    expected = (source[:, :, None] * r + np.arange(r)).reshape(r, n * r)
+    assert np.array_equal(_spin_columns(pair), expected)
 
 
 # ---------------------------------------------------------------------------
