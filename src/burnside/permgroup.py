@@ -11,9 +11,9 @@ files, never computed.
 
 The stabilizer chain and the element search run on image tuples, not on
 Perm objects, and a product x * g is one itemgetter call.  The chain takes
-the least moved point as its base, a breadth-first transversal of the
-base's orbit with one inverse per orbit point, and the distinct Schreier
-generators, unsifted, as the next level's generators.
+the least moved point as its base, keeps the inverse of each element of a
+breadth-first transversal of the base's orbit, and takes the distinct
+Schreier generators, unsifted, as the next level's generators.
 
 The exhaustive algorithms work on element indices, not on Perm objects.
 Each group builds one ElementTable on first enumeration: the elements in
@@ -306,19 +306,19 @@ class PermGroup:
 
     def base(self) -> tuple:
         """The base points of the stabilizer chain, one a level."""
-        return tuple(base for base, _, _ in self._stabilizer_chain())
+        return tuple(base for base, _ in self._stabilizer_chain())
 
     def order(self) -> int:
         n = 1
-        for _, transversal, _ in self._stabilizer_chain():
-            n *= len(transversal)
+        for _, inverses in self._stabilizer_chain():
+            n *= len(inverses)
         return n
 
     def __contains__(self, perm: Perm) -> bool:
         if perm.degree != self.degree:
             return False
         images = perm.images
-        for base, _, inverses in self._stabilizer_chain():
+        for base, inverses in self._stabilizer_chain():
             t = inverses.get(images[base])
             if t is None:
                 return False
@@ -411,35 +411,36 @@ def _times(x):
 def _build_chain(gens):
     """The stabilizer chain of the group generated by gens, image tuples none the identity.
 
-    One (base, transversal, inverses) entry a level: the base is the least
-    point moved by the level's generators, transversal[x] the product of
-    generators along the breadth-first orbit of the base that takes it to
-    x, and inverses[x] its inverse.  The next level's generators are the
-    distinct Schreier generators t_x * g * t_(g(x))^-1 other than the
-    identity, in the order of the orbit and then of the generators; they
-    are not sifted (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    One (base, inverses) entry a level: the base is the least point moved
+    by the level's generators, and inverses[x] is the inverse of t_x, the
+    product of generators along the breadth-first orbit of the base that
+    takes it to x.  The next level's generators are the distinct Schreier
+    generators t_x * g * t_(g(x))^-1 other than the identity, in the order
+    of the orbit and then of the generators; they are not sifted (Seress,
+    Permutation Group Algorithms, 2003, ch. 4).  Only the inverses are
+    kept, so a level holds one image list per orbit point.
     """
     chain = []
     while gens:
         ident = tuple(range(len(gens[0])))
         base = min(list(map(ne, g, ident)).index(True) for g in gens)
-        transversal = {base: ident}
-        orbit, times = [base], []
-        for x in orbit:  # breadth-first: the loop extends the list it walks
-            times.append(t := _times(transversal[x]))
-            for g in gens:
-                if g[x] not in transversal:
-                    transversal[g[x]] = t(g)
-                    orbit.append(g[x])
-        # the inverse of t lists the points in the order of their images
-        inverses = {x: sorted(ident, key=t.__getitem__) for x, t in transversal.items()}
-        schreier = {}  # an insertion-ordered set
+        # t_x itself is held only until x is walked
+        transversal, inverses = {base: ident}, {base: ident}
         steps = [(g, _times(g)) for g in gens]
-        for x, t in zip(orbit, times):
+        orbit, schreier = [base], {}  # schreier: an insertion-ordered set
+        for x in orbit:  # breadth-first: the loop extends the list it walks
+            t = _times(transversal.pop(x))
             for g, g_times in steps:
-                schreier[t(g_times(inverses[g[x]]))] = None
+                y = g[x]
+                if y in inverses:
+                    schreier[t(g_times(inverses[y]))] = None
+                else:  # a tree edge: its Schreier generator is the identity
+                    transversal[y] = ty = t(g)
+                    # the inverse lists the points in the order of their images
+                    inverses[y] = sorted(ident, key=ty.__getitem__)
+                    orbit.append(y)
         schreier.pop(ident, None)
-        chain.append((base, transversal, inverses))
+        chain.append((base, inverses))
         gens = list(schreier)
     return chain
 

@@ -219,13 +219,12 @@ def test_tuple_chain_matches_the_perm_chain(name, group):
     reference = perm_chain([g for g in group.generators if not g.is_identity()])
     chain = group._stabilizer_chain()
     assert group.base() == tuple(base for base, _ in reference)
-    assert [len(t) for _, t, _ in chain] == [len(t) for _, t in reference]
+    assert [len(t) for _, t in chain] == [len(t) for _, t in reference]
     expected = {"M11": 7920, "M12": 95040, "A8": 20160}
     assert group.order() == expected.get(name, group.order())
-    for (_, transversal, inverses), (_, ref) in zip(chain, reference):
-        # the same transversal images, found in the same order
-        assert list(transversal.items()) == [(x, t.images) for x, t in ref.items()]
-        assert {x: tuple(t) for x, t in inverses.items()} == {x: t.inverse().images for x, t in ref.items()}
+    for (_, inverses), (_, ref) in zip(chain, reference):
+        # the inverses of the same transversal, found in the same order
+        assert [(x, tuple(t)) for x, t in inverses.items()] == [(x, t.inverse().images) for x, t in ref.items()]
     # members: words in the generators; mostly not: random permutations, and
     # members times a transposition
     rng = random.Random(len(name))
