@@ -528,9 +528,11 @@ def _row_echelon_odd(a, p):
     operation adds t < p times the pivot row, at most (p-1)^2 to a slot, and
     every row is reduced after each `room` pivots, so no slot carries.  The
     remaining rows are also reduced at a column with no pivot, dropping zeros.
+    w is the narrowest slot with room for 4 pivots, else 8: reducing every
+    pivot or two (p = 11, 13 in one byte) costs more than wider rows.
     """
     rows, cols = a.shape
-    w = next(w for w in (1, 2, 4, 8) if (p - 1) * p < 256**w)  # a slot holds (p-1) + (p-1)^2
+    w = next((w for w in (1, 2, 4) if (256**w - p) // (p - 1) ** 2 >= 4), 8)
     fmt, size, bits, mask, room = f">u{w}", cols * w, 8 * w, 256**w - 1, (256**w - p) // (p - 1) ** 2
 
     def pack(xs):

@@ -344,20 +344,16 @@ def parse_tom(text: str) -> TableOfMarks:
 
 
 def write_tom(tom: TableOfMarks) -> str:
-    triples = [
-        [i + 1, j + 1, tom.marks[i][j]]
-        for i in range(tom.n)
-        for j in range(i + 1)
-        if tom.marks[i][j]
-    ]
-    data = {
-        "n_classes": tom.n,
-        "orders": list(tom.orders),
-        "marks": triples,
-    }
+    """The bytes of json.dumps(data, indent=1) + "\\n", joined directly: data holds
+    n_classes, orders, the nonzero marks as 1-based [i, j, mark] triples and the
+    program texts, if any (json.dumps quotes each text)."""
+    orders = ",\n  ".join(map(str, tom.orders))
+    triples = ((i + 1, j + 1, m) for i, row in enumerate(tom.marks) for j, m in enumerate(row[: i + 1]) if m)
+    marks = ",\n  ".join(f"[\n   {i},\n   {j},\n   {m}\n  ]" for i, j, m in triples)
+    text = f'{{\n "n_classes": {tom.n},\n "orders": [\n  {orders}\n ],\n "marks": [\n  {marks}\n ]'
     if tom.slps is not None:
-        data["slps"] = [write_slp(p) for p in tom.slps]
-    return json.dumps(data, indent=1) + "\n"
+        text += ',\n "slps": [\n  ' + ",\n  ".join(json.dumps(write_slp(p)) for p in tom.slps) + "\n ]"
+    return text + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ starts and the words as each level is added, so a large group of large
 degree, or with long words, is refused too.  Subgroup classes and the
 subgroup-conjugacy test speak the same indices: a subgroup is the sorted
 array of its element indices, and element i is the Perm table.perms[i].
+Only elements of prime order seed cyclic classes, and a class's conjugates
+come from the least element of each coset of its normalizer, in one gather
+when the normalizer is small.
 
 Permutations act on 0-based points and compose left to right: (p*q)(x) =
 q(p(x)), matching the convention used for row-vector matrix actions so that
@@ -376,28 +379,6 @@ class PermGroup:
             table.inv = inv
         return table
 
-    # -- orbits -----------------------------------------------------------
-
-    def orbit(self, point):
-        """Breadth-first orbit of a point plus its Schreier transversal.
-
-        Returns (orbit, transversal); transversal[x](point) = x.
-        """
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
-        orb = [point]
-        transversal = {point: Perm.identity(self.degree)}
-        i = 0
-        while i < len(orb):
-            x = orb[i]
-            i += 1
-            for g in self.generators:
-                y = g(x)
-                if y not in transversal:
-                    transversal[y] = transversal[x] * g
-                    orb.append(y)
-        return orb, transversal
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
 
@@ -535,12 +516,14 @@ def orbit_minima(n, maps):
 
 
 def _power_maps(table, minima):
-    """Index arrays x -> x^k for unit residues k that generate the units mod the exponent.
+    """Index arrays x -> x^k for unit residues k that generate the units mod the exponent,
+    and the orders of the class minima.
 
-    The exponent e is the lcm of the orders of the class minima; the k are
-    picked greedily, each one not yet in the group the earlier ones generate.
+    The exponent e is the lcm of those orders; the k are picked greedily,
+    each one not yet in the group the earlier ones generate.
     """
-    e = lcm(*(len(_cyclic(table, x)) for x in minima))
+    orders = [len(_cyclic(table, x)) for x in minima]
+    e = lcm(*orders)
     ks, reached = [], {1}
     for k in range(2, e):
         if gcd(k, e) == 1 and k not in reached:
@@ -557,7 +540,27 @@ def _power_maps(table, minima):
                 out = table.mul[out, base]
             base, k = table.mul[base, base], k >> 1
         maps.append(out)
-    return maps
+    return maps, orders
+
+
+def _coset_minima(mul, subgroup, gather):
+    """The least element of each right coset U g of a subgroup U (sorted indices), ascending.
+
+    With gather, one n x |U| gather takes every coset's least element at
+    once (mul.T[g] is the row x -> x g); without, a loop jumps to the next g
+    not yet covered and covers U g, one pass per coset.
+    """
+    n = len(mul)
+    if gather:
+        return np.flatnonzero(mul.T[:, subgroup].min(axis=1) == np.arange(n)).tolist()
+    reps, covered = [], bytearray(n)
+    in_cover = np.frombuffer(covered, dtype=np.uint8)
+    g = 0
+    while g >= 0:
+        reps.append(g)
+        in_cover[mul.T[g].take(subgroup)] = 1
+        g = covered.find(0, g + 1)
+    return reps
 
 
 def _generators_within(table, subgroup):
@@ -592,7 +595,9 @@ def subgroup_classes(group: PermGroup) -> tuple:
     permutations.  A class's conjugates are g^-1 U g for one g per right
     coset N(U)g of its normalizer, which are exactly the distinct ones; they
     are kept on the class, and counted against the byte bound with it, for
-    the marks in compute_tom.
+    the marks in compute_tom.  The g is the least of its coset: for
+    |N(U)|^2 < 512, one n x |N(U)| gather of the products x g finds them all
+    (a loop costs a Python pass per coset), otherwise a loop over the cosets.
 
     Each class is found by the first candidate, in a fixed scan order, that
     generates one of its subgroups, and keeps that candidate's generators.
@@ -602,7 +607,8 @@ def subgroup_classes(group: PermGroup) -> tuple:
     generators do not depend on the skips:
     - a cyclic seed x is skipped when <x> = <y> for an earlier y, that is
       when x = y^k with k prime to the order of y: x is not least in its
-      orbit under the power maps;
+      orbit under the power maps; only x of prime order are seeds at all,
+      their order read off their class minimum's;
     - a perfect seed <a, b> is closed only for b least in its orbit under
       four families of bijections of G: b -> ab, b -> ba, b -> b^k for k
       prime to the exponent of G (the k from _power_maps), and b -> c^-1 b c
@@ -652,16 +658,10 @@ def subgroup_classes(group: PermGroup) -> tuple:
         in_h = np.zeros(n, dtype=bool)
         in_h[h] = True
         normalizer = np.flatnonzero(in_h[table.conjugates(gens)].all(axis=1))
-        # g^-1 U g depends only on the right coset N(U)g: one least g each, by
-        # jumping to the next g not yet covered (mul.T[g] is the row x -> x g)
-        reps = []
-        covered = bytearray(n)
-        in_cover = np.frombuffer(covered, dtype=np.uint8)
-        g = 0
-        while g >= 0:
-            reps.append(g)
-            in_cover[mul.T[g].take(normalizer)] = 1
-            g = covered.find(0, g + 1)
+        # one least g per right coset N(U)g; a gather's n x |N(U)| temporary is charged while it lives
+        gather = len(normalizer) ** 2 < 512
+        check_allocation(f"{len(classes)} subgroup classes and a coset gather", held + gather * 2 * n * len(normalizer))
+        reps = _coset_minima(mul, normalizer, gather)
         # int64 elements and normalizer; per conjugate a row, its key and seen entry; the objects
         held += 8 * (len(h) + len(normalizer)) + len(reps) * (4 * len(h) + 160) + 1280
         check_allocation(f"{len(classes) + 1} subgroup classes with their conjugates", held)
@@ -678,11 +678,12 @@ def subgroup_classes(group: PermGroup) -> tuple:
     add(np.array([0]), ())
     queue = []
     minima, least = _class_minima(table)
-    powers = _power_maps(table, minima)
-    # x is the least generator of <x> when it is least in its orbit under the powers
-    for x in np.flatnonzero(orbit_minima(n, powers) == np.arange(n))[1:].tolist():
+    powers, orders = _power_maps(table, minima)
+    prime_order = np.zeros(n, dtype=bool)  # of x, the same as of its class minimum
+    prime_order[minima] = [is_prime(k) for k in orders]
+    for x in np.flatnonzero(prime_order[least] & (orbit_minima(n, powers) == np.arange(n))).tolist():
         h = np.sort(_cyclic(table, x))
-        if is_prime(len(h)) and key(h) not in seen:
+        if key(h) not in seen:
             queue.append(add(h, (x,)))
 
     # perfect seeds: two-generator closures whose order is divisible by a

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from importlib.resources import files
 
 import pytest
 
@@ -238,6 +239,46 @@ def test_tom_round_trip_with_slps():
     assert back.n == tom.n and back.orders == tom.orders and back.marks == tom.marks
     assert back.slps == tom.slps
     assert parse_tom(write_tom(back)) == back
+
+
+def json_tom(tom):
+    """write_tom's bytes as json's encoder writes them."""
+    data = {
+        "n_classes": tom.n,
+        "orders": list(tom.orders),
+        "marks": [[i + 1, j + 1, m] for i, row in enumerate(tom.marks) for j, m in enumerate(row[: i + 1]) if m],
+    }
+    if tom.slps is not None:
+        data["slps"] = [write_slp(p) for p in tom.slps]
+    return json.dumps(data, indent=1) + "\n"
+
+
+def tom_of(*gens):
+    return compute_tom(PermGroup(gens[0].degree, gens))
+
+
+def without_programs(tom):
+    return TableOfMarks(tom.n, tom.orders, tom.marks)
+
+
+WRITTEN_TOMS = {
+    "s3.tom.json": lambda: parse_tom((files("burnside") / "data" / "s3.tom.json").read_text()),
+    "S5": lambda: tom_of(Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])),
+    "S6": lambda: tom_of(Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])),
+    # x -> x + 1 and x -> -1/x on the projective line over GF(7), infinity = 7
+    "PSL(2,7)": lambda: tom_of(Perm([1, 2, 3, 4, 5, 6, 0, 7]), Perm([7, 6, 3, 2, 5, 4, 1, 0])),
+    "S4 without programs": lambda: without_programs(compute_tom(s4_group())),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_TOMS)
+def test_write_tom_matches_json_dumps(name):
+    tom = WRITTEN_TOMS[name]()
+    text = write_tom(tom)
+    assert text == json_tom(tom)
+    assert ('"slps"' in text) == (tom.slps is not None)
+    if name == "s3.tom.json":  # the bundled file was written by write_tom
+        assert text == (files("burnside") / "data" / name).read_text()
 
 
 def test_tom_builds_each_program_once(monkeypatch):

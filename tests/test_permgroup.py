@@ -19,6 +19,7 @@ from burnside.permgroup import (
     ElementTable,
     Perm,
     _class_minima,
+    _coset_minima,
     _generators_within,
     PermGroup,
     is_conjugate_subgroup,
@@ -118,25 +119,44 @@ def test_perm_inverse_and_power():
 # orbits, order, membership
 
 
+def orbit(degree, gens, point):
+    """Breadth-first orbit of a point plus its Schreier transversal: transversal[x](point) = x.
+
+    The reference for the stabilizer chain (perm_chain below), on Perm objects.
+    """
+    orb, transversal = [point], {point: Perm.identity(degree)}
+    for x in orb:  # the loop extends the list it walks
+        for g in gens:
+            y = g(x)
+            if y not in transversal:
+                transversal[y] = transversal[x] * g
+                orb.append(y)
+    return orb, transversal
+
+
 def test_orbit_trivial_group():
-    g = PermGroup(4, [])
-    orb, trans = g.orbit(2)
+    orb, trans = orbit(4, [], 2)
     assert orb == [2]
     assert trans[2].is_identity()
+    # no generator moves a point: an empty chain, and the order is 1
+    assert PermGroup(4, []).base() == ()
 
 
 def test_orbit_three_cycle():
-    g = PermGroup(3, [cyc(3, (0, 1, 2))])
-    orb, _ = g.orbit(0)
+    orb, _ = orbit(3, [cyc(3, (0, 1, 2))], 0)
     assert sorted(orb) == [0, 1, 2]
+    # the chain's first level is the orbit of its base, 0
+    g = PermGroup(3, [cyc(3, (0, 1, 2))])
+    assert g.base() == (0,) and g.order() == 3
 
 
 def test_orbit_transversal_reconstructs_points():
     g = s3()
-    orb, trans = g.orbit(1)
+    orb, trans = orbit(3, g.generators, 1)
     assert len(orb) == 3
     for point, t in trans.items():
         assert t(1) == point
+        assert t in g
 
 
 def test_group_order_examples():
@@ -168,9 +188,11 @@ def test_orbit_stabilizer():
     for g in (s3(), a4(), s4(), d12()):
         n = g.order()
         for point in range(g.degree):
-            orb, _ = g.orbit(point)
+            orb, _ = orbit(g.degree, g.generators, point)
             stab = sum(1 for x in g.element_words() if x(point) == point)
             assert len(orb) * stab == n
+        # the chain's first level holds one inverse per point of the first base point's orbit
+        assert sorted(g._stabilizer_chain()[0][1]) == sorted(orbit(g.degree, g.generators, g.base()[0])[0])
 
 
 def perm_chain(gens):
@@ -178,9 +200,9 @@ def perm_chain(gens):
     if not gens:
         return []
     base = min(min(i for i, x in enumerate(g.images) if x != i) for g in gens)
-    orbit, transversal = PermGroup(gens[0].degree, gens).orbit(base)
+    points, transversal = orbit(gens[0].degree, gens, base)
     stab, seen = [], set()
-    for x in orbit:
+    for x in points:
         for g in gens:
             sg = transversal[x] * g * transversal[g(x)].inverse()
             if not sg.is_identity() and sg not in seen:
@@ -531,6 +553,29 @@ def test_product_table_builds_no_square_temporary():
         tracemalloc.stop()
     assert table.mul.nbytes == 2 * n * n
     assert table.mul.nbytes <= peak < table.mul.nbytes + n * n // 4
+
+
+@pytest.mark.parametrize("make", [lambda: PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))]), s6, a7,
+                                  lambda: projective_line_psl2(7)], ids=["S5", "S6", "A7", "PSL(2,7)"])
+def test_coset_minima_match_a_search(make):
+    # both branches, on each class representative U and its normalizer N(U):
+    # the least of the products x g over x in U, for every g, one per coset
+    group = make()
+    table = group.multiplication_table()
+    n = len(table.perms)
+    gathered = set()
+    for c in subgroup_classes(group):
+        in_u = np.zeros(n, dtype=bool)
+        in_u[c.elements] = True
+        normalizer = np.flatnonzero(in_u[table.conjugates(c.elements)].all(axis=1))
+        gathered.add(len(normalizer) ** 2 < 512)
+        for h in (c.elements, normalizer):
+            expected = sorted({min(row) for row in table.mul[h].T.tolist()})
+            assert len(expected) == n // len(h)
+            assert _coset_minima(table.mul, h, True) == expected
+            assert _coset_minima(table.mul, h, False) == expected
+    if n == 2520:  # A7: subgroup_classes gathers the cosets of some normalizers and loops over the rest
+        assert gathered == {True, False}
 
 
 @pytest.mark.parametrize("make", [s4, s6], ids=["S4", "S6"])
