@@ -13,12 +13,13 @@ against one shared dict of products, so a product that several classes
 share is computed once.  Tables built by cyclic extension give a class the
 generators of a smaller class plus one more, so the fixed spaces are
 reduced one generator at a time and shared by generator prefix: each
-prefix that several classes share is reduced once.  Only a prefix that a
-longer class extends keeps its basis; a class whose generators no other
-class extends needs one rank, not a basis.  Before decomposing, the
-fixed dimensions are checked against the marks, and after it every
-replayed generator of a class of prime order p against M^p = 1, so
-generators that do not match the table fail with the classes named.
+prefix that several classes share is reduced once, by one left-kernel pass
+over GF(p).  Only a prefix that a longer class extends keeps its basis; a
+class whose generators no other class extends needs one rank, not a basis.
+Before decomposing, the fixed dimensions are checked against the marks and
+the whole group's against its generators, and after it every replayed
+generator of a class of prime order p against M^p = 1, so generators that
+do not match the table fail with the classes named.
 
 census_brute_force is the independent oracle, with no table of marks,
 nullspace or straight-line program.  It works over GF(p) on the n = k*d
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import is_prime, power
-from .ffield import FFMatrix, matmul_mod
+from .ffield import FFMatrix, blow_up, matmul_mod, reduce_mod, row_echelon
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, orbit_minima, subgroup_classes
 from .slp import evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
@@ -125,23 +126,23 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
 
     A row vector v is fixed by the dual (inverse-transpose) action of g
     exactly when v * (g^T - 1) = 0, so the space fixed by g_1 is the left
-    nullspace of g_1^T - 1.  If the rows of B (k x d) are a basis of the
-    space fixed by g_1..g_(r-1), the space fixed by g_1..g_r is spanned by
-    the rows of X * B, where X is the left nullspace of the k x d matrix
-    B * (g_r^T - 1).
+    nullspace of g_1^T - 1.  If the rows of B are a basis of the space fixed
+    by g_1..g_(r-1) (for r = 1, the identity), the space fixed by g_1..g_r
+    has the basis x * B, x * m = 0, for m = B * (g_r^T - 1): the B-parts of
+    the rows of [m | B] whose m-part falls to zero in row_echelon limited to
+    the columns of m.  Over GF(p^k) this runs on the blow-up, whose fixed
+    space has k times the GF(q) dimension.
 
     bases, when given, is filled in and read back.  A generator tuple
-    (g_1..g_r) maps to the basis of its fixed space, or to None while it is
-    only announced: a caller that knows which tuples other calls will
-    extend enters them as keys beforehand.  The basis is kept for every
-    proper prefix, and for the whole tuple only when it is a key; otherwise
-    the last step needs no basis, only the rank of B * (g_r^T - 1), and the
-    dimension is k minus that rank.  A zero B * (g_r^T - 1) says that g_r
-    fixes the whole space, so nothing is eliminated and B carries over.
-    bases also maps each generator g to its block g^T - 1, and (field, d)
-    to the identity those blocks subtract.  Calls that share one dict
-    reduce a shared prefix of their generators once, form each generator's
-    block once, and over GF(p^k) blow one identity up.
+    (g_1..g_r) maps to the basis of its fixed space, GF(p) rows in an int64
+    array, or to None while it is only announced: a caller that knows which
+    tuples other calls will extend enters them as keys beforehand.  The
+    basis is kept for every proper prefix, and for the whole tuple only when
+    it is a key; otherwise the last step eliminates m alone, for its rank.
+    A zero m says that g_r fixes the whole space: nothing is eliminated and
+    B carries over.  bases also maps each generator g to its GF(p) block
+    g^T - 1, so calls that share one dict reduce a shared prefix once and
+    form each block once.
     """
     mats = tuple(mats)
     if not mats:
@@ -151,32 +152,27 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     for m in mats:
         if m.rows != d or m.cols != d or m.field != field:
             raise ValueError("matrices must be square, equal-sized, same field")
-    if d == 0:
-        return 0
     if bases is None:
         bases = {}
+    p, n = field.p, field.k * d
     # start from the longest prefix with a basis, if any
     r = len(mats)
     while r and bases.get(mats[:r]) is None:
         r -= 1
-    basis = bases[mats[:r]] if r else None
+    basis = bases[mats[:r]] if r else np.eye(n, dtype=np.int64)
     for r in range(r + 1, len(mats) + 1):
         g = mats[r - 1]
         block = bases.get(g)
         if block is None:
-            if (field, d) not in bases:
-                bases[field, d] = FFMatrix.identity(field, d)
-            block = bases[g] = g.transpose() - bases[field, d]
-        # for one generator B is the identity, and is left out
-        m = block if basis is None else basis * block
+            block = bases[g] = reduce_mod(blow_up(g.transpose()).array - np.eye(n, dtype=np.int64), p)
+        m = block if r == 1 else matmul_mod(basis, block, p)  # for g_1, B is the identity
         # a zero m says that g fixes every vector of B: nothing is eliminated
         if r == len(mats) and mats not in bases:
-            return m.rows - m.rank() if m.array.any() else m.rows
-        if m.array.any():
-            x = m.nullspace()
-            basis = x if basis is None else x * basis
-        basis = bases[mats[:r]] = bases[field, d] if basis is None else basis
-    return basis.rows
+            return (len(m) - (len(row_echelon(m, p, n)[1]) if m.any() else 0)) // field.k
+        if m.any():
+            basis = row_echelon(np.hstack([m, basis]), p, n)[0]
+        bases[mats[:r]] = basis
+    return len(basis) // field.k
 
 
 def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
@@ -184,9 +180,9 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
 
     A class without generators is the trivial class, which fixes the whole
     dual space.  Generators that do not match the table raise ValueError
-    when a fixed dimension grows along the marks, when the decomposition
-    is not integral, or when a replayed generator of a class of prime
-    order p has M^p != 1.
+    when a fixed dimension grows along the marks, when the whole group's
+    is not that of its generators, when the decomposition is not integral,
+    or when a replayed generator of a class of prime order p has M^p != 1.
     """
     if tom.slps is None:
         raise ValueError("table of marks carries no straight-line programs")
@@ -203,20 +199,24 @@ def census_from_tom(tom: TableOfMarks, action: ModuleAction) -> CensusReport:
     # generators takes a rank and keeps no basis
     bases = dict.fromkeys(tuple(gens[:r]) for gens in class_gens for r in range(1, len(gens)))
     dims = [fixed_space_dim_dual(gens, bases) if gens else action.d for gens in class_gens]
-    _check_fixed_dims(tom, dims)
+    ident = FFMatrix.identity(action.field, action.d)
+    _check_fixed_dims(tom, dims, mats[: tom.slps[-1].n_inputs], ident)
     fixed = [action.q**dim for dim in dims]
     decomp = decompose_fixed_vector(tom, fixed)
     # last, as the only check that costs products
-    _check_prime_order_generators(tom, class_gens, FFMatrix.identity(action.field, action.d))
+    _check_prime_order_generators(tom, class_gens, ident)
     return CensusReport(action.q, action.d, tuple(fixed), decomp, tom.orders)
 
 
-def _check_fixed_dims(tom: TableOfMarks, dims) -> None:
-    """Raise ValueError unless fixed dimensions shrink along the marks.
+def _check_fixed_dims(tom: TableOfMarks, dims, mats, ident) -> None:
+    """Raise ValueError unless fixed dimensions shrink along the marks to that of mats.
 
     marks[i][j] > 0 says that U_j is conjugate to a subgroup of U_i, so U_i
-    fixes a space no larger than U_j does.  Generators that do not match
-    the table's programs break this at once, before any decomposition.
+    fixes a space no larger than U_j does.  The last class, the whole group,
+    fixes what mats, the module generators its program reads, fix: one
+    nullspace of [g_1^T - 1 | g_2^T - 1 | ...], for ident the identity, away
+    from the passes that gave dims.  Generators that do not match the
+    table's programs break this at once, before any decomposition.
     """
     dims = np.array(dims, dtype=np.int64)
     bad = np.argwhere(np.array(tom.marks, dtype=bool) & (dims[:, None] > dims[None, :]))
@@ -225,6 +225,14 @@ def _check_fixed_dims(tom: TableOfMarks, dims) -> None:
         raise ValueError(
             f"class {i + 1} contains a conjugate of class {j + 1} but fixes dimension "
             f"{dims[i]} > {dims[j]}: the generators do not match the table of marks"
+        )
+    d = ident.rows
+    stacked = np.hstack([(m.transpose() - ident).array for m in mats])
+    whole = FFMatrix(ident.field, d, d * len(mats), stacked).nullspace().rows
+    if whole != dims[-1]:
+        raise ValueError(
+            f"class {len(dims)}, the whole group, fixes dimension {dims[-1]} but the module "
+            f"generators its program reads fix dimension {whole}: the generators do not match the table of marks"
         )
 
 

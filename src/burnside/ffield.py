@@ -17,11 +17,13 @@ to share.  Every prime field, GF(2) included, has one product, matmul_mod
 in int64 past it, reduced mod p), and one elimination routine: row_echelon, a
 one-pass Gauss-Jordan elimination on rows packed into Python ints (a bit or
 a byte-aligned slot per entry) that returns the reduced row echelon form.
-Ranks, inverses and nullspaces all come from it.  A matrix over GF(p^k) is
-added, multiplied, inverted and reduced through its blow-up to GF(p).  Each
-GF(p^k) matrix is blown up at most once: the blow-up is kept with the
-matrix, and a result computed over GF(p) keeps the GF(p) matrix it came
-from.  No field with q >= 2^63 is built, so every scalar fits int64.
+Ranks, inverses and nullspaces all come from it, and with a column limit it
+is a left-kernel pass: the rank of m and the x * b with x * m = 0, from
+[m | b].  A matrix over GF(p^k) is added, multiplied, inverted and reduced
+through its blow-up to GF(p).  Each GF(p^k) matrix is blown up at most once:
+the blow-up is kept with the matrix, and a result computed over GF(p) keeps
+the GF(p) matrix it came from.  No field with q >= 2^63 is built, so every
+scalar fits int64.
 """
 
 from __future__ import annotations
@@ -469,30 +471,36 @@ class FFMatrix:
 # prime-field elimination on rows packed into Python ints
 
 
-def row_echelon(a, p: int):
+def row_echelon(a, p: int, limit=None):
     """Gauss-Jordan elimination over GF(p) of a copy of the integer matrix a.
 
     Each pivot clears its column in every other row, so one pass gives the
     reduced row echelon form.  Returns (e, pivots): e is that form, as an
     int64 array, and pivots lists the pivot column of each of its nonzero
     rows.  Rows are packed into ints with column 0 the most significant.
+
+    With a column limit l, pivots are sought in the first l columns only,
+    with no back-substitution, and e holds the nonzero rows left with zeros
+    there, without those l columns.  For a = [m | b], len(pivots) is the
+    rank of m and the rows of e span {x * b : x * m = 0}, a basis of it
+    when the rows of b are independent.
     """
     _check_int64(p, 1)
     a = np.asarray(a, dtype=np.int64)
-    return _row_echelon_gf2(a) if p == 2 else _row_echelon_odd(a, p)
+    return _row_echelon_gf2(a, limit) if p == 2 else _row_echelon_odd(a, p, limit)
 
 
 _BITS = np.arange(61, -1, -1, dtype=np.int64)  # the bit of each column in a chunk of 62
 
 
-def _row_echelon_gf2(a):
+def _row_echelon_gf2(a, limit):
     """row_echelon over GF(2), on rows packed as ints: column c is bit cols - 1 - c.
 
     The reduced form is unique, so any row holding a pivot column may be its
     pivot row: the largest remaining row holds the leftmost remaining column,
     and one XOR clears that column from every other row.  Rows that fall to
-    zero are dropped.  Rows are packed in int64 chunks of 62 bits, and
-    unpacked through their bytes.
+    zero are dropped; a pass stops once the largest has no bit left of the
+    limit.  Rows are packed in int64 chunks of 62 bits, unpacked by bytes.
     """
     rows, cols = a.shape
     rest = []
@@ -501,18 +509,23 @@ def _row_echelon_gf2(a):
         words = ((a[:, s : s + k] & 1) @ (1 << _BITS[-k:])).tolist()
         rest = [x << k | v for x, v in zip(rest, words)] if s else words
     rest = [x for x in rest if x]
+    low = 0 if limit is None else cols - limit  # the bits of the columns past the limit
     done = []
-    while rest:
-        x = max(rest)
+    while rest and (x := max(rest)) >> low:
         bit = 1 << (x.bit_length() - 1)
-        done = [y ^ x if y & bit else y for y in done] + [x]
+        if limit is None:
+            done = [y ^ x if y & bit else y for y in done]
+        done.append(x)
         rest = [z for y in rest if (z := y ^ x if y & bit else y)]
+    pivots = [cols - x.bit_length() for x in done]
+    if limit is not None:  # the rows left take the place of the pivot rows
+        done, rows = rest, len(rest)
     # shifted so that column 0 is the top bit of a row's first byte
     size = -(-cols // 8)
     data = np.frombuffer(b"".join((x << 8 * size - cols).to_bytes(size, "big") for x in done), np.uint8)
     e = np.zeros((rows, cols), dtype=np.int64)
     e[: len(done)] = np.unpackbits(data.reshape(len(done), size), axis=1, count=cols)
-    return e, [cols - x.bit_length() for x in done]
+    return e[:, limit:], pivots
 
 
 @functools.cache
@@ -521,7 +534,7 @@ def _byte_scalings(p):
     return [bytes(v % p * s % p for v in range(256)) for s in range(p)]
 
 
-def _row_echelon_odd(a, p):
+def _row_echelon_odd(a, p, limit):
     """row_echelon over an odd prime, on rows packed as ints: column c is slot cols - 1 - c.
 
     A w-byte slot holds a nonnegative int congruent to its entry.  A row
@@ -529,7 +542,9 @@ def _row_echelon_odd(a, p):
     every row is reduced after each `room` pivots, so no slot carries.  The
     remaining rows are also reduced at a column with no pivot, dropping zeros.
     w is the narrowest slot with room for 4 pivots, else 8: reducing every
-    pivot or two (p = 11, 13 in one byte) costs more than wider rows.
+    pivot or two (p = 11, 13 in one byte) costs more than wider rows.  With
+    a limit, pivot rows are dropped and the pass stops once the reduced
+    remaining rows are zero left of the limit.
     """
     rows, cols = a.shape
     w = next((w for w in (1, 2, 4) if (256**w - p) // (p - 1) ** 2 >= 4), 8)
@@ -546,9 +561,10 @@ def _row_echelon_odd(a, p):
             return data.translate(_byte_scalings(p)[s])
         return (np.frombuffer(data, fmt) % p * s % p).astype(fmt).tobytes()
 
+    low = 0 if limit is None else (cols - limit) * bits  # the bits of the slots past the limit
     rest = unpack((a % p).astype(fmt).tobytes())
     done, pivots, clean = [], [], 0  # the remaining rows were last reduced after `clean` pivots
-    for c in range(cols):
+    for c in range(cols if limit is None else limit):
         if not rest:
             break
         shift = (cols - 1 - c) * bits
@@ -558,17 +574,23 @@ def _row_echelon_odd(a, p):
         else:  # no pivot in column c
             if clean < len(pivots):
                 rest, clean = unpack(scale(pack(rest))), len(pivots)
+            if max(rest, default=0) >> low == 0:  # no reduced row has an entry before the limit
+                break
             continue
         del rest[i]
         x = int.from_bytes(scale(x.to_bytes(size, "big"), pow((x >> shift & mask) % p, -1, p)), "big")
-        done = [y + -(y >> shift & mask) % p * x for y in done] + [x]
+        if limit is None:
+            done = [y + -(y >> shift & mask) % p * x for y in done] + [x]
         rest = [y + -(y >> shift & mask) % p * x for y in rest]
         pivots.append(c)
         if len(pivots) % room == 0:
             done, rest, clean = unpack(scale(pack(done))), unpack(scale(pack(rest))), len(pivots)
+    if limit is not None:  # the rows left, reduced, take the place of the pivot rows
+        done = unpack(scale(pack(rest))) if clean < len(pivots) else rest
+        rows = len(done)
     e = np.zeros((rows, cols), dtype=np.int64)
     e[: len(done)] = np.frombuffer(pack(done), fmt).reshape(len(done), cols) % p
-    return e, pivots
+    return e[:, limit:], pivots
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,8 @@ def test_fixed_space_dim_basics():
     assert fixed_space_dim_dual([transvection]) == 1
     assert fixed_space_dim_dual([FFMatrix.identity(f, 3)]) == 3
     assert fixed_space_dim_dual([transvection, transvection.transpose()]) == 0
+    empty = FFMatrix(ExtField(2, 2), 0, 0, [])
+    assert fixed_space_dim_dual([empty]) == fixed_space_dim_dual([empty, empty], {(empty,): None}) == 0
     with pytest.raises(ValueError):
         fixed_space_dim_dual([])
     with pytest.raises(ValueError):
@@ -339,8 +341,8 @@ def test_a_generator_fixing_the_space_so_far_is_not_eliminated(monkeypatch):
     h = FFMatrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])  # fixes e1 and e3 too
     k = FFMatrix.from_rows(f, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])  # fixes e2 and e3
     one = FFMatrix.identity(f, 3)
-    calls = counting(monkeypatch, ffield, "row_echelon")
-    # (generators, announced tuples, fixed dimension, eliminations)
+    calls = counting(monkeypatch, census, "row_echelon")
+    # (generators, announced tuples, fixed dimension, kernel passes)
     for mats, announced, dim, eliminations in [
         ((one,), (), 3, 0),
         ((one, one), (), 3, 0),
@@ -355,7 +357,8 @@ def test_a_generator_fixing_the_space_so_far_is_not_eliminated(monkeypatch):
         assert fixed_space_dim_dual(mats, bases) == dim
         assert len(calls) == eliminations
     # the basis carries over: the one before it, or for the first generator the identity
-    assert bases[one,] is bases[f, 3] and bases[one, g, h] is bases[one, g]
+    assert bases[one, g, h] is bases[one, g]
+    assert np.array_equal(bases[one,], np.eye(3))
 
 
 def stacked_fixed_dim(mats):
@@ -422,12 +425,15 @@ def test_census_reduces_each_generator_prefix_once(monkeypatch):
     reduced = {g for g in steps if stacked_fixed_dim(g) < dim_before[g]}
     assert len(reduced) < len(steps)
     expected = per_class_report(tom, action)
-    nullspaces = counting(monkeypatch, FFMatrix, "nullspace")
-    ranks = counting(monkeypatch, FFMatrix, "rank")
-    blocks = counting(monkeypatch, FFMatrix, "__sub__")
+    passes = counting(monkeypatch, census, "row_echelon")
+    blocks = counting(monkeypatch, census, "blow_up")
     assert census_from_tom(tom, action) == expected
-    assert len(nullspaces) == len(set(prefixes) & reduced)
-    assert len(ranks) == len(set(leaves) & reduced)
+    # a prefix eliminates [m | B], a leaf m alone, both over the d columns of m
+    assert all(limit == action.d for _, _, limit in passes)
+    widths = [a.shape[1] for a, _, _ in passes]
+    assert widths.count(2 * action.d) == len(set(prefixes) & reduced)
+    assert widths.count(action.d) == len(set(leaves) & reduced)
+    assert len(passes) == len(set(prefixes) & reduced) + len(set(leaves) & reduced)
     assert len(blocks) == len({m for g in gens for m in g})
 
 
@@ -614,39 +620,50 @@ def test_gf4_census_blows_each_matrix_up_once(monkeypatch):
     tom = compute_tom(group)
     expected = census_from_tom(tom, ModuleAction([blow_up(m) for m in action.matrices]))
     action = ModuleAction([FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices])
+    for m in action.matrices:  # blown up by ModuleAction's checks
+        m._blown = None
     computed = []  # every matrix whose blow-up was computed, not read back
-    built = []  # the matrices FFMatrix.identity returned, kept so ids stay unique
-    identities = []  # per fixed_space_dim_dual call, the identities blown up
-    original, fixed_dim, identity = ffield.blow_up, census.fixed_space_dim_dual, FFMatrix.identity
+    inside = []  # GF(4) products and blow-downs made inside fixed_space_dim_dual
+    original, fixed_dim = ffield.blow_up, census.fixed_space_dim_dual
+    mul, blow_down = FFMatrix.__mul__, ffield._blow_down
 
     def spy(m):
         if m.field.k > 1 and m._blown is None:
             computed.append(m)
-            if any(m is x for x in built):
-                identities[-1] += 1
         return original(m)
 
-    def spy_identity(cls, field, n):
-        m = identity(field, n)
-        built.append(m)
-        return m
+    def spy_mul(a, b):
+        if inside and a.field.k > 1:
+            inside.append("product")
+        return mul(a, b)
+
+    def spy_blow_down(field, m):
+        if inside:
+            inside.append("blow-down")
+        return blow_down(field, m)
 
     def per_call(*args):
-        identities.append(0)
-        return fixed_dim(*args)
+        inside.append("call")
+        try:
+            return fixed_dim(*args)
+        finally:
+            inside.remove("call")
 
     monkeypatch.setattr(ffield, "blow_up", spy)
-    monkeypatch.setattr(FFMatrix, "identity", classmethod(spy_identity))
+    monkeypatch.setattr(census, "blow_up", spy)
+    monkeypatch.setattr(FFMatrix, "__mul__", spy_mul)
+    monkeypatch.setattr(ffield, "_blow_down", spy_blow_down)
     monkeypatch.setattr(census, "fixed_space_dim_dual", per_call)
     report = census_from_tom(tom, action)
     assert dataclasses.replace(report, q=2, dim=2 * action.d) == expected
-    assert sum(identities) == 1  # the calls of one census share an identity
-    # one call that forms a block for each of two fresh generators
+    assert len({id(m) for m in computed}) == len(computed)  # no GF(4) matrix is blown up twice
+    assert [sum(x is m for x in computed) for m in action.matrices] == [1] * len(action.matrices)
+    assert inside == []
+    # one call that forms a block for each fresh generator, and blows each up once
     fresh = [FFMatrix(m.field, m.rows, m.cols, m.array) for m in action.matrices]
+    del computed[:]
     assert 4 ** census.fixed_space_dim_dual(fresh) == report.fixed[-1]
-    assert identities[-1] == 1
-    assert computed
-    assert len({id(m) for m in computed}) == len(computed)
+    assert len(computed) == len(fresh) and inside == []
 
 
 def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
@@ -671,6 +688,51 @@ def test_swapped_generators_break_the_fixed_dim_invariant(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "class 7 contains a conjugate of class 2" in captured.err
+
+
+def test_a_miscounted_top_class_fails_the_top_class_check(monkeypatch, tmp_path, capsys):
+    # A5 on its GF(3) permutation module fixes the line of the all-ones
+    # vector; one dimension short for the whole group still shrinks along
+    # the marks, and only the top-class check sees it
+    group = PermGroup(5, [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    tom = compute_tom(group)
+    mats = [_perm_matrix(PrimeField(3), g) for g in group.generators]
+    top = tuple(evaluate(tom.slps[-1], mats))
+    original = census.fixed_space_dim_dual
+
+    def miscount(gens, bases=None):
+        dim = original(gens, bases)
+        return dim - 1 if tuple(gens) == top else dim
+
+    monkeypatch.setattr(census, "fixed_space_dim_dual", miscount)
+    message = "class 9, the whole group, fixes dimension 0 but the module generators its program reads fix dimension 1"
+    with pytest.raises(ValueError, match=message):
+        census_from_tom(tom, ModuleAction(mats))
+    tom_file = tmp_path / "a5.tom.json"
+    tom_file.write_text(write_tom(tom))
+    files = []
+    for i, m in enumerate(mats, 1):
+        files.append(tmp_path / f"g{i}.mtx")
+        files[-1].write_text(write_meataxe(m))
+    code = main(["census", "tom", "--tom", str(tom_file), "--gens", ",".join(map(str, files)), "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_the_top_class_check_reads_only_the_matrices_the_programs_read():
+    # C3 on GF(2)^2 + GF(2), and a matrix no program reads that moves the
+    # trivial summand's dual: with it the stacked fixed space shrinks
+    group, action = pair_c3()
+    tom = compute_tom(group)
+    assert [prog.n_inputs for prog in tom.slps] == [1, 1]
+    g = _direct_sum(action.matrices, 1)
+    extra = FFMatrix.from_rows(PrimeField(2), [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    assert stacked_fixed_dim([g, extra]) == 0 < stacked_fixed_dim([g]) == 1
+    narrow = census_from_tom(tom, ModuleAction([g]))
+    assert narrow.fixed == (8, 2)
+    assert census_from_tom(tom, ModuleAction([g, extra])) == narrow
 
 
 def test_swapped_generators_fail_the_prime_order_check(tmp_path, capsys):

@@ -644,16 +644,69 @@ def test_odd_packed_rows_reduce_in_mid_elimination(p):
     assert pivots == list(range(n)) and (e == np.eye(n, dtype=np.int64)).all()
 
 
+def rref_rows(a, p):
+    """The nonzero rows of the reduced row echelon form of a, as lists."""
+    e, pivots = row_echelon(a, p)
+    return e[: len(pivots)].tolist()
+
+
+def assert_column_limited_pass(m, b):
+    """One pass over the columns of m of [m | b]: the pivots of m, and rows
+    spanning the x * b with x * m = 0, a basis when b's rows are independent."""
+    p = m.field.p
+    a = np.hstack([m.array, b.array])
+    before = a.copy()
+    e, pivots = row_echelon(a, p, m.cols)
+    assert (a == before).all()
+    assert pivots == row_echelon(m.array, p)[1] and len(pivots) == m.rank()
+    assert e.dtype == np.int64 and e.shape[1] == b.cols and ((e >= 0) & (e < p)).all()
+    assert e.any(axis=1).all()  # no zero rows
+    assert rref_rows(e, p) == rref_rows((m.nullspace() * b).array, p)
+    if b.rank() == b.rows:
+        assert len(e) == m.rows - len(pivots)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 127, 3037000493])
+def test_column_limited_pass_gives_rank_and_left_kernel_image(p):
+    f = PrimeField(p)
+    rng = random.Random(p % 1000)
+
+    def low_rank(rows, cols, t):
+        return random_matrix(f, rows, t, rng) * random_matrix(f, t, cols, rng)
+
+    # (m, b): no rows, a zero m, a b of width 0, and random and low-rank m
+    # beside square, wide and narrow b; 24 pivots pass the room of the packed
+    # slots over GF(5), GF(7), GF(127) and GF(3037000493)
+    cases = [(FFMatrix.zero(f, 0, 5), FFMatrix.zero(f, 0, 3)),
+             (FFMatrix.zero(f, 4, 6), random_matrix(f, 4, 4, rng)),
+             (random_matrix(f, 5, 4, rng), FFMatrix.zero(f, 5, 0)),
+             (random_matrix(f, 3, 3, rng), FFMatrix.identity(f, 3))]
+    for k, c, w in ((3, 12, 12), (12, 3, 5), (6, 6, 6), (1, 7, 2), (7, 1, 7), (24, 26, 24), (30, 24, 4)):
+        cases.append((random_matrix(f, k, c, rng), random_matrix(f, k, w, rng)))
+        cases.append((low_rank(k, c, min(k, c) // 2 + 1), random_matrix(f, k, w, rng)))
+    cases.append((low_rank(9, 9, 4), FFMatrix.identity(f, 9)))
+    if p == 2:
+        # total widths of 61, 62, 63 and 130 meet and cross the 62-bit chunks
+        for c, w in ((30, 31), (31, 31), (40, 23), (62, 1), (1, 62), (65, 65), (70, 60)):
+            for k in (5, 40, 70):
+                cases.append((random_matrix(f, k, c, rng), random_matrix(f, k, w, rng)))
+                cases.append((low_rank(k, c, 3), random_matrix(f, k, w, rng)))
+    ranks = {assert_column_limited_pass(m, b) for m, b in cases}
+    assert ranks >= {0, 1, 24}
+
+
 @pytest.mark.parametrize("f", [GF2, GF4, GF3, GF5, GF9], ids=repr)
 def test_census_tom_eliminates_on_packed_rows(monkeypatch, tmp_path, capsys, f):
-    shapes = []
+    shapes, limits = [], []
     name = "_row_echelon_gf2" if f.p == 2 else "_row_echelon_odd"
     packed = getattr(ffield, name)
 
-    def spy(a, *p):
+    def spy(a, *args):
         shapes.append(a.shape)
-        assert p == (() if f.p == 2 else (f.p,))
-        return packed(a, *p)
+        limits.append(args[-1])
+        assert args[:-1] == (() if f.p == 2 else (f.p,))
+        return packed(a, *args)
 
     monkeypatch.setattr(ffield, name, spy)
     gens = []
@@ -666,6 +719,8 @@ def test_census_tom_eliminates_on_packed_rows(monkeypatch, tmp_path, capsys, f):
     assert main(["census", "tom", "--tom", str(tom), "--gens", ",".join(map(str, gens)), "--q", str(f.q)]) == 0
     assert capsys.readouterr().out.startswith("regular_orbits ")
     assert shapes and all(c % f.k == 0 for _, c in shapes)
+    # the fixed spaces take column-limited passes, the top-class check a nullspace
+    assert {limit is None for limit in limits} == {False, True}
 
 
 def test_rank_nullity():
