@@ -155,16 +155,17 @@ def fixed_space_dim_dual(mats, bases=None) -> int:
     if bases is None:
         bases = {}
     p, n = field.p, field.k * d
+    ident = np.eye(n, dtype=np.int64)
     # start from the longest prefix with a basis, if any
     r = len(mats)
     while r and bases.get(mats[:r]) is None:
         r -= 1
-    basis = bases[mats[:r]] if r else np.eye(n, dtype=np.int64)
+    basis = bases[mats[:r]] if r else ident
     for r in range(r + 1, len(mats) + 1):
         g = mats[r - 1]
         block = bases.get(g)
         if block is None:
-            block = bases[g] = reduce_mod(blow_up(g.transpose()).array - np.eye(n, dtype=np.int64), p)
+            block = bases[g] = reduce_mod(blow_up(g.transpose()).array - ident, p)
         m = block if r == 1 else matmul_mod(basis, block, p)  # for g_1, B is the identity
         # a zero m says that g fixes every vector of B: nothing is eliminated
         if r == len(mats) and mats not in bases:
