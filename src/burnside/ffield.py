@@ -23,12 +23,13 @@ is a left-kernel pass: the rank of m and the x * b with x * m = 0, from
 through its blow-up to GF(p).  Each GF(p^k) matrix is blown up at most once:
 the blow-up is kept with the matrix, and a result computed over GF(p) keeps
 the GF(p) matrix it came from.  No field with q >= 2^63 is built, so every
-scalar fits int64.
+scalar fits int64.  Fields are immutable; the readers share one per modulus (gf).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -72,7 +73,7 @@ class ExtField:
         self.zero = 0
         self.one = 1
         self._base = self  # GF(p), where blow-ups live
-        self._red = []  # digits of z^j for j = k .. 2k-2, used to fold products back down
+        self._red = ()  # digits of z^j for j = k .. 2k-2, used to fold products back down
         if k == 1:
             return  # x + c is irreducible, and GF(p) blows up to itself
         self._base = PrimeField(p)
@@ -84,7 +85,8 @@ class ExtField:
             zpow.append(zpow[-1] * z)
         # Z^0, ..., Z^(k-1) as flat rows: row s of Z^u holds the digits of z^(u+s)
         self._zpow = np.stack([m.array for m in zpow]).reshape(k, k * k)
-        self._red = zpow[-1].to_rows()[1:]
+        self._zpow.flags.writeable = False
+        self._red = tuple(map(tuple, zpow[-1].to_rows()[1:]))
 
     def coeffs(self, a) -> tuple:
         p = self.p
@@ -94,6 +96,22 @@ class ExtField:
         if len(c) > self.k:
             raise ValueError("too many coefficients")
         return sum((ci % self.p) * self.p**i for i, ci in enumerate(c))
+
+    def encode(self, entries) -> np.ndarray:
+        """from_coeffs of each coefficient list of ints in entries, as one int64 array.
+
+        Shorter lists are padded with zeros.  Coefficients are reduced mod p,
+        those outside int64 in Python before they reach numpy.
+        """
+        p = self.p
+        digits = list(itertools.zip_longest(*entries, fillvalue=0))  # one tuple per degree
+        if len(digits) > self.k:
+            raise ValueError("too many coefficients")
+        try:
+            a = np.array(digits, dtype=np.int64)
+        except OverflowError:
+            a = np.array([[c % p for c in d] for d in digits], dtype=np.int64)
+        return p ** np.arange(len(digits)) @ reduce_mod(a.reshape(len(digits), len(entries)), p)
 
     def add(self, a, b):
         if self.p == 2:
@@ -183,6 +201,13 @@ class PrimeField(ExtField):
 
     def __init__(self, p: int):
         super().__init__(p, 1, (0, 1))
+
+
+@functools.cache
+def gf(p: int, k: int, modulus: tuple | None) -> ExtField:
+    """GF(p^k) modulo `modulus` (default_modulus when None), built and Rabin-tested once
+    per process for the readers to share; a build that raises is not kept, and raises again."""
+    return PrimeField(p) if k == 1 and modulus is None else ExtField(p, k, modulus)
 
 
 def _companion(modulus, base) -> FFMatrix:
@@ -445,12 +470,13 @@ class FFMatrix:
         return FFMatrix(f, free.size, n, basis)
 
     def rank(self):
-        """The rank, eliminating whichever of the matrix and its transpose has fewer columns."""
+        """The rank: the pivots of the matrix or its transpose, whichever has fewer
+        columns, found without back-substitution."""
         f = self.field
         if f.k > 1:
             return blow_up(self).rank() // f.k
         a = self.array if self.cols <= self.rows else self.array.T
-        return len(row_echelon(a, f.p)[1])
+        return len(row_echelon(a, f.p, a.shape[1])[1])
 
     def inverse(self):
         if self.rows != self.cols:

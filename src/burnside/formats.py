@@ -19,12 +19,13 @@ import json
 import operator
 import re
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
 from .chartab import CharacterRow, CharacterTable
 from .cyclotomic import Cyclotomic
-from .ffield import ExtField, FFMatrix, PrimeField
+from .ffield import FFMatrix, gf
 from .permgroup import Perm, check_allocation
 from .slp import MUL, POW, SLProgram
 from .tom import TableOfMarks, marks_from_triples
@@ -112,7 +113,7 @@ def parse_meataxe(text: str):
             raise ParseError("mode 12 requires q = 1", 1, 1)
         return _parse_perms(lines, rows, cols)
     with _reraise():
-        field = PrimeField(q)
+        field = gf(q, 1, None)
     if mode == 1:
         if q > 9:
             raise ParseError("mode 1 requires q <= 9", 1, 1)
@@ -199,8 +200,9 @@ def write_meataxe(obj, mode: int | None = None) -> str:
             raise ValueError(f"matrices cannot be written in mode {mode}")
         if mode == 1 and field.q > 9:
             raise ValueError("mode 1 requires q <= 9")
-        sep = "" if mode == 1 else " "
-        body = [sep.join(str(v) for v in obj.row(i)) for i in range(obj.rows)]
+        # mode 1 has one ASCII digit an entry: a row is the bytes of ord("0") + its entries
+        body = ([r.tobytes().decode() for r in (obj.array + 48).astype(np.uint8)] if mode == 1
+                else [" ".join(str(v) for v in obj.row(i)) for i in range(obj.rows)])
         head = f"{mode} {field.q} {obj.rows} {obj.cols}"
         return "\n".join([head] + body) + "\n"
     perms = list(obj)
@@ -269,23 +271,26 @@ def parse_ext_matrix(text: str, modulus=None) -> FFMatrix:
             raise ParseError(f"ext matrix: modulus {stored} conflicts with {list(modulus)}", 1, 1)
         modulus = stored
     with _reraise():
-        field = ExtField(p, k, None if modulus is None else tuple(modulus))
+        field = gf(p, k, None if modulus is None else tuple(modulus))
     if len(body) != rows:
         raise ParseError(f"expected {rows} entry rows, found {len(body)}", 1, 1)
-    entries = []
-    for i, row in enumerate(body):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"entry row {i + 1} must be a list of {cols} scalars", 1, 1)
-        for j, scalar in enumerate(row):
-            if not isinstance(scalar, list) or len(scalar) > k or not all(map(_is_int, scalar)):
-                raise ParseError(
-                    f"entry ({i + 1},{j + 1}) must be a coefficient list of length <= {k}",
-                    1,
-                    1,
-                )
-            entries.append(field.from_coeffs(scalar))
+    # in bulk: rows are lists (else flat = [None]) of cols scalars, each a list of at most k ints
+    flat = list(chain.from_iterable(body)) if set(map(type, body)) <= {list} else [None]
+    if (set(map(type, flat)) - {list} or set(map(len, body)) - {cols} or max(map(len, flat), default=0) > k
+            or set(map(type, chain.from_iterable(flat))) - {int}):
+        _ext_fault(body, cols, k)
     with _reraise():  # rows = 0 with cols < 0
-        return FFMatrix(field, rows, cols, entries)
+        return FFMatrix(field, rows, cols, field.encode(flat))
+
+
+def _ext_fault(body, cols, k):
+    """Raise the error of the first bad entry row or scalar of body, in row-major order."""
+    for i, row in enumerate(body, 1):
+        if type(row) is not list or len(row) != cols:
+            raise ParseError(f"entry row {i} must be a list of {cols} scalars", 1, 1)
+        for j, scalar in enumerate(row, 1):
+            if type(scalar) is not list or len(scalar) > k or not all(map(_is_int, scalar)):
+                raise ParseError(f"entry ({i},{j}) must be a coefficient list of length <= {k}", 1, 1)
 
 
 def write_ext_matrix(m: FFMatrix) -> str:

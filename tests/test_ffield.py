@@ -126,6 +126,16 @@ def test_fields_are_equal_by_p_k_and_modulus():
     assert ExtField(2, 3) == ExtField(2, 3, (1, 1, 0, 1)) != ExtField(2, 3, (1, 0, 1, 1))
 
 
+def test_encode_is_from_coeffs_of_each_list():
+    rng = random.Random(41)
+    for f in (GF2, GF4, GF9, GF3_7, ExtField(2**31 - 1, 2)):
+        entries = [[rng.randrange(-(2**70), 2**70) for _ in range(rng.randrange(f.k + 1))] for _ in range(30)]
+        assert f.encode(entries).tolist() == [f.from_coeffs(c) for c in entries]
+        assert f.encode([[]] * 3).tolist() == [0, 0, 0] and f.encode([]).tolist() == []
+        with pytest.raises(ValueError, match="too many coefficients"):
+            f.encode([[1]] * 2 + [[0] * (f.k + 1)])
+
+
 def poly_mul(a, b, p):
     """Product over GF(p) of two polynomials given as ascending coefficient tuples."""
     out = [0] * (len(a) + len(b) - 1)
@@ -749,9 +759,11 @@ def test_rank_equals_rank_of_the_transpose():
 def test_rank_eliminates_the_side_with_fewer_columns(monkeypatch):
     shapes = []
 
-    def spy(a, p):
+    def spy(a, p, limit=None):
+        # a rank counts pivots: the limit is the whole eliminated width
+        assert limit == np.shape(a)[1]
         shapes.append(np.shape(a))
-        return row_echelon(a, p)
+        return row_echelon(a, p, limit)
 
     monkeypatch.setattr("burnside.ffield.row_echelon", spy)
     rng = random.Random(29)

@@ -225,6 +225,128 @@ def test_ext_matrix_over_an_unrepresentable_field_is_a_parse_error():
         parse_ext_matrix(text)
 
 
+def ext_doc(entries, rows=None, cols=None, p=2, k=2):
+    """An ext-matrix file; rows and cols default to the shape of entries."""
+    rows = len(entries) if rows is None else rows
+    cols = len(entries[0]) if cols is None else cols
+    return json.dumps({"p": p, "k": k, "rows": rows, "cols": cols, "entries": entries})
+
+
+def entry_fault(i, j):
+    return f"entry ({i},{j}) must be a coefficient list of length <= 2 at line 1, column 1"
+
+
+def row_fault(i, cols):
+    return f"entry row {i} must be a list of {cols} scalars at line 1, column 1"
+
+
+# each malformed GF(4) body with the ParseError text the per-entry reader gave it
+EXT_FAULTS = [
+    (ext_doc([[[1]], 5]), row_fault(2, 1)),  # a row that is not a list
+    (ext_doc([[[1]], "ab"], cols=1), row_fault(2, 1)),
+    (ext_doc([[[1]], {"a": 1}], cols=1), row_fault(2, 1)),
+    (ext_doc([[[1], [0]]], cols=1), row_fault(1, 1)),  # rows of the wrong length
+    (ext_doc([[[1]], []]), row_fault(2, 1)),
+    (ext_doc([[[1], [1]]], cols=-1), row_fault(1, -1)),
+    (ext_doc([[5]]), entry_fault(1, 1)),  # scalars that are not lists
+    (ext_doc([[None]]), entry_fault(1, 1)),
+    (ext_doc([[{"0": 1}]]), entry_fault(1, 1)),
+    (ext_doc([[[1, 0, 1]]]), entry_fault(1, 1)),  # longer than k
+    (ext_doc([[[[1]]]]), entry_fault(1, 1)),  # coefficients that are not ints
+    (ext_doc([[[True]]]), entry_fault(1, 1)),
+    (ext_doc([[[0, False]]]), entry_fault(1, 1)),
+    (ext_doc([[[1.0]]]), entry_fault(1, 1)),
+    (ext_doc([[["1"]]]), entry_fault(1, 1)),
+    (ext_doc([[[None]]]), entry_fault(1, 1)),
+    # the first fault in row-major order, after valid entries
+    (ext_doc([[[1], [0, 1]], [[1], [1, 1, 1]]]), entry_fault(2, 2)),
+    (ext_doc([[[1], [0, 1, 0]], [[1]]]), entry_fault(1, 2)),
+    (ext_doc([[[1, 0, 1]], 5]), entry_fault(1, 1)),
+    (ext_doc([[[1], [0, 1]], [[1], [1]], [[1], 1.5]]), entry_fault(3, 2)),
+    (ext_doc([[[1], [0, 1]], [[1], [1]], [[1]]], cols=2), row_fault(3, 2)),
+    (ext_doc([[[1], [0, 1]], [[1], [1]], [[1], [0]]], cols=1), row_fault(1, 1)),
+]
+
+
+@pytest.mark.parametrize("text,message", EXT_FAULTS)
+def test_ext_matrix_fault_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_ext_matrix(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,rows",
+    [
+        (ext_doc([[[], [1]], [[0], [0, 1]]]), [[0, 1], [0, 2]]),  # lists shorter than k
+        (ext_doc([[[-1, -2], [-3, 4]]], p=3), [[5, 3]]),  # negative coefficients
+        (ext_doc([[[2**63, 2**64 + 1], [-(2**63) - 1, 2**100]]]), [[2, 1]]),  # past int64
+        (ext_doc([[[2**63 + 1, 2**63 - 1]]], p=3), [[3]]),
+        (ext_doc([], cols=0), []),  # 0 x 0
+        (ext_doc([[], []], cols=0), [[], []]),  # 0 columns
+    ],
+)
+def test_ext_matrix_accepted_bodies(text, rows):
+    m = parse_ext_matrix(text)
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
+    assert m.to_rows() == rows
+    data = json.loads(text)
+    field = ExtField(data["p"], data["k"])
+    assert m.to_rows() == [[field.from_coeffs(c) for c in row] for row in data["entries"]]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_ext_matrix_round_trip_equals_from_coeffs(p, k):
+    field = ExtField(p, k)
+    m = random_matrix(field, 5, 4, random.Random(p * 10 + k))
+    data = json.loads(write_ext_matrix(m))
+    back = parse_ext_matrix(write_ext_matrix(m))
+    assert back == m
+    assert back.to_rows() == [[field.from_coeffs(c) for c in row] for row in data["entries"]]
+
+
+def test_ext_matrix_files_share_one_field_per_modulus():
+    def read(modulus):
+        stored = f'"modulus": {modulus}, ' if modulus else ""
+        return parse_ext_matrix(f'{{"p": 3, "k": 2, {stored}"rows": 1, "cols": 1, "entries": [[[1, 2]]]}}')
+
+    a, b = read([2, 2, 1]), read([2, 2, 1])
+    assert a.field is b.field
+    assert read(None).field is read(None).field
+    other = read([1, 0, 1])
+    assert other.field is not a.field and other.field != a.field
+    assert (a * a).field is a.field  # products take the `self is other` path
+    assert parse_meataxe("1 3 1 1\n2\n").field is parse_meataxe("5 3 1 1\n2\n").field
+    # a shared field cannot be changed
+    with pytest.raises(ValueError):
+        a.field._zpow[0, 0] = 1
+
+
+def test_ext_matrix_reducible_modulus_raises_on_every_read():
+    text = '{"p": 2, "k": 2, "modulus": [1, 0, 1], "rows": 1, "cols": 1, "entries": [[[1]]]}'
+    for _ in range(3):
+        with pytest.raises(ParseError, match="reducible"):
+            parse_ext_matrix(text)
+
+
+def reference_write_matrix(m, mode):
+    """write_meataxe of a matrix as it was written one str() per entry."""
+    sep = "" if mode == 1 else " "
+    body = [sep.join(str(v) for v in m.row(i)) for i in range(m.rows)]
+    return "\n".join([f"{mode} {m.field.q} {m.rows} {m.cols}"] + body) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_write_meataxe_matches_the_per_entry_writer(q):
+    rng = random.Random(q)
+    field = PrimeField(q)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (28, 28)):
+        m = random_matrix(field, rows, cols, rng)
+        for mode in (1, 5) if q <= 9 else (5,):
+            assert write_meataxe(m, mode) == reference_write_matrix(m, mode)
+        assert write_meataxe(m) == reference_write_matrix(m, 1 if q <= 9 else 5)
+
+
 # ---------------------------------------------------------------------------
 # tables of marks
 
