@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import is_prime, power
-from .ffield import FFMatrix, blow_up, matmul_mod, reduce_mod, row_echelon
+from .ffield import FFMatrix, _check_int64, blow_up, matmul_mod, reduce_mod, row_echelon
 from .permgroup import PermGroup, check_allocation, is_conjugate_subgroup, orbit_minima, subgroup_classes
 from .slp import evaluate
 from .tom import TableOfMarks, decompose_fixed_vector
@@ -256,6 +256,38 @@ def _check_prime_order_generators(tom: TableOfMarks, class_gens, ident) -> None:
             )
 
 
+def element_images(table, gen_images) -> np.ndarray:
+    """Image of every element of an ElementTable, by index, under generators -> gen_images.
+
+    Returns an (n, D, D) int64 array over GF(p): the blow-ups of the
+    images, for gen_images FFMatrices over GF(p^k) with D = k * size.
+    Images are built one breadth-first level at a time, with one batched
+    product per level, and then checked on every Cayley edge,
+    image(x * g_k) == image(x) * gen_images[k], with one batched product
+    per generator.  Those edges carry all defining relations of the
+    group, so a ValueError here means the generator images do not
+    define a homomorphism.  blow_up is an injective ring homomorphism,
+    so the check over GF(p) is the check over GF(p^k).
+    """
+    n, r = table.right.shape
+    if len(gen_images) != r:
+        raise ValueError(f"{r} group generators but {len(gen_images)} matrices")
+    gens = np.stack([blow_up(m).array for m in gen_images])
+    p, size = gen_images[0].field.p, gens.shape[1]
+    _check_int64(p, size)
+    # the images and, at one level, both gathered operands, their
+    # float64 copies and the product (in the check, fewer)
+    check_allocation(f"the images of {n} elements", 6 * n * size * size * 8)
+    images = np.empty((n, size, size), dtype=np.int64)
+    images[0] = np.eye(size, dtype=np.int64)
+    for i, k, j in table.levels:
+        images[j] = matmul_mod(images[i], gens[k], p)
+    for k in range(r):
+        if not np.array_equal(images[table.right[:, k]], matmul_mod(images, gens[k], p)):
+            raise ValueError("matrices are not aligned with the group generators")
+    return images
+
+
 def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None:
     """Check that generator-aligned matrices define an action of the group.
 
@@ -263,7 +295,7 @@ def validate_action_homomorphism(group: PermGroup, action: ModuleAction) -> None
     and verifies image(g * gen_i) == image(g) * mat_i throughout; that covers
     all defining relations, including collapses under a non-faithful action.
     """
-    group.element_table().images(action.matrices)
+    element_images(group.element_table(), action.matrices)
 
 
 def _classify_stabilizer(group, classes, stab):
@@ -312,7 +344,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     nbytes = 8 * ((gens + 4) * space + n * ((gens + 1) * (lows + highs) + gens * per_block * lows))
     check_allocation(f"the brute-force census of {space} dual vectors", nbytes)
     table = group.element_table()
-    duals = table.images([m.transpose().inverse() for m in action.matrices])
+    duals = element_images(table, [m.transpose().inverse() for m in action.matrices])
     if classes is None:
         classes = subgroup_classes(group)
 
@@ -338,7 +370,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
     sizes = np.bincount(label)
     reps = np.flatnonzero(sizes)
 
-    order = len(table.perms)
+    order = len(table.images)
     counts = [0] * len(classes)
     class_of = {}  # stabilizer, as a mask over the elements -> its class
     # images of a block of representatives under every element, along the
@@ -348,7 +380,7 @@ def census_brute_force(group: PermGroup, action: ModuleAction, classes=None) -> 
         block = reps[a : a + step]
         images = np.empty((order, len(block)), dtype=np.int64)
         images[0] = block
-        for i, k, j in table.tree_levels():
+        for i, k, j in table.levels:
             images[j] = perms[k[:, None], images[i]]
         fixes = images == block
         if np.any(fixes.sum(axis=0) * sizes[block] != order):

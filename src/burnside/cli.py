@@ -99,10 +99,9 @@ def _note(args, msg):
 def _note_setup(args, group):
     """Note the stabilizer chain's base length and the word tree's depth and levels."""
     if args.verbose:
-        table = group.element_table()
-        depth = max(map(len, table.words.values()))
+        depth = len(group.element_table().levels)  # one level per word length
         _note(args, f"stabilizer chain: base length {len(group.base())}; "
-                    f"word tree: depth {depth}, levels {len(table.tree_levels())}")
+                    f"word tree: depth {depth}, levels {depth}")
 
 
 def _read(path: str) -> str:

@@ -51,7 +51,7 @@ import time
 
 import numpy as np
 
-from .census import ModuleAction
+from .census import ModuleAction, element_images
 from .ffield import matmul_mod, reduce_mod, row_echelon
 from .permgroup import PermGroup, check_allocation
 
@@ -81,7 +81,7 @@ class GroupModulePair:
         self.field = action.field
         self.p = action.field.p
         self.d = action.d
-        group.element_table().images(matrices)  # the homomorphism check
+        element_images(group.element_table(), matrices)  # the homomorphism check
         self.order = group.order()
         self.gens = np.stack([m.array for m in matrices])
 
@@ -102,19 +102,18 @@ def _tree_system(pair, unknowns, block):
     acts = pair.gens.transpose(0, 2, 1)  # (F^x)_t = sum_a x[a, t] F_a
     t = np.arange(d)
 
-    def step(i, k):  # not yet reduced mod p; d (p-1)^2 < 2^63 (ElementTable.images)
+    def step(i, k):  # not yet reduced mod p; d (p-1)^2 < 2^63 (census.element_images)
         out = np.matmul(acts[k], F[i])
         out[np.arange(len(k))[:, None], t, block(i, k)[:, None] * d + t] += 1
         return out
 
-    right = np.array(table.right, dtype=np.intp)
-    outside = np.ones(right.shape, dtype=bool)
-    for i, k, j in table.tree_levels():
+    outside = np.ones(table.right.shape, dtype=bool)
+    for i, k, j in table.levels:
         F[j] = reduce_mod(step(i, k), p)
         outside[i, k] = False
     i, k = np.nonzero(outside)
     out = step(i, k)
-    np.subtract(F[right[i, k]], out, out=out)
+    np.subtract(F[table.right[i, k]], out, out=out)
     reduce_mod(out, p)
     return out.reshape(len(i) * d, unknowns)
 
@@ -160,11 +159,10 @@ def _spin_columns(pair):
     table, n, r, d = pair.group.element_table(), pair.order, len(pair.gens), pair.d
     # left[k, w]: the index of x_k w, along the tree a level at a time:
     # x_k (w' x_m) = (x_k w') x_m.  Column blocks are at position index - 1 mod n
-    right = np.array(table.right, dtype=np.intp)
     left = np.empty((r, n), dtype=np.intp)
-    left[:, 0] = right[0]
-    for i, k, j in table.tree_levels():
-        left[:, j] = right[left[:, i], k]
+    left[:, 0] = table.right[0]
+    for i, k, j in table.levels:
+        left[:, j] = table.right[left[:, i], k]
     source = np.empty((r, n), dtype=np.intp)
     source[np.arange(r)[:, None], (left - 1) % n] = (np.arange(n) - 1) % n
     return (source[:, :, None] * (r * d) + np.arange(r * d)).reshape(r, n * r * d)

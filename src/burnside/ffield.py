@@ -184,13 +184,14 @@ class ExtField:
         return -self.modulus[0] % self.p
 
     def __eq__(self, other):
-        # matrix products compare fields, so the common case is one object
+        # matrix products compare fields, so the common case is one object;
+        # at k = 1 a modulus x + c changes only gen, not how scalars encode
         return self is other or (
-            isinstance(other, ExtField) and other.q == self.q and other.modulus == self.modulus
+            isinstance(other, ExtField) and other.q == self.q and (self.k == 1 or other.modulus == self.modulus)
         )
 
     def __hash__(self):
-        return hash(("GF", self.p, self.k, self.modulus))
+        return hash(("GF", self.q, self.modulus if self.k > 1 else None))
 
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"

@@ -16,20 +16,21 @@ breadth-first transversal of the base's orbit, and takes the distinct
 Schreier generators, unsifted, as the next level's generators.
 
 The exhaustive algorithms work on element indices, not on Perm objects.
-Each group builds one ElementTable on first enumeration: the elements in
-sorted order (so the identity is index 0), their breadth-first generator
-words, the index of every product with a generator, and where each
-breadth-first level of the word tree ends.  The tree is walked one batched
-step per level: the elements' matrix images, their inverses, the left
-products of the cohomology spin and the stabilizers of the brute-force
-census.  The n x n product table is filled in on first use, one row per
-tree edge, at two bytes an entry; a table over SYSTEM_BYTES_BOUND bytes
+Each group builds one ElementTable on first enumeration, of plain index
+data: the elements' image tuples in sorted order (so the identity is index
+0), their breadth-first generator words, the index of every product with a
+generator, and the breadth-first word tree as index arrays, one triple a
+level.  The tree is walked one batched step per level: the elements'
+matrix images (census.element_images), their inverses, the left products
+of the cohomology spin and the stabilizers of the brute-force census.
+The n x n product table is filled in on first use, one row per tree
+edge, at two bytes an entry; a table over SYSTEM_BYTES_BOUND bytes
 (order above 11585) is refused before any element is enumerated.  The
 search is charged apart, at 8 bytes an entry: its image tuples before it
 starts and the words as each level is added, so a large group of large
 degree, or with long words, is refused too.  Subgroup classes and the
 subgroup-conjugacy test speak the same indices: a subgroup is the sorted
-array of its element indices, and element i is the Perm table.perms[i].
+array of its element indices, and element i is Perm(table.images[i]).
 Only elements of prime order seed cyclic classes, and a class's conjugates
 come from the least element of each coset of its normalizer, in one gather
 when the normalizer is small.
@@ -41,6 +42,7 @@ generator words transfer verbatim to matrix generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import itemgetter, ne
@@ -48,7 +50,6 @@ from operator import itemgetter, ne
 import numpy as np
 
 from .cyclotomic import is_prime, power, prime_factors
-from .ffield import _check_int64, blow_up, matmul_mod
 
 # largest dense array (product table, cohomology system) built anywhere
 SYSTEM_BYTES_BOUND = 2**28
@@ -105,10 +106,7 @@ class Perm:
         if len(other.images) != len(self.images):
             raise ValueError("degree mismatch")
         q = other.images
-        # a composite of permutations is one: skip the check in __init__
-        out = object.__new__(Perm)
-        out.images = tuple([q[i] for i in self.images])
-        return out
+        return _perm(tuple([q[i] for i in self.images]))  # a composite of permutations is one
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -165,16 +163,24 @@ class Perm:
         return "Perm" + "".join(str(tuple(c)) for c in cyc)
 
 
+def _perm(images):
+    """The Perm of a tuple known to be a permutation, without the check in Perm.__init__."""
+    out = object.__new__(Perm)
+    out.images = images
+    return out
+
+
 class ElementTable:
     """The elements of a group by index, with products as index lookups.
 
-    perms holds the elements in sorted order (the identity is index 0) and
-    index maps them back; words maps each element to its breadth-first
-    generator word; right[i][k] is the index of perms[i] * generators[k];
-    tree lists the edges (i, k, j) along which the search first reached j,
-    level by level: ends[t] is the number of edges into the first t + 1
-    breadth-first levels below the identity.  mul[i, j], the index of
-    perms[i] * perms[j], and inv are filled in by
+    images holds the elements' image tuples in sorted order, so the
+    identity is index 0 and element i is Perm(images[i]); words[i] is the
+    breadth-first generator word of element i; right[i, k], in an (n, r)
+    intp array, is the index of element i times generators[k].  levels
+    holds the breadth-first word tree, one (i, k, j) triple of index arrays
+    a level: the edges along which the search first reached j, from i by
+    generators[k], in the order found.  mul[i, j], the index of element i
+    times element j, and inv are filled in by
     PermGroup.multiplication_table().
 
     held is what the caller has already charged for the search (its image
@@ -183,96 +189,53 @@ class ElementTable:
     """
 
     def __init__(self, degree, generators, held=0):
-        # a search on image tuples, numbered in the order found; one Perm each at the end
+        # a search on image tuples, numbered in the order found; the element
+        # found b-th was first reached from parent[b] by generator via[b]
         gens = [g.images for g in generators]
         found = [tuple(range(degree))]
         position = {found[0]: 0}
-        words, right, tree, ends = [()], [], [], []
+        words, right, parent, via, starts = [()], [], [0], [0], []
         start = 0
         while start < len(found):  # one breadth-first level a pass
             stop = len(found)
             for a in range(start, stop):
-                times, row = _times(found[a]), []
+                times = _times(found[a])
                 for k, g in enumerate(gens):
                     y = times(g)
                     b = position.setdefault(y, len(found))
                     if b == len(found):
                         found.append(y)
                         words.append(words[a] + (k,))
-                        tree.append((a, k, b))
-                    row.append(b)
-                right.append(row)
+                        parent.append(a)
+                        via.append(k)
+                    right.append(b)
             if len(found) > stop:
-                ends.append(len(tree))
+                starts.append(stop)
                 held += 8 * len(words[-1]) * (len(found) - stop)
-                check_allocation(f"the element search to depth {len(ends)} ({len(found)} elements)", held)
+                check_allocation(f"the element search to depth {len(starts)} ({len(found)} elements)", held)
             start = stop
-        order = sorted(range(len(found)), key=found.__getitem__)
-        rank = [0] * len(found)
-        for i, a in enumerate(order):
-            rank[a] = i
-        self.perms = perms = tuple(object.__new__(Perm) for _ in found)  # no check in __init__
-        for p, a in zip(perms, order):
-            p.images = found[a]
-        self.index = {x: i for i, x in enumerate(perms)}
-        self.words = {perms[rank[a]]: w for a, w in enumerate(words)}
-        self.right = [[rank[b] for b in right[a]] for a in order]
-        self.tree = [(rank[a], k, rank[b]) for a, k, b in tree]
-        self.ends = ends
-        self._levels = None
+        n = len(found)
+        order = sorted(range(n), key=found.__getitem__)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        self.images = [found[a] for a in order]
+        self.words = [words[a] for a in order]
+        self.right = rank[np.array(right, dtype=np.intp).reshape(n, len(gens))[order]]
+        parent, via = rank[parent], np.array(via, dtype=np.intp)
+        self.levels = [(parent[s:e], via[s:e], rank[s:e]) for s, e in zip(starts, starts[1:] + [n])]
         self.mul = self.inv = None
 
-    def images(self, gen_images):
-        """Image of every element, by index, under generators -> gen_images.
-
-        Returns an (n, D, D) int64 array over GF(p): the blow-ups of the
-        images, for gen_images FFMatrices over GF(p^k) with D = k * size.
-        Images are built one breadth-first level at a time, with one batched
-        product per level, and then checked on every Cayley edge,
-        image(x * g_k) == image(x) * gen_images[k], with one batched product
-        per generator.  Those edges carry all defining relations of the
-        group, so a ValueError here means the generator images do not
-        define a homomorphism.  blow_up is an injective ring homomorphism,
-        so the check over GF(p) is the check over GF(p^k).
-        """
-        r = len(self.right[0])
-        if len(gen_images) != r:
-            raise ValueError(f"{r} group generators but {len(gen_images)} matrices")
-        gens = np.stack([blow_up(m).array for m in gen_images])
-        p, size = gen_images[0].field.p, gens.shape[1]
-        _check_int64(p, size)
-        n = len(self.perms)
-        # the images and, at one level, both gathered operands, their
-        # float64 copies and the product (in the check, fewer)
-        check_allocation(f"the images of {n} elements", 6 * n * size * size * 8)
-        images = np.empty((n, size, size), dtype=np.int64)
-        images[0] = np.eye(size, dtype=np.int64)
-        for i, k, j in self.tree_levels():
-            images[j] = matmul_mod(images[i], gens[k], p)
-        right = np.array(self.right, dtype=np.intp)
-        for k in range(r):
-            if not np.array_equal(images[right[:, k]], matmul_mod(images, gens[k], p)):
-                raise ValueError("matrices are not aligned with the group generators")
-        return images
-
-    def tree_levels(self):
-        """The tree edges by breadth-first level: one (i, k, j) triple of index arrays each."""
-        if self._levels is None:
-            edges = np.array(self.tree, dtype=np.intp).reshape(-1, 3)
-            self._levels = [np.ascontiguousarray(level.T) for level in np.split(edges, self.ends)[:-1]]
-        return self._levels
-
     def conjugates(self, xs):
-        """Array c with c[g, t] = index of perms[g]^-1 * perms[xs[t]] * perms[g]."""
+        """Array c with c[g, t] = index of g^-1 * xs[t] * g, on element indices."""
         return self.mul[self.inv[:, None], self.mul[np.asarray(xs, dtype=np.intp)].T]
 
     def closure(self, gens, cap=None):
         """Indices of the subgroup generated by gens; None past cap elements."""
         steps = [self.mul[:, g].tolist() for g in gens]  # right multiplication by each generator
-        inside = bytearray(len(self.perms))
+        inside = bytearray(len(self.images))
         inside[0] = 1
         reached = [0]
-        cap = len(self.perms) if cap is None else cap
+        cap = len(self.images) if cap is None else cap
         for x in reached:  # breadth-first: the loop extends the list it walks
             for step in steps:
                 y = step[x]
@@ -331,13 +294,13 @@ class PermGroup:
     # -- enumeration ------------------------------------------------------
 
     def element_words(self):
-        """All elements with a generator word each, in breadth-first order.
+        """The breadth-first generator word of every element, by element index.
 
         A word (i1, i2, ...) means generators[i1] * generators[i2] * ...;
-        the empty word is the identity.  The first call builds the group's
-        ElementTable, unless its product table, or its search (the image
-        tuples of all elements and then their words), would exceed
-        SYSTEM_BYTES_BOUND.  The two are bounded apart, so the product
+        the empty word is the identity, element 0.  The first call builds
+        the group's ElementTable, unless its product table, or its search
+        (the image tuples of all elements and then their words), would
+        exceed SYSTEM_BYTES_BOUND.  The two are bounded apart, so the product
         table alone caps the order at 11585.
         """
         if self._table is None:
@@ -349,7 +312,8 @@ class PermGroup:
         return self._table.words
 
     def elements(self):
-        return list(self.element_table().perms)
+        """The elements as Perms, by element index (sorted order)."""
+        return list(map(_perm, self.element_table().images))
 
     def element_table(self) -> ElementTable:
         """The group's ElementTable, without its products; refused past the product-table cap."""
@@ -360,21 +324,21 @@ class PermGroup:
         """The element table with its products filled in (its bytes were checked with the elements)."""
         table = self.element_table()
         if table.mul is None:
-            n = len(table.perms)
+            n = len(table.images)
             # along the tree: x * (y g_k) = (x y) g_k, a gather from a
             # contiguous copy of column k of right straight into row j
-            right = np.array(table.right, dtype=_INDEX).reshape(n, -1)
-            steps = [np.ascontiguousarray(column) for column in right.T]
-            cols = np.empty((n, n), dtype=_INDEX)  # cols[j, i] = index of perms[i] * perms[j]
+            steps = [np.ascontiguousarray(column, dtype=_INDEX) for column in table.right.T]
+            cols = np.empty((n, n), dtype=_INDEX)  # cols[j, i] = index of element i * element j
             cols[0] = np.arange(n)
-            for i, k, j in table.tree:
-                steps[k].take(cols[i], out=cols[j], mode="clip")
+            for level in table.levels:
+                for i, k, j in zip(*map(np.ndarray.tolist, level)):
+                    steps[k].take(cols[i], out=cols[j], mode="clip")
             table.mul = cols.T
             # a level at a time: (y g_k)^-1 = g_k^-1 y^-1, where g_k^-1 is
             # the element that g_k takes to the identity
-            ginv = right.argmin(axis=0)
+            ginv = table.right.argmin(axis=0)
             inv = np.zeros(n, dtype=_INDEX)
-            for i, k, j in table.tree_levels():
+            for i, k, j in table.levels:
                 inv[j] = cols[inv[i], ginv[k]]
             table.inv = inv
         return table
@@ -492,7 +456,7 @@ def _cyclic(table, x):
 def _class_minima(table):
     """The least element of each conjugacy class of elements, ascending, and
     least[x], the least conjugate of x (orbits under conjugation by the generators)."""
-    n = len(table.perms)
+    n = len(table.images)
     mul, inv = table.mul, table.inv
     least = orbit_minima(n, [mul[mul[inv[c]], c] for c in table.right[0]])
     return np.flatnonzero(least == np.arange(n)).tolist(), least
@@ -534,7 +498,7 @@ def _power_maps(table, minima):
             reached = {r * y % e for r in reached for y in cyclic}  # the units commute
     maps = []
     for k in ks:  # square and multiply
-        out, base = np.zeros(len(table.perms), dtype=np.intp), np.arange(len(table.perms))
+        out, base = np.zeros(len(table.images), dtype=np.intp), np.arange(len(table.images))
         while k:
             if k & 1:
                 out = table.mul[out, base]
@@ -566,7 +530,7 @@ def _coset_minima(mul, subgroup, gather):
 def _generators_within(table, subgroup):
     """Greedy generators of a subgroup, given as its sorted element indices."""
     gens = []
-    inside = np.zeros(len(table.perms), dtype=bool)
+    inside = np.zeros(len(table.images), dtype=bool)
     inside[0] = True
     for c in subgroup.tolist():
         if not inside[c]:
@@ -641,7 +605,7 @@ def subgroup_classes(group: PermGroup) -> tuple:
     2-generated (P. Hall, 1936).  A larger cap reopens the question.
     """
     table = group.multiplication_table()
-    n = len(table.perms)
+    n = len(table.images)
     mul, inv = table.mul, table.inv
 
     classes = []  # dicts: els (sorted index array), gens (indices), normalizer, conj, key
@@ -673,7 +637,8 @@ def subgroup_classes(group: PermGroup) -> tuple:
         return c
 
     def generators_of(h):
-        return [table.index[x] for x in minimal_generators([table.perms[i] for i in h])]
+        gens = minimal_generators([_perm(table.images[i]) for i in h])
+        return [bisect_left(table.images, x.images) for x in gens]
 
     add(np.array([0]), ())
     queue = []
@@ -749,7 +714,7 @@ def is_conjugate_subgroup(group: PermGroup, u, v):
     of `group`.
     """
     table = group.multiplication_table()
-    in_v = np.zeros(len(table.perms), dtype=bool)
+    in_v = np.zeros(len(table.images), dtype=bool)
     in_v[np.asarray(v, dtype=np.intp)] = True
     hits = np.flatnonzero(in_v[table.conjugates(u)].all(axis=1))
     if len(u) != len(v) or not len(hits):

@@ -153,7 +153,7 @@ def compute_tom(group: PermGroup, classes=None) -> TableOfMarks:
         classes = subgroup_classes(group)
     table = group.element_table()
     n = len(classes)
-    size = len(table.perms)
+    size = len(table.images)
     orders = np.array([c.order for c in classes], dtype=np.int64)
     check_allocation(f"the marks and membership table of {n} classes", held := 8 * n * n + n * size)
     # in_u[i, g]: element g lies in U_i
@@ -171,11 +171,10 @@ def compute_tom(group: PermGroup, classes=None) -> TableOfMarks:
     for i in range(n):  # in place, so the lists and the tuples never all coexist
         rows[i] = tuple(rows[i])
 
-    words, perms = table.words, table.perms
     m = max(1, len(group.generators))
     slps = []
     for ci in classes:
-        gen_words = [tuple(idx + 1 for idx in words[perms[g]]) for g in ci.generators]
+        gen_words = [tuple(idx + 1 for idx in table.words[g]) for g in ci.generators]
         slps.append(SLProgram.from_words(m, gen_words))
 
     return TableOfMarks(n, tuple(c.order for c in classes), tuple(rows), tuple(slps))

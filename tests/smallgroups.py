@@ -8,6 +8,8 @@ enough structure (order statistics, center, derived subgroup,
 abelianization) to tell all 42 apart, which the zoo test checks.
 """
 
+from bisect import bisect_left
+
 from burnside.corpus import regular_perm_copy
 from burnside.ffield import FFMatrix, PrimeField
 from burnside.permgroup import Perm, PermGroup, mulclose
@@ -153,10 +155,23 @@ def all_small_groups():
     return groups
 
 
+def indexed_elements(group):
+    """The group's elements as Perms, by element index, and index(x), the element index of the Perm x."""
+    els = group.elements()
+
+    def index(x):
+        i = bisect_left(els, x)
+        if els[i : i + 1] != [x]:
+            raise KeyError(x)
+        return i
+
+    return els, index
+
+
 def perms_of(group, indices):
     """The elements of the group at the given element indices, as Perms."""
-    perms = group.element_table().perms
-    return frozenset(perms[i] for i in indices)
+    els = group.elements()
+    return frozenset(els[i] for i in indices)
 
 
 def iso_invariant(group):

@@ -42,7 +42,7 @@ def burnside_lemma_orbits(group, action):
     field = action.field
     duals = [m.transpose().inverse() for m in action.matrices]
     dual_of = {}
-    for el, word in group.element_words().items():
+    for el, word in zip(group.elements(), group.element_words()):
         m = FFMatrix.identity(field, action.d)
         for idx in word:
             m = m * duals[idx]
@@ -776,13 +776,13 @@ def word_fixed_counts(group, action, classes):
     codes = np.arange(q**d, dtype=np.int64)
     vectors = FFMatrix(action.field, q**d, d, codes[:, None] // weights % q)
     perms = [(vectors * m.transpose().inverse()).array @ weights for m in action.matrices]
-    words, elements = group.element_words(), group.element_table().perms
+    words = group.element_words()
     counts = []
     for c in classes:
         fixed = np.ones(q**d, dtype=bool)
         for g in c.generators:
             image = codes
-            for k in words[elements[g]]:
+            for k in words[g]:
                 image = perms[k][image]
             fixed &= image == codes
         counts.append(int(fixed.sum()))

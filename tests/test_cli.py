@@ -565,6 +565,17 @@ def test_slp_eval_product(capsys, tmp_path):
     assert out == "1 2 2 2\n11\n01\n"
 
 
+def test_slp_eval_degree_one_ext_matrix_times_meataxe(capsys, tmp_path):
+    prog = tmp_path / "prog.slp"
+    prog.write_text("r3 = r1 * r2\nreturn r3\n")
+    ext = tmp_path / "gf3.json"
+    ext.write_text('{"p": 3, "k": 1, "modulus": [1, 1], "rows": 1, "cols": 1, "entries": [[[2]]]}')
+    mtx = tmp_path / "gf3.mtx"
+    mtx.write_text("1 3 1 1\n2\n")
+    code, out, _ = run(capsys, "slp", "eval", "--slp", str(prog), "--inputs", f"{ext},{mtx}")
+    assert (code, out) == (0, "1 3 1 1\n1\n")
+
+
 def test_slp_eval_perm_inputs(capsys, tmp_path):
     prog = tmp_path / "prog.slp"
     prog.write_text("r3 = r2 * r2\nreturn r3, r1\n")

@@ -122,8 +122,12 @@ def test_fields_are_equal_by_p_k_and_modulus():
         assert f == g and g == f and hash(f) == hash(g)
         assert repr(f) == f"GF({p})"
     assert PrimeField(3) != ExtField(3, 2) and PrimeField(3) != PrimeField(5)
-    # another modulus encodes the scalars another way
+    # another modulus encodes the scalars another way, except at degree 1,
+    # where the modulus x + c changes only the root gen
     assert ExtField(2, 3) == ExtField(2, 3, (1, 1, 0, 1)) != ExtField(2, 3, (1, 0, 1, 1))
+    for c in range(3):
+        f = ExtField(3, 1, (c, 1))
+        assert f == PrimeField(3) and hash(f) == hash(PrimeField(3)) and f.gen == -c % 3
 
 
 def test_encode_is_from_coeffs_of_each_list():

@@ -204,6 +204,15 @@ def test_ext_matrix_rejects():
         write_ext_matrix(FFMatrix.identity(GF2, 1))
 
 
+def test_degree_one_ext_matrix_multiplies_a_meataxe_matrix():
+    # a GF(3) written modulo x + 1 is the GF(3) of a MeatAxe file
+    a = parse_ext_matrix('{"p": 3, "k": 1, "modulus": [1, 1], "rows": 1, "cols": 1, "entries": [[[2]]]}')
+    b = parse_meataxe("1 3 1 1\n2\n")
+    assert a.field == b.field == PrimeField(3)
+    assert (a * b).to_rows() == (b * a).to_rows() == [[1]]
+    assert write_meataxe(a * b) == "1 3 1 1\n1\n"
+
+
 def test_ext_matrix_passed_modulus():
     bare = '{"p": 2, "k": 2, "rows": 1, "cols": 1, "entries": [[[0, 1]]]}'
     assert parse_ext_matrix(bare, (1, 1, 1)).field.modulus == (1, 1, 1)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from burnside.census import ModuleAction, census_brute_force, validate_action_homomorphism
+from burnside.census import ModuleAction, census_brute_force, element_images, validate_action_homomorphism
 from burnside.cohomology import GroupModulePair, _spin_columns
 from burnside.corpus import census_corpus
 from burnside.ffield import ExtField, FFMatrix, PrimeField, blow_up
@@ -28,7 +28,7 @@ from burnside.permgroup import (
     orbit_minima,
     subgroup_classes,
 )
-from smallgroups import all_small_groups, perms_of
+from smallgroups import all_small_groups, indexed_elements, perms_of
 from test_census import psl2_9_sym2, sl2_on_projective_line
 from test_ffield import random_matrix
 from test_tom import projective_line_psl2
@@ -189,7 +189,7 @@ def test_orbit_stabilizer():
         n = g.order()
         for point in range(g.degree):
             orb, _ = orbit(g.degree, g.generators, point)
-            stab = sum(1 for x in g.element_words() if x(point) == point)
+            stab = sum(1 for x in g.elements() if x(point) == point)
             assert len(orb) * stab == n
         # the chain's first level holds one inverse per point of the first base point's orbit
         assert sorted(g._stabilizer_chain()[0][1]) == sorted(orbit(g.degree, g.generators, g.base()[0])[0])
@@ -274,25 +274,53 @@ TREE_GROUPS = all_small_groups() + [("S6", PermGroup(6, [cyc(6, (0, 1)), cyc(6, 
 @pytest.mark.parametrize("name,group", TREE_GROUPS, ids=[name for name, _ in TREE_GROUPS])
 def test_tree_levels_split_the_tree_by_word_length(name, group):
     table = group.element_table()
-    levels = table.tree_levels()
-    assert table.tree_levels() is levels  # built once
-    depth = [len(table.words[x]) for x in table.perms]
-    assert len(levels) == max(depth)
-    for d, level in enumerate(levels, 1):
-        assert level.shape[0] == 3
-        assert list(zip(*level.tolist())) == [edge for edge in table.tree if depth[edge[2]] == d]
+    els, index = indexed_elements(group)
+    gens = group.generators
+    assert table.right.shape == (len(els), len(gens)) and table.right.dtype == np.intp
+    assert table.right.tolist() == [[index(x * g) for g in gens] for x in els]
+    depth = [len(word) for word in table.words]
+    assert len(table.levels) == max(depth)
+    reached = []
+    for d, (i, k, j) in enumerate(table.levels, 1):
+        assert i.dtype == k.dtype == j.dtype == np.intp
+        assert [depth[x] for x in j.tolist()] == [d] * len(j)
+        # the edge i -> j by generator k: j = i * g_k, and j's word is i's and then k
+        assert table.right[i, k].tolist() == j.tolist()
+        assert [table.words[x] for x in j.tolist()] == [table.words[a] + (c,) for a, c in zip(i.tolist(), k.tolist())]
+        reached += j.tolist()
+    assert sorted(reached) == list(range(1, len(els)))  # every element but the identity, once
+    for x, word in zip(els, table.words):
+        y = Perm.identity(group.degree)
+        for k in word:
+            y = y * gens[k]
+        assert y == x
+
+
+def test_m11_element_table_holds_index_data_only():
+    # 7920 image tuples of 11 points, their words and a few index arrays;
+    # a Perm per element and Perm-keyed dicts held 3.8 MB
+    group = m11()
+    group.order()  # the stabilizer chain, held by the group, not the table
+    tracemalloc.start()
+    try:
+        table = group.element_table()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table.images) == 7920
+    assert held < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("name,group", TREE_GROUPS, ids=[name for name, _ in TREE_GROUPS])
 def test_inverses_and_left_products_match_perm_products(name, group):
     table = group.multiplication_table()
-    perms, index = table.perms, table.index
-    assert table.inv.tolist() == [index[x.inverse()] for x in perms]
+    perms, index = indexed_elements(group)
+    assert table.inv.tolist() == [index(x.inverse()) for x in perms]
     # _spin_columns' gather, from left products by the generators taken on Perm objects
     one = FFMatrix.from_rows(PrimeField(2), [[1]])
     pair = GroupModulePair(group, [one] * len(group.generators))
     n, r = len(perms), len(group.generators)
-    left = np.array([[index[x * w] for w in perms] for x in group.generators]).reshape(r, n)
+    left = np.array([[index(x * w) for w in perms] for x in group.generators]).reshape(r, n)
     source = np.empty((r, n), dtype=np.intp)
     source[np.arange(r)[:, None], (left - 1) % n] = (np.arange(n) - 1) % n
     expected = (source[:, :, None] * r + np.arange(r)).reshape(r, n * r)
@@ -396,13 +424,13 @@ IMAGE_PAIRS = image_pairs()
 @pytest.mark.parametrize("name,group,mats", IMAGE_PAIRS, ids=[n for n, _, _ in IMAGE_PAIRS])
 def test_batched_images_match_sequential_products(name, group, mats):
     table = group.element_table()
-    images = table.images(mats)
-    assert images.shape == (len(table.perms), *blow_up(mats[0]).array.shape)
-    for x, word in table.words.items():
+    images = element_images(table, mats)
+    assert images.shape == (len(table.images), *blow_up(mats[0]).array.shape)
+    for x, word in enumerate(table.words):
         m = FFMatrix.identity(mats[0].field, mats[0].rows)
         for k in word:
             m = m * mats[k]
-        assert np.array_equal(images[table.index[x]], blow_up(m).array)
+        assert np.array_equal(images[x], blow_up(m).array)
 
 
 def misaligned(group, mats, rng):
@@ -428,7 +456,7 @@ def misaligned(group, mats, rng):
 def test_misaligned_generators_are_not_aligned(name, group, mats):
     wrong = misaligned(group, mats, random.Random(name))
     with pytest.raises(ValueError, match="not aligned"):
-        group.element_table().images(wrong)
+        element_images(group.element_table(), wrong)
     with pytest.raises(ValueError, match="not aligned"):
         validate_action_homomorphism(group, ModuleAction(wrong))
     with pytest.raises(ValueError, match="not aligned"):
@@ -457,11 +485,12 @@ def a7():
 def test_closure_matches_mulclose(make):
     group = make()
     table = group.multiplication_table()
+    perms, index = indexed_elements(group)
     rng = random.Random(8)
     for _ in range(25):
-        gens = rng.sample(range(len(table.perms)), rng.randint(1, 3))
-        expected = mulclose([table.perms[i] for i in gens], group.degree)
-        assert table.closure(gens).tolist() == sorted(table.index[x] for x in expected)
+        gens = rng.sample(range(len(perms)), rng.randint(1, 3))
+        expected = mulclose([perms[i] for i in gens], group.degree)
+        assert table.closure(gens).tolist() == sorted(index(x) for x in expected)
 
 
 def test_closure_of_no_generators_is_the_identity():
@@ -470,8 +499,10 @@ def test_closure_of_no_generators_is_the_identity():
 
 
 def test_closure_cap_is_inclusive():
-    table = s4().multiplication_table()
-    gens = [table.index[cyc(4, (0, 1, 2))], table.index[cyc(4, (0, 1), (2, 3))]]  # A4
+    group = s4()
+    table = group.multiplication_table()
+    _, index = indexed_elements(group)
+    gens = [index(cyc(4, (0, 1, 2))), index(cyc(4, (0, 1), (2, 3)))]  # A4
     a4_els = table.closure(gens)
     assert len(a4_els) == 12
     assert table.closure(gens, cap=12).tolist() == a4_els.tolist()
@@ -489,8 +520,9 @@ def test_generators_within_match_minimal_generators(make):
     # minimal_generators picks over sorted permutations, class by class
     group = make()
     table = group.multiplication_table()
+    perms, index = indexed_elements(group)
     for c in subgroup_classes(group):
-        expected = [table.index[x] for x in minimal_generators([table.perms[i] for i in c.elements])]
+        expected = [index(x) for x in minimal_generators([perms[i] for i in c.elements])]
         assert _generators_within(table, c.elements) == expected
 
 
@@ -521,21 +553,22 @@ def element_table_by_search(degree, generators):
 def test_element_table_matches_a_perm_search(degree, generators):
     table = ElementTable(degree, generators)
     perms, words, right, tree = element_table_by_search(degree, generators)
-    assert list(table.perms) == perms
-    assert all(type(x.images) is tuple for x in table.perms)
-    assert table.index == {x: i for i, x in enumerate(perms)}
-    assert list(table.words.items()) == list(words.items())  # insertion order too
-    assert table.right == right
-    assert table.tree == tree
+    assert table.images == [x.images for x in perms]
+    assert all(type(x) is tuple for x in table.images)
+    assert table.words == [words[x] for x in perms]
+    assert table.right.shape == (len(perms), len(generators))
+    assert table.right.tolist() == right
+    # the tree's edges, level by level, in the order found
+    assert [edge for level in table.levels for edge in zip(*(a.tolist() for a in level))] == tree
 
 
 @pytest.mark.parametrize("name,group", all_small_groups() + [("S6", s6())],
                          ids=[name for name, _ in all_small_groups()] + ["S6"])
 def test_product_table_and_inverses_match_perm_products(name, group):
     table = group.multiplication_table()
-    perms, index = table.perms, table.index
-    assert table.mul.tolist() == [[index[x * y] for y in perms] for x in perms]
-    assert table.inv.tolist() == [index[x.inverse()] for x in perms]
+    perms, index = indexed_elements(group)
+    assert table.mul.tolist() == [[index(x * y) for y in perms] for x in perms]
+    assert table.inv.tolist() == [index(x.inverse()) for x in perms]
     assert table.inv[table.inv].tolist() == list(range(len(perms)))
 
 
@@ -562,7 +595,7 @@ def test_coset_minima_match_a_search(make):
     # the least of the products x g over x in U, for every g, one per coset
     group = make()
     table = group.multiplication_table()
-    n = len(table.perms)
+    n = len(table.images)
     gathered = set()
     for c in subgroup_classes(group):
         in_u = np.zeros(n, dtype=bool)
@@ -580,9 +613,10 @@ def test_coset_minima_match_a_search(make):
 
 @pytest.mark.parametrize("make", [s4, s6], ids=["S4", "S6"])
 def test_least_conjugates_match_a_search(make):
-    table = make().multiplication_table()
-    minima, least = _class_minima(table)
-    expected = [min(table.index[g.inverse() * x * g] for g in table.perms) for x in table.perms]
+    group = make()
+    minima, least = _class_minima(group.multiplication_table())
+    perms, index = indexed_elements(group)
+    expected = [min(index(g.inverse() * x * g) for g in perms) for x in perms]
     assert least.tolist() == expected
     # the least element of each class, ascending
     assert minima == sorted(set(expected))
@@ -593,8 +627,8 @@ def test_least_conjugates_match_a_search(make):
 
 
 def indices(group, perms):
-    table = group.multiplication_table()
-    return sorted(table.index[x] for x in perms)
+    _, index = indexed_elements(group)
+    return sorted(index(x) for x in perms)
 
 
 def test_conjugate_self_identity_witness():
@@ -609,7 +643,7 @@ def test_point_stabilizers_conjugate_in_s3():
     v = [Perm.identity(3), cyc(3, (0, 2))]  # stabilizer of 1
     ok, w = is_conjugate_subgroup(g, indices(g, u), indices(g, v))
     assert ok
-    w = g.multiplication_table().perms[w]
+    w = g.elements()[w]
     assert {w.inverse() * x * w for x in u} == set(v)
 
 
@@ -633,7 +667,7 @@ def test_conjugacy_tells_apart_the_classes_of_s4_by_least_witness():
                 assert found == (a is b)
                 if found:
                     target = perms_of(g, v)
-                    assert w == min(i for i, x in enumerate(table.perms)
+                    assert w == min(i for i, x in enumerate(g.elements())
                                     if frozenset(x.inverse() * y * x for y in u) == target)
                 else:
                     assert w is None

@@ -116,7 +116,7 @@ def marks_pairwise(group, classes):
     conj = [table.conjugates(c.generators) for c in classes]
     rows = []
     for i, ci in enumerate(classes):
-        in_u = np.zeros(len(table.perms), dtype=bool)
+        in_u = np.zeros(len(table.images), dtype=bool)
         in_u[ci.elements] = True
         row = [0] * len(classes)
         for j in range(i + 1):
